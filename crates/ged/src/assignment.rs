@@ -14,14 +14,23 @@
 //! approximations can differ on the same pair of graphs.
 //!
 //! Each solver exists in two forms: the plain entry point, which allocates
-//! its working arrays, and a `*_with` form that reuses an [`AssignScratch`].
-//! The `*_with` forms reinitialize every buffer to exactly the values the
-//! allocating path starts from, so the two forms are bit-identical; routing
-//! calls them thousands of times per query through the per-thread
-//! [`crate::scratch::GedScratch`].
+//! its working arrays, and a `*_with` form that reuses an [`AssignScratch`]
+//! and allocates only the returned [`Assignment`]. Below both sit the
+//! crate-internal `*_solve` kernels, which leave the assignment in the
+//! scratch and allocate nothing — the form the GED distance path calls
+//! thousands of times per query through the per-thread
+//! [`crate::scratch::GedScratch`]. Every buffer is reinitialized to the same
+//! values on every solve, so scratch reuse is bit-identical to fresh
+//! allocation.
+//!
+//! The inner loops walk the hoisted matrix row and the working arrays as
+//! zipped slices (no per-cell index arithmetic or bounds checks). Their
+//! arithmetic, operation order and strict-`<` tie choices are those of the
+//! classic index-based formulations, which `tests/kernel_equivalence.rs`
+//! keeps as frozen references and compares on `row_to_col`, not just cost.
 
 /// A square cost matrix stored row-major.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostMatrix {
     n: usize,
     data: Vec<f64>,
@@ -72,6 +81,12 @@ impl CostMatrix {
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n..(i + 1) * self.n]
     }
+
+    /// Row `i` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.n..(i + 1) * self.n]
+    }
 }
 
 /// An optimal assignment: `row_to_col[i]` is the column assigned to row `i`.
@@ -87,6 +102,8 @@ pub struct Assignment {
 /// scratch carries no state between calls — only capacity.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
+    /// The last solve's assignment (row -> column).
+    row_to_col: Vec<usize>,
     // Hungarian (1-based arrays of length n + 1).
     u: Vec<f64>,
     v: Vec<f64>,
@@ -109,6 +126,24 @@ impl AssignScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The assignment left by the last `*_solve` call.
+    pub(crate) fn row_to_col(&self) -> &[usize] {
+        &self.row_to_col
+    }
+
+    /// The last solve's assignment as an owned [`Assignment`] (cost summed
+    /// in row order).
+    fn to_assignment(&self, c: &CostMatrix) -> Assignment {
+        let row_to_col = self.row_to_col.clone();
+        // A fold from +0.0, not `sum()`: an empty f64 sum is -0.0, and the
+        // cost of the empty assignment has always been +0.0.
+        let cost = row_to_col
+            .iter()
+            .enumerate()
+            .fold(0.0, |acc, (i, &j)| acc + c.get(i, j));
+        Assignment { row_to_col, cost }
+    }
 }
 
 /// Clears and refills `buf` with `len` copies of `val` (the scratch
@@ -130,13 +165,15 @@ pub fn hungarian(c: &CostMatrix) -> Assignment {
 /// [`hungarian`] reusing the caller's scratch buffers. Bit-identical to the
 /// allocating form.
 pub fn hungarian_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
+    hungarian_solve(c, s);
+    s.to_assignment(c)
+}
+
+/// The Hungarian kernel: leaves the optimal assignment in
+/// [`AssignScratch::row_to_col`] and allocates nothing once the scratch has
+/// grown to `n`.
+pub(crate) fn hungarian_solve(c: &CostMatrix, s: &mut AssignScratch) {
     let n = c.n();
-    if n == 0 {
-        return Assignment {
-            row_to_col: vec![],
-            cost: 0.0,
-        };
-    }
     const INF: f64 = f64::INFINITY;
     // 1-based internally per the classic formulation; p[j] = row matched to
     // column j (0 = none).
@@ -144,46 +181,71 @@ pub fn hungarian_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
     refill(&mut s.v, n + 1, 0.0);
     refill(&mut s.p, n + 1, 0);
     refill(&mut s.way, n + 1, 0);
+    refill(&mut s.row_to_col, n, 0);
+    let AssignScratch {
+        row_to_col,
+        u,
+        v,
+        p,
+        way,
+        minv,
+        used,
+        ..
+    } = s;
 
     for i in 1..=n {
-        s.p[0] = i;
+        p[0] = i;
         let mut j0 = 0usize;
-        refill(&mut s.minv, n + 1, INF);
-        refill(&mut s.used, n + 1, false);
+        refill(minv, n + 1, INF);
+        refill(used, n + 1, false);
         loop {
-            s.used[j0] = true;
-            let i0 = s.p[j0];
+            used[j0] = true;
+            let i0 = p[j0];
+            let ui0 = u[i0];
             let mut delta = INF;
             let mut j1 = 0usize;
-            for j in 1..=n {
-                if !s.used[j] {
-                    let cur = c.get(i0 - 1, j - 1) - s.u[i0] - s.v[j];
-                    if cur < s.minv[j] {
-                        s.minv[j] = cur;
-                        s.way[j] = j0;
+            // Columns 1..=n against row i0 (0-based in the matrix).
+            let cols = c
+                .row(i0 - 1)
+                .iter()
+                .zip(&v[1..])
+                .zip(&mut minv[1..])
+                .zip(&mut way[1..])
+                .zip(&used[1..]);
+            for (k, ((((&cij, &vj), minv_j), way_j), &used_j)) in cols.enumerate() {
+                if !used_j {
+                    let cur = cij - ui0 - vj;
+                    if cur < *minv_j {
+                        *minv_j = cur;
+                        *way_j = j0;
                     }
-                    if s.minv[j] < delta {
-                        delta = s.minv[j];
-                        j1 = j;
+                    if *minv_j < delta {
+                        delta = *minv_j;
+                        j1 = k + 1;
                     }
                 }
             }
-            for j in 0..=n {
-                if s.used[j] {
-                    s.u[s.p[j]] += delta;
-                    s.v[j] -= delta;
+            let cols = used
+                .iter()
+                .zip(p.iter())
+                .zip(v.iter_mut())
+                .zip(minv.iter_mut());
+            for (((&used_j, &pj), vj), minv_j) in cols {
+                if used_j {
+                    u[pj] += delta;
+                    *vj -= delta;
                 } else {
-                    s.minv[j] -= delta;
+                    *minv_j -= delta;
                 }
             }
             j0 = j1;
-            if s.p[j0] == 0 {
+            if p[j0] == 0 {
                 break;
             }
         }
         loop {
-            let j1 = s.way[j0];
-            s.p[j0] = s.p[j1];
+            let j1 = way[j0];
+            p[j0] = p[j1];
             j0 = j1;
             if j0 == 0 {
                 break;
@@ -191,14 +253,11 @@ pub fn hungarian_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
         }
     }
 
-    let mut row_to_col = vec![0usize; n];
-    for j in 1..=n {
-        if s.p[j] > 0 {
-            row_to_col[s.p[j] - 1] = j - 1;
+    for (j, &pj) in p.iter().enumerate().skip(1) {
+        if pj > 0 {
+            row_to_col[pj - 1] = j - 1;
         }
     }
-    let cost = (0..n).map(|i| c.get(i, row_to_col[i])).sum();
-    Assignment { row_to_col, cost }
 }
 
 /// Jonker–Volgenant LAPJV.
@@ -213,19 +272,31 @@ pub fn lapjv(c: &CostMatrix) -> Assignment {
 /// [`lapjv`] reusing the caller's scratch buffers. Bit-identical to the
 /// allocating form.
 pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
+    lapjv_solve(c, s);
+    s.to_assignment(c)
+}
+
+/// The LAPJV kernel: leaves the optimal assignment in
+/// [`AssignScratch::row_to_col`] and allocates nothing once the scratch has
+/// grown to `n`.
+pub(crate) fn lapjv_solve(c: &CostMatrix, s: &mut AssignScratch) {
     let n = c.n();
-    if n == 0 {
-        return Assignment {
-            row_to_col: vec![],
-            cost: 0.0,
-        };
-    }
     const INF: f64 = f64::INFINITY;
-    // `x` (row -> col) is the returned assignment, so it is a fresh
-    // allocation either way; `y` and the potentials come from scratch.
-    let mut x = vec![usize::MAX; n];
+    refill(&mut s.row_to_col, n, usize::MAX); // row -> col
     refill(&mut s.y, n, usize::MAX); // col -> row
     refill(&mut s.vv, n, 0.0); // column potentials
+    let AssignScratch {
+        row_to_col: x,
+        y,
+        vv,
+        free,
+        next_free,
+        d,
+        pred,
+        done,
+        ready,
+        ..
+    } = s;
 
     // --- Column reduction (scan columns right-to-left). ---
     for j in (0..n).rev() {
@@ -238,30 +309,27 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
                 imin = i;
             }
         }
-        s.vv[j] = min;
+        vv[j] = min;
         if x[imin] == usize::MAX {
             x[imin] = j;
-            s.y[j] = imin;
+            y[j] = imin;
         }
     }
 
     // --- Augmenting row reduction (two passes over unassigned rows). ---
-    s.free.clear();
-    s.free.extend((0..n).filter(|&i| x[i] == usize::MAX));
+    free.clear();
+    free.extend((0..n).filter(|&i| x[i] == usize::MAX));
     for _ in 0..2 {
-        let mut k = 0usize;
-        let nfree = s.free.len();
-        s.next_free.clear();
-        while k < nfree {
-            let i = s.free[k];
-            k += 1;
+        next_free.clear();
+        for &i in free.iter() {
             // Find the two smallest reduced costs in row i.
-            let mut u1 = c.get(i, 0) - s.vv[0];
+            let row = c.row(i);
+            let mut u1 = row[0] - vv[0];
             let mut u2 = INF;
             let mut j1 = 0usize;
             let mut j2 = usize::MAX;
-            for (j, &vj) in s.vv.iter().enumerate().skip(1) {
-                let h = c.get(i, j) - vj;
+            for (j, (&cij, &vj)) in row.iter().zip(vv.iter()).enumerate().skip(1) {
+                let h = cij - vj;
                 if h < u2 {
                     if h < u1 {
                         u2 = u1;
@@ -275,73 +343,80 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
                 }
             }
             let mut jbest = j1;
-            let i0 = s.y[jbest];
+            let i0 = y[jbest];
             if u1 < u2 {
-                s.vv[jbest] -= u2 - u1;
+                vv[jbest] -= u2 - u1;
             } else if i0 != usize::MAX {
                 if j2 == usize::MAX {
                     // No alternative column; leave potentials as-is and fall
                     // through to the augmentation phase for this row.
-                    s.next_free.push(i);
+                    next_free.push(i);
                     continue;
                 }
                 jbest = j2;
             }
             x[i] = jbest;
-            let prev = s.y[jbest];
-            s.y[jbest] = i;
+            let prev = y[jbest];
+            y[jbest] = i;
             if prev != usize::MAX {
                 // prev row becomes free and is retried in the next pass.
-                s.next_free.push(prev);
+                next_free.push(prev);
                 x[prev] = usize::MAX;
             }
         }
-        std::mem::swap(&mut s.free, &mut s.next_free);
-        if s.free.is_empty() {
+        std::mem::swap(free, next_free);
+        if free.is_empty() {
             break;
         }
     }
 
     // --- Augmentation: shortest augmenting path for each remaining row. ---
-    for fi in 0..s.free.len() {
-        let f = s.free[fi];
-        s.d.clear();
-        s.d.extend((0..n).map(|j| c.get(f, j) - s.vv[j]));
-        refill(&mut s.pred, n, f);
-        refill(&mut s.done, n, false);
-        s.ready.clear();
+    for &f in free.iter() {
+        d.clear();
+        d.extend(c.row(f).iter().zip(vv.iter()).map(|(&cfj, &vj)| cfj - vj));
+        refill(pred, n, f);
+        refill(done, n, false);
+        ready.clear();
         let endj;
         loop {
             // Find nearest unscanned column.
             let mut jmin = usize::MAX;
             let mut dmin = INF;
-            for j in 0..n {
-                if !s.done[j] && s.d[j] < dmin {
-                    dmin = s.d[j];
+            for (j, (&dj, &done_j)) in d.iter().zip(done.iter()).enumerate() {
+                if !done_j && dj < dmin {
+                    dmin = dj;
                     jmin = j;
                 }
             }
             debug_assert!(jmin != usize::MAX, "LAPJV: no reachable column");
-            s.done[jmin] = true;
-            s.ready.push(jmin);
-            if s.y[jmin] == usize::MAX {
+            done[jmin] = true;
+            ready.push(jmin);
+            if y[jmin] == usize::MAX {
                 endj = jmin;
                 // Update potentials for scanned columns.
-                for &j in &s.ready {
+                for &j in ready.iter() {
                     if j != jmin {
-                        s.vv[j] += s.d[j] - dmin;
+                        vv[j] += d[j] - dmin;
                     }
                 }
                 break;
             }
             // Relax through the row matched to jmin.
-            let i = s.y[jmin];
-            for j in 0..n {
-                if !s.done[j] {
-                    let nd = dmin + c.get(i, j) - s.vv[j] - (c.get(i, jmin) - s.vv[jmin]);
-                    if nd < s.d[j] {
-                        s.d[j] = nd;
-                        s.pred[j] = i;
+            let i = y[jmin];
+            let row = c.row(i);
+            let red_min = row[jmin] - vv[jmin];
+            let cols = row
+                .iter()
+                .zip(vv.iter())
+                .zip(d.iter_mut())
+                .zip(pred.iter_mut())
+                .zip(done.iter());
+            for ((((&cij, &vj), dj), pred_j), &done_j) in cols {
+                if !done_j {
+                    let nd = dmin + cij - vj - red_min;
+                    if nd < *dj {
+                        *dj = nd;
+                        *pred_j = i;
                     }
                 }
             }
@@ -349,19 +424,13 @@ pub fn lapjv_with(c: &CostMatrix, s: &mut AssignScratch) -> Assignment {
         // Augment along the alternating path.
         let mut j = endj;
         loop {
-            let i = s.pred[j];
-            s.y[j] = i;
+            let i = pred[j];
+            y[j] = i;
             std::mem::swap(&mut x[i], &mut j);
             if j == usize::MAX {
                 break;
             }
         }
-    }
-
-    let cost = (0..n).map(|i| c.get(i, x[i])).sum();
-    Assignment {
-        row_to_col: x,
-        cost,
     }
 }
 

@@ -14,11 +14,11 @@
 //! upper bounds, which is why the ground-truth protocol takes the best of
 //! both (plus beam search).
 
-use crate::assignment::{hungarian_with, lapjv_with, CostMatrix};
+use crate::assignment::{hungarian_solve, lapjv_solve, CostMatrix};
 use crate::lower_bounds::sorted_label_multiset_lb;
-use crate::mapping::{mapping_cost, NodeMapping, EPS};
+use crate::mapping::{mapping_cost_with, NodeMapping, EPS};
 use crate::scratch::{with_scratch, GedScratch};
-use lan_graph::{Graph, NodeId};
+use lan_graph::{Graph, Label, NodeId};
 
 /// Which LSAP solver drives the approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +27,36 @@ pub enum Solver {
     Hungarian,
     /// Jonker–Volgenant (paper baseline "VJ", Fankhauser et al.).
     Vj,
+}
+
+/// Every node's neighbor labels, each list sorted ascending, in one flat
+/// buffer: the substitution cells of one cost matrix read each list
+/// `n1` (or `n2`) times, so it is sorted once per matrix.
+#[derive(Debug, Default)]
+pub(crate) struct NeighborLabels {
+    labels: Vec<Label>,
+    /// `labels[start[v]..start[v + 1]]` belongs to node `v`.
+    start: Vec<usize>,
+}
+
+impl NeighborLabels {
+    fn fill(&mut self, g: &Graph) {
+        self.labels.clear();
+        self.start.clear();
+        self.start.push(0);
+        for v in g.nodes() {
+            let from = self.labels.len();
+            self.labels
+                .extend(g.neighbors(v).iter().map(|&x| g.label(x)));
+            self.labels[from..].sort_unstable();
+            self.start.push(self.labels.len());
+        }
+    }
+
+    #[inline]
+    fn of(&self, v: usize) -> &[Label] {
+        &self.labels[self.start[v]..self.start[v + 1]]
+    }
 }
 
 /// Builds the Riesen–Bunke cost matrix.
@@ -39,9 +69,13 @@ pub enum Solver {
 ///   ε    [ ins(v) on diag, ∞ off ]   [ 0 ]
 /// ```
 ///
-/// * `sub(u, v)` = label cost + |deg(u) − deg(v)| (incident-edge estimate
-///   for unlabeled edges),
-/// * `del(u)` = 1 + deg(u), `ins(v)` = 1 + deg(v).
+/// * `sub(u, v)` = label cost + the label-multiset distance between the
+///   neighbor-label multisets of `u` and `v`
+///   ([`sorted_label_multiset_lb`]). That distance lower-bounds the local
+///   edge reassignment cost like Riesen–Bunke's `|deg(u) − deg(v)|` does,
+///   and is far more discriminative on uniform-degree chains;
+/// * `del(u)` = 1 + deg(u), `ins(v)` = 1 + deg(v);
+/// * "∞" is a large finite value, so solver arithmetic stays finite.
 pub fn rb_cost_matrix(g1: &Graph, g2: &Graph) -> CostMatrix {
     let mut s = GedScratch::new();
     rb_cost_matrix_into(g1, g2, &mut s);
@@ -54,53 +88,29 @@ pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
     let n1 = g1.node_count();
     let n2 = g2.node_count();
     let n = n1 + n2;
-    // Forbidden cells use a large finite value rather than ∞ so solver
-    // arithmetic stays finite.
     let forbid = (n as f64 + 1.0) * (g1.edge_count() + g2.edge_count() + n) as f64 + 1e6;
-    s.cost.reset(n);
-    for i in 0..n {
-        if i < n1 {
-            // Sorted neighbor labels of u, shared across the row.
-            let u = i as NodeId;
-            s.nu.clear();
-            s.nu.extend(g1.neighbors(u).iter().map(|&x| g1.label(x)));
-            s.nu.sort_unstable();
-        }
-        for j in 0..n {
-            let v = match (i < n1, j < n2) {
-                (true, true) => {
-                    let u = i as NodeId;
-                    let w = j as NodeId;
-                    let label = if g1.label(u) != g2.label(w) { 1.0 } else { 0.0 };
-                    // Incident-edge estimate refined by endpoint labels
-                    // (Riesen–Bunke with the labeled-neighborhood
-                    // strengthening): the multiset distance between the two
-                    // neighbor-label multisets lower-bounds the local edge
-                    // reassignment cost and is far more discriminative than
-                    // a plain degree difference on uniform-label chains.
-                    s.nw.clear();
-                    s.nw.extend(g2.neighbors(w).iter().map(|&x| g2.label(x)));
-                    s.nw.sort_unstable();
-                    label + sorted_label_multiset_lb(&s.nu, &s.nw)
-                }
-                (true, false) => {
-                    if j - n2 == i {
-                        1.0 + g1.degree(i as NodeId) as f64
-                    } else {
-                        forbid
-                    }
-                }
-                (false, true) => {
-                    if i - n1 == j {
-                        1.0 + g2.degree(j as NodeId) as f64
-                    } else {
-                        forbid
-                    }
-                }
-                (false, false) => 0.0,
+    s.nl1.fill(g1);
+    s.nl2.fill(g2);
+    s.cost.reset(n); // the ε/ε quadrant stays 0
+    for i in 0..n1 {
+        let (sub, del) = s.cost.row_mut(i).split_at_mut(n2);
+        let label_u = g1.label(i as NodeId);
+        let around_u = s.nl1.of(i);
+        for (w, cell) in sub.iter_mut().enumerate() {
+            let label = if label_u != g2.label(w as NodeId) {
+                1.0
+            } else {
+                0.0
             };
-            s.cost.set(i, j, v);
+            *cell = label + sorted_label_multiset_lb(around_u, s.nl2.of(w));
         }
+        del.fill(forbid);
+        del[i] = 1.0 + g1.degree(i as NodeId) as f64;
+    }
+    for j in 0..n2 {
+        let ins = &mut s.cost.row_mut(n1 + j)[..n2];
+        ins.fill(forbid);
+        ins[j] = 1.0 + g2.degree(j as NodeId) as f64;
     }
 }
 
@@ -108,54 +118,65 @@ pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
 /// derived from the optimal assignment (an upper bound on true GED),
 /// together with the mapping.
 pub fn bipartite_ged_with_mapping(g1: &Graph, g2: &Graph, solver: Solver) -> (f64, NodeMapping) {
+    with_scratch(|s| {
+        let d = bipartite_ged_scratch(g1, g2, solver, s);
+        (d, NodeMapping { map: s.map.clone() })
+    })
+}
+
+/// Bipartite approximate GED (distance only; allocation-free once this
+/// thread's scratch has grown to the pair's size).
+pub fn bipartite_ged(g1: &Graph, g2: &Graph, solver: Solver) -> f64 {
     with_scratch(|s| bipartite_ged_scratch(g1, g2, solver, s))
 }
 
-/// [`bipartite_ged_with_mapping`] on an explicit scratch (the entry point
-/// routes through the per-thread one). Bit-identical to a fresh scratch.
-pub fn bipartite_ged_scratch(
+/// [`bipartite_ged`] on an explicit scratch (the entry points route through
+/// the per-thread one), leaving the mapping in `s.map`. Bit-identical to a
+/// fresh scratch.
+pub(crate) fn bipartite_ged_scratch(
     g1: &Graph,
     g2: &Graph,
     solver: Solver,
     s: &mut GedScratch,
-) -> (f64, NodeMapping) {
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    if n1 == 0 && n2 == 0 {
-        return (0.0, NodeMapping { map: vec![] });
-    }
+) -> f64 {
     // Structurally equal graphs: the identity mapping is optimal. The LSAP
     // relaxation cannot promise this (ties between same-label, same-degree
     // nodes may derive a costlier path), and a database routinely compares a
     // graph against itself, so short-circuit.
     if g1 == g2 {
-        return (0.0, NodeMapping::identity(n1));
+        s.map.clear();
+        s.map.extend(g1.nodes());
+        return 0.0;
     }
     rb_cost_matrix_into(g1, g2, s);
-    let a = match solver {
-        Solver::Hungarian => hungarian_with(&s.cost, &mut s.assign),
-        Solver::Vj => lapjv_with(&s.cost, &mut s.assign),
-    };
-    let mut map = vec![EPS; n1];
-    for (u, &j) in a.row_to_col.iter().take(n1).enumerate() {
-        if j < n2 {
-            map[u] = j as NodeId;
-        }
-    }
-    let mapping = NodeMapping { map };
-    let d = mapping_cost(g1, g2, &mapping);
-    (d, mapping)
+    solve_rb_matrix(g1, g2, solver, s)
 }
 
-/// Bipartite approximate GED (distance only).
-pub fn bipartite_ged(g1: &Graph, g2: &Graph, solver: Solver) -> f64 {
-    bipartite_ged_with_mapping(g1, g2, solver).0
+/// Solves the Riesen–Bunke matrix already in `s.cost` (built for this
+/// `g1`, `g2`) and returns the cost of the derived edit path, leaving its
+/// mapping in `s.map`. `BestOfThree` builds the matrix once and calls this
+/// for both solvers.
+pub(crate) fn solve_rb_matrix(g1: &Graph, g2: &Graph, solver: Solver, s: &mut GedScratch) -> f64 {
+    let n1 = g1.node_count();
+    let n2 = g2.node_count();
+    match solver {
+        Solver::Hungarian => hungarian_solve(&s.cost, &mut s.assign),
+        Solver::Vj => lapjv_solve(&s.cost, &mut s.assign),
+    }
+    s.map.clear();
+    s.map
+        .extend(s.assign.row_to_col()[..n1].iter().map(|&j| match j {
+            j if j < n2 => j as NodeId,
+            _ => EPS,
+        }));
+    mapping_cost_with(g1, g2, &s.map, &mut s.hit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::{exact_ged, ExactLimits};
+    use crate::mapping::mapping_cost;
     use lan_graph::generators::{erdos_renyi, molecule_like};
     use lan_graph::Graph;
     use rand::rngs::StdRng;
@@ -266,11 +287,11 @@ mod tests {
                 }
             }
             for solver in [Solver::Hungarian, Solver::Vj] {
-                let (d_fresh, m_fresh) =
-                    bipartite_ged_scratch(&g1, &g2, solver, &mut GedScratch::new());
-                let (d_scr, m_scr) = bipartite_ged_scratch(&g1, &g2, solver, &mut s);
+                let mut fresh = GedScratch::new();
+                let d_fresh = bipartite_ged_scratch(&g1, &g2, solver, &mut fresh);
+                let d_scr = bipartite_ged_scratch(&g1, &g2, solver, &mut s);
                 assert_eq!(d_fresh.to_bits(), d_scr.to_bits());
-                assert_eq!(m_fresh, m_scr);
+                assert_eq!(fresh.map, s.map);
             }
         }
     }

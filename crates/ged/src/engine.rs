@@ -1,10 +1,11 @@
 //! Method selection facade, the threshold-gated evaluation cascade, and the
 //! paper's ground-truth protocol.
 
-use crate::beam::beam_ged;
-use crate::bipartite::{bipartite_ged, Solver};
+use crate::beam::{beam_ged, beam_ged_scratch};
+use crate::bipartite::{bipartite_ged, rb_cost_matrix_into, solve_rb_matrix, Solver};
 use crate::exact::{exact_ged, exact_ged_within, ExactLimits, ExactOutcome, ExactWithin};
 use crate::lower_bounds::{label_degree_lb, label_size_lb};
+use crate::scratch::{with_scratch, GedScratch};
 use lan_graph::Graph;
 use lan_obs::{names, Counter};
 use std::sync::OnceLock;
@@ -56,12 +57,24 @@ pub fn ged(g1: &Graph, g2: &Graph, method: &GedMethod) -> Option<f64> {
         GedMethod::Vj => Some(bipartite_ged(g1, g2, Solver::Vj)),
         GedMethod::Beam { width } => Some(beam_ged(g1, g2, *width)),
         GedMethod::BestOfThree { beam_width } => {
-            let h = bipartite_ged(g1, g2, Solver::Hungarian);
-            let v = bipartite_ged(g1, g2, Solver::Vj);
-            let b = beam_ged(g1, g2, *beam_width);
-            Some(h.min(v).min(b))
+            Some(with_scratch(|s| best_of_three(g1, g2, *beam_width, s)))
         }
     }
+}
+
+/// `min(Hungarian, Vj, Beam)`, with the Riesen–Bunke matrix built once and
+/// handed to both LSAP solvers.
+fn best_of_three(g1: &Graph, g2: &Graph, beam_width: usize, s: &mut GedScratch) -> f64 {
+    // Both bipartite values are 0 on equal graphs (their own short-circuit)
+    // and no beam value is below 0.
+    if g1 == g2 {
+        return 0.0;
+    }
+    rb_cost_matrix_into(g1, g2, s);
+    let h = solve_rb_matrix(g1, g2, Solver::Hungarian, s);
+    let v = solve_rb_matrix(g1, g2, Solver::Vj, s);
+    let b = beam_ged_scratch(g1, g2, beam_width, s);
+    h.min(v).min(b)
 }
 
 /// Outcome of a threshold-gated GED evaluation ([`ged_within`]).
@@ -222,7 +235,6 @@ pub fn ground_truth_ged(g1: &Graph, g2: &Graph, cfg: &GroundTruthConfig) -> (f64
 mod tests {
     use super::*;
     use lan_graph::generators::{erdos_renyi, molecule_like};
-    use lan_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -335,49 +347,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ged_within_counts_cascade_tiers() {
-        let g1 = molecule_like(&mut StdRng::seed_from_u64(58), 10, 2, 4, 8);
-        let g2 = molecule_like(&mut StdRng::seed_from_u64(59), 20, 2, 4, 8);
-        if !lan_obs::enabled() {
-            return;
-        }
-        let before = lan_obs::snapshot();
-        // Node-count gap of 10 => label/size bound >= 10 >= tau = 1.
-        let out = ged_within(&g1, &g2, 1.0, &GedMethod::Hungarian).unwrap();
-        assert!(matches!(out, GedBound::AtLeast(_)));
-        let d = lan_obs::snapshot().diff(&before);
-        assert_eq!(d.counter(lan_obs::names::GED_LB_PRUNE), 1);
-        assert_eq!(d.counter(lan_obs::names::GED_FULL_EVALS), 0);
-
-        let before = lan_obs::snapshot();
-        let out = ged_within(&g1, &g2, 1e9, &GedMethod::Hungarian).unwrap();
-        assert!(matches!(out, GedBound::Exact(_)));
-        let d = lan_obs::snapshot().diff(&before);
-        assert_eq!(d.counter(lan_obs::names::GED_FULL_EVALS), 1);
-    }
-
-    #[test]
-    fn ged_within_exact_early_abort_counted() {
-        if !lan_obs::enabled() {
-            return;
-        }
-        let (g, q) = (
-            Graph::from_edges(vec![0, 1, 1, 1], &[(0, 1), (0, 2), (0, 3)]).unwrap(),
-            Graph::from_edges(vec![0, 1, 0], &[(0, 1), (1, 2)]).unwrap(),
-        );
-        // d = 5; lb tiers are < 4, so tau = 4 reaches the A* which must
-        // abort on the threshold.
-        let before = lan_obs::snapshot();
-        let out = ged_within(&g, &q, 4.0, &GedMethod::Exact { timeout_ms: 10_000 }).unwrap();
-        match out {
-            GedBound::AtLeast(lb) => assert!((4.0..=5.0).contains(&lb)),
-            other => panic!("expected AtLeast, got {other:?}"),
-        }
-        let d = lan_obs::snapshot().diff(&before);
-        assert_eq!(d.counter(lan_obs::names::GED_EARLY_ABORT), 1);
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub fn sorted_label_multiset_lb(sa: &[Label], sb: &[Label]) -> f64 {
 /// [`label_multiset_lb`] between a pre-sorted label slice and the labels of
 /// the `g2` nodes *not* excluded by `used`, streamed in sorted order from
 /// `g2_sorted` (the graph's labels paired with their node ids, sorted by
-/// label). No allocation — this is the per-expansion heuristic form used by
-/// the A\* and beam searches, where the remaining `g2` multiset changes with
-/// every partial mapping.
+/// label). No allocation — this is the per-expansion heuristic of the A\*
+/// search, where the remaining `g2` multiset changes with every partial
+/// mapping. (The beam search derives the same value per child from label
+/// counts; see [`crate::beam`].)
 pub fn masked_label_multiset_lb(
     sorted_rem1: &[Label],
     g2_sorted: &[(Label, NodeId)],

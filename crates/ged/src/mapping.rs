@@ -45,15 +45,28 @@ impl NodeMapping {
 ///
 /// Panics in debug builds if `phi` is not injective or has wrong length.
 pub fn mapping_cost(g1: &Graph, g2: &Graph, phi: &NodeMapping) -> f64 {
-    debug_assert_eq!(phi.map.len(), g1.node_count());
     debug_assert!(phi.is_injective());
+    mapping_cost_with(g1, g2, &phi.map, &mut Vec::new())
+}
+
+/// [`mapping_cost`] over a bare mapping slice, with the image mask in the
+/// caller's `hit` buffer — the allocation-free form behind every
+/// approximate distance.
+pub(crate) fn mapping_cost_with(
+    g1: &Graph,
+    g2: &Graph,
+    map: &[NodeId],
+    hit: &mut Vec<bool>,
+) -> f64 {
+    debug_assert_eq!(map.len(), g1.node_count());
     let n2 = g2.node_count();
     let mut cost = 0u64;
 
     // Node operations.
-    let mut hit = vec![false; n2];
+    hit.clear();
+    hit.resize(n2, false);
     for u in g1.nodes() {
-        let v = phi.map[u as usize];
+        let v = map[u as usize];
         if v == EPS {
             cost += 1; // deletion
         } else {
@@ -71,7 +84,7 @@ pub fn mapping_cost(g1: &Graph, g2: &Graph, phi: &NodeMapping) -> f64 {
     // g2 edge not matched is inserted.
     let mut matched_g2_edges = 0u64;
     for (u, w) in g1.edges() {
-        let (pu, pw) = (phi.map[u as usize], phi.map[w as usize]);
+        let (pu, pw) = (map[u as usize], map[w as usize]);
         if pu != EPS && pw != EPS && g2.has_edge(pu, pw) {
             matched_g2_edges += 1;
         } else {

@@ -1,47 +1,50 @@
-//! Per-thread scratch buffers for the GED kernels.
+//! Per-thread scratch buffers for the approximate GED kernels.
 //!
-//! The bipartite solvers build an `(n1 + n2)²` cost matrix and a set of
-//! row/column working arrays on every call; routing evaluates thousands of
-//! candidate distances per query, so those allocations dominated the
-//! kernel profile. [`GedScratch`] owns all of them and is reused through a
-//! `thread_local` (mirroring `lan-models`' `InferScratch`), so the steady
-//! state allocates nothing.
+//! Routing evaluates thousands of candidate distances per query, and every
+//! approximate kernel needs working memory proportional to the pair: the
+//! `(n1 + n2)²` Riesen–Bunke matrix and the LSAP solvers' row/column
+//! arrays, both graphs' sorted neighbor-label lists, the derived node
+//! mapping and its `hit` mask, and the beam search's candidate list and
+//! double-buffered frontier. [`GedScratch`] owns all of it and is reused
+//! through a `thread_local` (mirroring `lan-gnn`'s `InferScratch`): once a
+//! thread has seen its largest pair, a distance call through
+//! [`crate::engine::ged`] with `Hungarian`, `Vj`, `Beam` or `BestOfThree`
+//! performs no heap allocation (`tests/zero_alloc.rs` counts them).
 //!
-//! Every user reinitializes the buffers it touches to exactly the values
-//! the allocating path starts from, so scratch reuse is bit-identical to
-//! fresh allocation (property-tested in [`crate::assignment`] and
-//! [`crate::bipartite`]).
+//! Every user reinitializes the buffers it touches, so a scratch carries
+//! capacity between calls and never state: reuse is bit-identical to fresh
+//! allocation (property-tested in [`crate::assignment`],
+//! [`crate::bipartite`] and `tests/kernel_equivalence.rs`).
 
 use crate::assignment::{AssignScratch, CostMatrix};
-use lan_graph::Label;
+use crate::beam::BeamScratch;
+use crate::bipartite::NeighborLabels;
+use lan_graph::NodeId;
 use std::cell::RefCell;
 
 /// Reusable buffers for one thread's GED computations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GedScratch {
-    /// LSAP solver working arrays (Hungarian + LAPJV).
+    /// LSAP solver working arrays (Hungarian + LAPJV) and the last
+    /// assignment.
     pub assign: AssignScratch,
     /// Riesen–Bunke cost matrix.
     pub cost: CostMatrix,
-    /// Sorted neighbor-label buffers for the substitution cells.
-    pub nu: Vec<Label>,
-    pub nw: Vec<Label>,
+    /// Sorted neighbor labels of every `g1` / `g2` node, built once per
+    /// cost matrix.
+    pub(crate) nl1: NeighborLabels,
+    pub(crate) nl2: NeighborLabels,
+    /// The node mapping behind the last approximate distance.
+    pub(crate) map: Vec<NodeId>,
+    /// `mapping_cost`'s image mask.
+    pub(crate) hit: Vec<bool>,
+    /// Beam-search candidates and frontier.
+    pub(crate) beam: BeamScratch,
 }
 
 impl GedScratch {
     pub fn new() -> Self {
-        GedScratch {
-            assign: AssignScratch::new(),
-            cost: CostMatrix::zeros(0),
-            nu: Vec::new(),
-            nw: Vec::new(),
-        }
-    }
-}
-
-impl Default for GedScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 

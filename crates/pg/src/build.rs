@@ -106,11 +106,7 @@ impl ProximityGraph {
                             .iter()
                             .map(|&x| (pairs.get(nb, x), x))
                             .collect();
-                        ns.sort_by(|a, b| {
-                            a.0.partial_cmp(&b.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.1.cmp(&b.1))
-                        });
+                        ns.sort_by(by_distance_then_id);
                         layers[l][nb as usize] =
                             select_neighbors_heuristic(&ns, cap, |a, b| pairs.get(a, b));
                     }
@@ -262,6 +258,14 @@ impl ProximityGraph {
     }
 }
 
+/// Ascending distance, ties by id. `total_cmp`, not `partial_cmp` with an
+/// `Equal` fallback: a NaN distance (a buggy or faulted metric) then orders
+/// after +inf instead of comparing equal to every neighbor, so the order of
+/// the finite entries never depends on where the NaN sat.
+fn by_distance_then_id(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// HNSW's neighbor-selection heuristic (Malkov & Yashunin, Alg. 4):
 /// from candidates sorted by distance to the inserted point, keep `e` only
 /// if it is closer to the point than to every already-selected neighbor —
@@ -384,7 +388,7 @@ fn search_layer(
             }
         }
     }
-    results.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    results.sort_by(by_distance_then_id);
     results
 }
 
@@ -394,7 +398,7 @@ pub fn brute_force_knn(n: usize, query: &dyn QueryDistance, k: usize) -> Vec<(f6
     let mut all: Vec<(f64, u32)> = lan_par::par_map_indices_dyn(n, lan_par::Grain::Fine, |i| {
         (query.distance(i as u32), i as u32)
     });
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all.sort_by(by_distance_then_id);
     all.truncate(k);
     all
 }
@@ -411,6 +415,25 @@ mod tests {
     fn points(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0.0..100.0)).collect()
+    }
+
+    #[test]
+    fn nan_distances_order_last_and_deterministically() {
+        let sorted = |mut ns: Vec<(f64, u32)>| {
+            ns.sort_by(by_distance_then_id);
+            ns.into_iter().map(|(_, id)| id).collect::<Vec<u32>>()
+        };
+        let ns = vec![
+            (f64::NAN, 4),
+            (5.0, 1),
+            (f64::NAN, 9),
+            (2.0, 7),
+            (f64::INFINITY, 3),
+            (2.0, 2),
+        ];
+        let want = vec![2, 7, 1, 3, 4, 9]; // NaN after +inf, then by id
+        assert_eq!(sorted(ns.clone()), want);
+        assert_eq!(sorted(ns.into_iter().rev().collect()), want);
     }
 
     #[test]
