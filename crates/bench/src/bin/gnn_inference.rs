@@ -16,8 +16,8 @@
 //!
 //! Every mode first asserts the equivalence contract: batched and
 //! per-neighbor fused scoring produce bit-identical batches, the cached
-//! tape-free pair embeddings are bit-identical to the tape baseline, and
-//! the tape and fused hop rankings agree on this (deterministic) workload.
+//! tape-free pair embeddings match the tape baseline within 1e-5, and the
+//! tape and fused hop rankings agree on this (deterministic) workload.
 //!
 //! ```text
 //! cargo run --release -p lan-bench --bin gnn_inference [-- --smoke]
@@ -145,15 +145,21 @@ fn assert_equivalence(s: &Setup) {
     let per_nb = run_hops(s, &ctx_b, false);
     assert_eq!(batched, per_nb, "batched and per-neighbor batches diverged");
 
-    // Cached tape-free pair embeddings == tape baseline, bit for bit.
+    // Cached tape-free pair embeddings == tape baseline within 1e-5 (the
+    // inference kernel pools the other graph instead of materialising the
+    // attention matrix, which reassociates a few sums).
     let ctx_tape = s.models.query_context(q, true);
     for g in 0..s.ds.graphs.len().min(12) as u32 {
         let fast = s.models.pair_embedding(&ctx_a, g, true);
         let tape = s.models.pair_embedding_tape(&ctx_tape, g, true);
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            tape.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "pair {g}: tape-free embedding differs from tape"
+        let diff = fast
+            .iter()
+            .zip(&tape)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            diff <= 1e-5,
+            "pair {g}: tape-free embedding differs from tape by {diff}"
         );
     }
 

@@ -11,7 +11,7 @@ use lan_gnn::QuantMode;
 use lan_graph::Graph;
 use lan_models::{FusedScoreService, LearnedRanker, QuantPrefilter, QueryContext, SlabArena};
 use lan_obs::explain::{BudgetExplain, QueryExplain, SolveTier, TierCounts, TimelineEvent};
-use lan_obs::{names, span, TimerCell};
+use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
 use lan_pg::np_route::np_route_prefiltered;
@@ -20,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+static QUERY_COUNT: LazyCounter = LazyCounter::new(names::QUERY_COUNT);
 
 /// Shard-scoped resources the serving path shares across co-batched
 /// queries: the cross-query combining funnel for fused hop scoring, and
@@ -385,7 +387,7 @@ impl LanIndex {
     ) -> (QueryOutcome, Option<StageTrace>) {
         let t_start = Instant::now();
         let _q_span = span("query");
-        lan_obs::counter(names::QUERY_COUNT).inc();
+        QUERY_COUNT.get().inc();
         // Atomic nanosecond cell instead of RefCell<Duration>: the oracle
         // must be Sync because DistCache is shared across threads in-search.
         // TimerCell is ungated — QueryOutcome::distance_time stays identical

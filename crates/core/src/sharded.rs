@@ -22,9 +22,24 @@ pub struct ShardedLanIndex {
     /// `global_ids[s][local]` = global database id of shard `s`'s graph
     /// `local`.
     pub global_ids: Vec<Vec<u32>>,
+    /// `shard.{s}.ndc`, resolved once per index instead of formatted and
+    /// looked up per shard per query.
+    shard_ndc: Vec<&'static lan_obs::Counter>,
 }
 
 impl ShardedLanIndex {
+    /// Assembles an index from built (or loaded) shards and their id maps.
+    pub(crate) fn from_parts(shards: Vec<LanIndex>, global_ids: Vec<Vec<u32>>) -> Self {
+        let shard_ndc = (0..shards.len())
+            .map(|s| lan_obs::counter(&lan_obs::names::shard_ndc(s)))
+            .collect();
+        ShardedLanIndex {
+            shards,
+            global_ids,
+            shard_ndc,
+        }
+    }
+
     /// Splits `dataset` into `num_shards` contiguous equal-size shards and
     /// builds one LAN index per shard, in parallel across shards (models
     /// are trained per shard against its own sub-database).
@@ -84,7 +99,7 @@ impl ShardedLanIndex {
             .into_iter()
             .map(|(lo, hi)| (lo as u32..hi as u32).collect())
             .collect();
-        ShardedLanIndex { shards, global_ids }
+        Self::from_parts(shards, global_ids)
     }
 
     /// Number of shards.
@@ -383,11 +398,8 @@ impl ShardedLanIndex {
         let mut ndc = 0usize;
         let mut distance_time = std::time::Duration::ZERO;
         let mut gnn_time = std::time::Duration::ZERO;
-        let track_shards = lan_obs::enabled();
         for (s, out) in per_shard.into_iter().enumerate() {
-            if track_shards {
-                lan_obs::counter(&lan_obs::names::shard_ndc(s)).add(out.ndc as u64);
-            }
+            self.shard_ndc[s].add(out.ndc as u64);
             ndc += out.ndc;
             distance_time += out.distance_time;
             gnn_time += out.gnn_time;

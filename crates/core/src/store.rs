@@ -287,7 +287,7 @@ impl ShardedLanIndex {
             shards.push(shard);
         }
         record_load(a.total_bytes() as u64, t0);
-        Ok(ShardedLanIndex { shards, global_ids })
+        Ok(ShardedLanIndex::from_parts(shards, global_ids))
     }
 }
 

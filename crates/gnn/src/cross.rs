@@ -23,13 +23,27 @@
 //! computed from `t`, so we adopt the `t`-based score on both sides —
 //! otherwise the claimed equality cannot hold as stated. The score is
 //! factorized: `a · (t_u ‖ t_v) = a₁·t_u + a₂·t_v`, a rank-1 broadcast sum.
+//!
+//! That factorization has a consequence this reading of Definitions 1/3
+//! cannot escape: the softmax runs over `v` for a fixed `u`, and a softmax
+//! is invariant to a shift of all its inputs, so the `a₁·t_u` term cancels.
+//! Every row of the attention matrix is the same vector
+//! `softmax_v(a₂·t_v + ln w_v)`; the cross-graph message is one attention
+//! *pooling* of the other graph, shared by all nodes, and `a₁` receives a
+//! zero gradient (it is dead weight, kept because the trained stores
+//! contain it). The tape forward below still materialises the `n × m`
+//! matrices — changing it would change trained weights — while
+//! [`crate::infer`] exploits the identity at query time.
 
 use crate::cg::CompressedGnnGraph;
 use crate::features::one_hot;
 use crate::gin::{agg_matrix, GnnConfig};
 use lan_graph::Graph;
+use lan_obs::LazyCounter;
 use lan_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::Rng;
+
+pub(crate) static FORWARD_CALLS: LazyCounter = LazyCounter::new(lan_obs::names::GNN_FORWARD_CALLS);
 
 /// The per-graph inputs of the unified cross-graph forward.
 #[derive(Debug, Clone)]
@@ -145,7 +159,7 @@ impl CrossGraphNet {
         x: &CrossInput,
         y: &CrossInput,
     ) -> PairEmbedding {
-        lan_obs::counter(lan_obs::names::GNN_FORWARD_CALLS).inc();
+        FORWARD_CALLS.get().inc();
         let layers = self.layers.len();
         let mut hx = tape.leaf(x.feats.clone());
         let mut hy = tape.leaf(y.feats.clone());

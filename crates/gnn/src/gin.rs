@@ -10,8 +10,11 @@
 
 use crate::features::graph_features;
 use lan_graph::{Graph, NodeId};
+use lan_obs::LazyCounter;
 use lan_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::Rng;
+
+pub(crate) static EMBED_CALLS: LazyCounter = LazyCounter::new(lan_obs::names::GNN_EMBED_CALLS);
 
 /// Builds the GIN aggregation operator `A + I` as a dense matrix
 /// (`n × n`). Dense is fine at the paper's graph sizes (tens of nodes); the
@@ -97,7 +100,7 @@ impl Gin {
 
     /// Inference convenience: the pooled graph embedding as a plain matrix.
     pub fn embed(&self, store: &ParamStore, g: &Graph) -> Matrix {
-        lan_obs::counter(lan_obs::names::GNN_EMBED_CALLS).inc();
+        EMBED_CALLS.get().inc();
         let mut tape = Tape::new();
         let (_, pooled) = self.forward(&mut tape, store, g);
         tape.value(pooled).clone()

@@ -1,21 +1,45 @@
 //! Tape-free inference forwards for the cross-graph network and GIN.
 //!
-//! Training needs the autodiff tape; query-time prediction does not, yet
-//! the original query path paid for it anyway — every pair embedding built
-//! a fresh [`lan_tensor::Tape`], cloned the input features and every
-//! per-layer aggregation matrix onto it, and allocated ~25 intermediate
-//! node matrices just to read one value off the end. This module runs the
-//! *same arithmetic* directly on [`Matrix`] values with reusable scratch
-//! buffers:
+//! Training needs the autodiff tape; query-time prediction does not. This
+//! module computes the same embeddings directly on [`Matrix`] values with
+//! reusable scratch buffers — and, for the cross-graph network, with far
+//! less arithmetic than the tape records.
 //!
-//! * every matmul goes through [`Matrix::matmul_into`], the exact i-k-j
-//!   axpy loop of the tape path, so [`CrossGraphNet::infer_pair`] is
-//!   bit-identical to [`CrossGraphNet::forward`] (the equivalence tests in
-//!   `tests/infer_equivalence.rs` assert agreement within 1e-5; in practice
-//!   the outputs match exactly);
-//! * the attention softmax, rank-1 broadcast sum, and weighted-mean
-//!   readout replicate the tape ops' accumulation order verbatim;
-//! * inputs (`CrossInput`, parameters) are read by reference — no clones.
+//! ## The cross-graph forward is a rank-1 attention
+//!
+//! [`CrossGraphNet::forward`] scores node `i` of one graph against node `j`
+//! of the other as `S[i][j] = a₁·t_i + a₂·t'_j` and takes a **row** softmax.
+//! A row softmax is invariant to a per-row shift, so the `a₁·t_i` term
+//! cancels and every row of the attention matrix is the same vector
+//! `α = softmax_j(a₂·t'_j + ln w_j)`: the "cross-graph message" `μ` is one
+//! attention *pooling* of the other graph, identical for every node. The
+//! inference kernel therefore never forms an `n × m` matrix. Per layer it
+//! computes `t·W` for both graphs, each graph's weights `α` from
+//! `r = t·a₂`, the pooled message `μW = Σ_j α_j (t·W)_j` in `O(m·d)` —
+//! pooling after the projection, which is the same vector by linearity —
+//! and `h' = relu(t·W + 1·(μW)ᵀ)` with the *other* graph's `μW`; `a₁` is
+//! not read. DESIGN.md ("Inference fast path") has the proof and the op
+//! counts.
+//!
+//! ## Layer-0 prefixes
+//!
+//! At layer 0 `t` is `aggs[0]·feats`, which depends on one graph only —
+//! and so, by the identity above, does that graph's pooled vector. A
+//! [`CrossPrefix`] holds those products (`T⁰W`, `μ⁰W`, and `ln w` per
+//! level); the database side is prepared at index time, the query side once
+//! per query, and [`CrossGraphNet::infer_pair_prepared`] starts real
+//! per-pair work at layer 1. [`CrossGraphNet::infer_pair`] takes bare
+//! inputs, fills two prefixes in the scratch and runs the same kernel, so
+//! prepared and unprepared results agree bit for bit by construction.
+//!
+//! ## Contract
+//!
+//! Against the tape forward the pair embedding agrees within 1e-5, not on
+//! bits: `(t + μ)·W` is evaluated as `t·W + Σ_j α_j (t'·W)_j` and the
+//! softmax stabiliser differs (`tests/attention_collapse.rs` pins this
+//! against both the tape and a frozen full-attention reference).
+//! [`Gin::infer_embed`] replays the tape's arithmetic order and stays
+//! bit-identical to [`Gin::embed`].
 //!
 //! ## Scratch-buffer ownership
 //!
@@ -27,12 +51,84 @@
 //! construction. [`with_scratch`] must not be nested — callers acquire it
 //! around leaf forwards only.
 
-use crate::cross::{CrossGraphNet, CrossInput};
-use crate::gin::Gin;
+use crate::cross::{CrossGraphNet, CrossInput, FORWARD_CALLS};
+use crate::gin::{Gin, EMBED_CALLS};
 use lan_graph::{Graph, NodeId};
-use lan_obs::names;
-use lan_tensor::{Matrix, ParamStore};
+use lan_obs::{names, LazyCounter};
+use lan_tensor::{dot, Matrix, ParamStore};
 use std::cell::RefCell;
+
+static INFER_FORWARDS: LazyCounter = LazyCounter::new(names::GNN_INFER_FORWARDS);
+
+/// Records `n` computed pair embeddings on `gnn.forward_calls` and
+/// `gnn.infer.forwards`. [`CrossGraphNet::infer_pair`] counts itself;
+/// callers of [`CrossGraphNet::infer_pair_prepared`] count once per batch.
+pub fn count_pair_forwards(n: u64) {
+    FORWARD_CALLS.get().add(n);
+    INFER_FORWARDS.get().add(n);
+}
+
+/// The layer-0 products of one graph that do not depend on the graph it is
+/// paired with (see the module docs). Built by [`CrossGraphNet::prefix`]
+/// for one `(CrossInput, weights)` and valid only with that input.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrossPrefix {
+    /// `T⁰·W⁰` with `T⁰ = aggs[0]·feats` (level-1 rows × `d₁`).
+    tw: Matrix,
+    /// `Σ_j α_j (T⁰·W⁰)_j` (`d₁`): this graph's layer-0 message to any
+    /// partner — its attention pooling, projected.
+    mu_w: Vec<f32>,
+    /// `ln sizes[l + 1]` per layer `l` — the attention's multiplicity term.
+    lnw: Vec<Vec<f32>>,
+}
+
+impl Default for CrossPrefix {
+    fn default() -> Self {
+        CrossPrefix {
+            tw: Matrix::zeros(0, 0),
+            mu_w: Vec::new(),
+            lnw: Vec::new(),
+        }
+    }
+}
+
+impl CrossPrefix {
+    /// `T⁰·W⁰`.
+    pub fn tw(&self) -> &Matrix {
+        &self.tw
+    }
+
+    /// The layer-0 message `Σ_j α_j (T⁰·W⁰)_j`.
+    pub fn mu_w(&self) -> &[f32] {
+        &self.mu_w
+    }
+
+    /// `ln sizes[l + 1]` per layer `l`.
+    pub fn lnw(&self) -> &[Vec<f32>] {
+        &self.lnw
+    }
+
+    /// Recomputes the prefix of `x` in place, keeping the allocations.
+    fn fill(
+        &mut self,
+        net: &CrossGraphNet,
+        store: &ParamStore,
+        x: &CrossInput,
+        scratch: &mut InferScratch,
+    ) {
+        self.lnw.resize_with(net.layers.len(), Vec::new);
+        for (lnw, sizes) in self.lnw.iter_mut().zip(&x.sizes[1..]) {
+            lnw.clear();
+            lnw.extend(sizes.iter().map(|w| w.ln()));
+        }
+        let layer = &net.layers[0];
+        let InferScratch { tx, alpha, .. } = scratch;
+        x.aggs[0].matmul_into(&x.feats, tx);
+        tx.matmul_into(store.value(layer.w), &mut self.tw);
+        let a2 = store.value(layer.a2).data();
+        attention_pool(tx, a2, &self.lnw[0], &self.tw, alpha, &mut self.mu_w);
+    }
+}
 
 /// Reusable buffers for the tape-free forwards. One per thread (see
 /// [`with_scratch`]); every buffer is reshaped on use, so one scratch
@@ -42,23 +138,16 @@ pub struct InferScratch {
     // Cross-graph per-layer intermediates (x = database side, y = query).
     tx: Matrix,
     ty: Matrix,
-    colx: Matrix,
-    coly: Matrix,
-    rx: Matrix,
-    ry: Matrix,
-    sx: Matrix,
-    sy: Matrix,
-    ax: Matrix,
-    ay: Matrix,
-    mux: Matrix,
-    muy: Matrix,
     zx: Matrix,
     zy: Matrix,
-    px: Matrix,
-    py: Matrix,
     hx: Matrix,
     hy: Matrix,
-    lnw: Vec<f32>,
+    alpha: Vec<f32>,
+    mux: Vec<f32>,
+    muy: Vec<f32>,
+    // Prefixes the unprepared entry point fills per call.
+    pre_x: CrossPrefix,
+    pre_y: CrossPrefix,
     // GIN buffers.
     agg: Matrix,
     gh: Matrix,
@@ -72,23 +161,15 @@ impl Default for InferScratch {
         InferScratch {
             tx: m(),
             ty: m(),
-            colx: m(),
-            coly: m(),
-            rx: m(),
-            ry: m(),
-            sx: m(),
-            sy: m(),
-            ax: m(),
-            ay: m(),
-            mux: m(),
-            muy: m(),
             zx: m(),
             zy: m(),
-            px: m(),
-            py: m(),
             hx: m(),
             hy: m(),
-            lnw: Vec::new(),
+            alpha: Vec::new(),
+            mux: Vec::new(),
+            muy: Vec::new(),
+            pre_x: CrossPrefix::default(),
+            pre_y: CrossPrefix::default(),
             agg: m(),
             gh: m(),
             gt: m(),
@@ -113,71 +194,120 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut InferScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// `out[i][j] = col[i] + row_col[j]` — the factorized attention score
-/// (tape `rank1_add` on a transposed second operand; `row_col` is `m × 1`).
-fn rank1_add_into(col: &Matrix, row_col: &Matrix, out: &mut Matrix) {
-    out.reset(col.rows(), row_col.rows());
-    for i in 0..col.rows() {
-        let c = col.get(i, 0);
-        for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-            *o = c + row_col.get(j, 0);
+/// One graph's message to its partner: `mu_w = Σ_j α_j tw_j` with
+/// `α = softmax_j(t_j·a₂ + lnw_j)`, where `tw = t·W` — the attention
+/// pooling `(Σ_j α_j t_j)·W`, taken after the projection. `alpha` is a
+/// reusable buffer for the weights.
+fn attention_pool(
+    t: &Matrix,
+    a2: &[f32],
+    lnw: &[f32],
+    tw: &Matrix,
+    alpha: &mut Vec<f32>,
+    mu_w: &mut Vec<f32>,
+) {
+    debug_assert_eq!(lnw.len(), t.rows());
+    debug_assert_eq!(tw.rows(), t.rows());
+    alpha.clear();
+    alpha.extend((0..t.rows()).map(|j| dot(t.row(j), a2) + lnw[j]));
+    let max = alpha.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for a in alpha.iter_mut() {
+        *a = (*a - max).exp();
+    }
+    let z: f32 = alpha.iter().sum();
+    mu_w.clear();
+    mu_w.resize(tw.cols(), 0.0);
+    for (j, &e) in alpha.iter().enumerate() {
+        let a = e / z;
+        for (m, &v) in mu_w.iter_mut().zip(tw.row(j)) {
+            *m += a * v;
         }
     }
 }
 
-/// Row-softmax with positive column weights; replicates the tape op's
-/// stabilize-by-row-max arithmetic exactly. `lnw` is a reusable buffer for
-/// the per-column `ln w` terms.
-fn weighted_row_softmax_into(x: &Matrix, w: &[f32], lnw: &mut Vec<f32>, out: &mut Matrix) {
-    debug_assert_eq!(w.len(), x.cols());
-    lnw.clear();
-    lnw.extend(w.iter().map(|&wi| wi.ln()));
-    out.reset(x.rows(), x.cols());
-    for i in 0..x.rows() {
-        let src = x.row(i);
-        let row = out.row_mut(i);
-        for (j, o) in row.iter_mut().enumerate() {
-            *o = src[j] + lnw[j];
-        }
-        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        for o in row.iter_mut() {
-            *o = (*o - m).exp();
-        }
-        let z: f32 = row.iter().sum();
-        for o in row.iter_mut() {
-            *o /= z;
+/// `out = relu(z + 1·biasᵀ)`: the layer update once the other graph's
+/// message has been folded into one row vector.
+fn add_row_relu_into(z: &Matrix, bias: &[f32], out: &mut Matrix) {
+    debug_assert_eq!(bias.len(), z.cols());
+    out.reset(z.rows(), z.cols());
+    for i in 0..z.rows() {
+        for ((o, &v), &b) in out.row_mut(i).iter_mut().zip(z.row(i)).zip(bias) {
+            *o = (v + b).max(0.0);
         }
     }
 }
 
-/// Elementwise `out = a + b`.
-fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    debug_assert_eq!(a.shape(), b.shape());
-    out.reset(a.rows(), a.cols());
-    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
-        *o = x + y;
-    }
-}
-
-/// Appends the weighted row mean of `x` to `out` (tape
+/// Writes the weighted row mean of `x` to `out` (tape
 /// `weighted_mean_rows`, identical accumulation order).
-fn weighted_mean_rows_append(x: &Matrix, w: &[f32], out: &mut Vec<f32>) {
+fn weighted_mean_rows_into(x: &Matrix, w: &[f32], out: &mut [f32]) {
     debug_assert_eq!(w.len(), x.rows());
     let total: f32 = w.iter().sum();
-    let base = out.len();
-    out.resize(base + x.cols(), 0.0);
-    let acc = &mut out[base..];
+    out.fill(0.0);
     for (i, &wi) in w.iter().enumerate() {
-        for (o, &v) in acc.iter_mut().zip(x.row(i)) {
+        for (o, &v) in out.iter_mut().zip(x.row(i)) {
             *o += wi * v / total;
         }
     }
 }
 
 impl CrossGraphNet {
-    /// Tape-free twin of [`CrossGraphNet::forward`]: writes the pair
-    /// embedding `h_G ‖ h_Q` (`2 d_L` scalars) into `out`. Same arithmetic,
-    /// same accumulation order, no tape nodes, no input clones.
+    /// The [`CrossPrefix`] of `x` under the current weights in `store`.
+    /// Rebuild it whenever the weights change.
+    pub fn prefix(&self, store: &ParamStore, x: &CrossInput) -> CrossPrefix {
+        let mut p = CrossPrefix::default();
+        with_scratch(|s| p.fill(self, store, x, s));
+        p
+    }
+
+    /// The pair embedding `h_G ‖ h_Q` (`2 d_L` scalars, written to `out`)
+    /// of two inputs whose prefixes are already built. Uncounted: callers
+    /// report their forwards through [`count_pair_forwards`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn infer_pair_prepared(
+        &self,
+        store: &ParamStore,
+        x: &CrossInput,
+        px: &CrossPrefix,
+        y: &CrossInput,
+        py: &CrossPrefix,
+        scratch: &mut InferScratch,
+        out: &mut [f32],
+    ) {
+        let InferScratch {
+            tx,
+            ty,
+            zx,
+            zy,
+            hx,
+            hy,
+            alpha,
+            mux,
+            muy,
+            ..
+        } = scratch;
+        add_row_relu_into(&px.tw, &py.mu_w, hx);
+        add_row_relu_into(&py.tw, &px.mu_w, hy);
+        for (l, layer) in self.layers.iter().enumerate().skip(1) {
+            x.aggs[l].matmul_into(hx, tx);
+            y.aggs[l].matmul_into(hy, ty);
+            let w = store.value(layer.w);
+            tx.matmul_into(w, zx);
+            ty.matmul_into(w, zy);
+            let a2 = store.value(layer.a2).data();
+            attention_pool(tx, a2, &px.lnw[l], zx, alpha, mux);
+            attention_pool(ty, a2, &py.lnw[l], zy, alpha, muy);
+            add_row_relu_into(zx, muy, hx);
+            add_row_relu_into(zy, mux, hy);
+        }
+        let layers = self.layers.len();
+        let (h_g, h_q) = out.split_at_mut(self.cfg.out_dim());
+        weighted_mean_rows_into(hx, &x.sizes[layers], h_g);
+        weighted_mean_rows_into(hy, &y.sizes[layers], h_q);
+    }
+
+    /// [`CrossGraphNet::infer_pair_prepared`] for bare inputs: both
+    /// prefixes are filled in the scratch first, then the same kernel runs.
+    /// Counts one forward.
     pub fn infer_pair(
         &self,
         store: &ParamStore,
@@ -186,67 +316,15 @@ impl CrossGraphNet {
         scratch: &mut InferScratch,
         out: &mut Vec<f32>,
     ) {
-        lan_obs::counter(names::GNN_FORWARD_CALLS).inc();
-        lan_obs::counter(names::GNN_INFER_FORWARDS).inc();
-        let layers = self.layers.len();
-        let InferScratch {
-            tx,
-            ty,
-            colx,
-            coly,
-            rx,
-            ry,
-            sx,
-            sy,
-            ax,
-            ay,
-            mux,
-            muy,
-            zx,
-            zy,
-            px,
-            py,
-            hx,
-            hy,
-            lnw,
-            ..
-        } = scratch;
-        for (l, layer) in self.layers.iter().enumerate() {
-            {
-                let hx_in: &Matrix = if l == 0 { &x.feats } else { hx };
-                let hy_in: &Matrix = if l == 0 { &y.feats } else { hy };
-                x.aggs[l].matmul_into(hx_in, tx);
-                y.aggs[l].matmul_into(hy_in, ty);
-            }
-            let a1 = store.value(layer.a1);
-            let a2 = store.value(layer.a2);
-            tx.matmul_into(a1, colx);
-            ty.matmul_into(a1, coly);
-            tx.matmul_into(a2, rx);
-            ty.matmul_into(a2, ry);
-            rank1_add_into(colx, ry, sx);
-            rank1_add_into(coly, rx, sy);
-            weighted_row_softmax_into(sx, &y.sizes[l + 1], lnw, ax);
-            weighted_row_softmax_into(sy, &x.sizes[l + 1], lnw, ay);
-            ax.matmul_into(ty, mux);
-            ay.matmul_into(tx, muy);
-            add_into(tx, mux, zx);
-            add_into(ty, muy, zy);
-            let w = store.value(layer.w);
-            zx.matmul_into(w, px);
-            zy.matmul_into(w, py);
-            for v in px.data_mut() {
-                *v = v.max(0.0);
-            }
-            for v in py.data_mut() {
-                *v = v.max(0.0);
-            }
-            std::mem::swap(hx, px);
-            std::mem::swap(hy, py);
-        }
-        out.clear();
-        weighted_mean_rows_append(hx, &x.sizes[layers], out);
-        weighted_mean_rows_append(hy, &y.sizes[layers], out);
+        count_pair_forwards(1);
+        let mut px = std::mem::take(&mut scratch.pre_x);
+        let mut py = std::mem::take(&mut scratch.pre_y);
+        px.fill(self, store, x, scratch);
+        py.fill(self, store, y, scratch);
+        out.resize(self.pair_dim(), 0.0);
+        self.infer_pair_prepared(store, x, &px, y, &py, scratch, out);
+        scratch.pre_x = px;
+        scratch.pre_y = py;
     }
 }
 
@@ -260,7 +338,7 @@ impl Gin {
         scratch: &mut InferScratch,
         out: &mut Vec<f32>,
     ) {
-        lan_obs::counter(names::GNN_EMBED_CALLS).inc();
+        EMBED_CALLS.get().inc();
         let n = g.node_count();
         out.clear();
         if n == 0 {
@@ -308,22 +386,8 @@ impl Gin {
 mod tests {
     use super::*;
     use crate::gin::GnnConfig;
-    use lan_tensor::Tape;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn softmax_matches_tape_op() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let x = Matrix::from_fn(4, 5, |_, _| rng.gen_range(-3.0..3.0f32));
-        let w: Vec<f32> = (0..5).map(|_| rng.gen_range(0.5..4.0)).collect();
-        let mut t = Tape::new();
-        let xv = t.leaf(x.clone());
-        let want = t.weighted_row_softmax(xv, w.clone());
-        let (mut lnw, mut out) = (Vec::new(), Matrix::zeros(0, 0));
-        weighted_row_softmax_into(&x, &w, &mut lnw, &mut out);
-        assert_eq!(&out, t.value(want), "softmax diverged from tape op");
-    }
+    use rand::SeedableRng;
 
     #[test]
     fn gin_infer_matches_tape_embed_bitwise() {

@@ -15,7 +15,9 @@
 //!   Fig. 12;
 //! * [`features`] — one-hot label features;
 //! * [`infer`] — tape-free inference forwards (query-time fast path) with
-//!   reusable per-thread scratch buffers, bit-equivalent to the tape ops.
+//!   reusable per-thread scratch buffers: the cross-graph forward as a
+//!   rank-1 attention pooling over index-time layer-0 prefixes (within 1e-5
+//!   of the tape), the GIN forward bit-identical to it.
 
 pub mod cg;
 pub mod cross;
@@ -31,5 +33,5 @@ pub use cross::{CrossGraphNet, CrossInput, PairEmbedding};
 pub use gin::{Gin, GnnConfig};
 pub use gnn_graph::GnnGraph;
 pub use hag::HagPlan;
-pub use infer::{with_scratch, InferScratch};
+pub use infer::{with_scratch, CrossPrefix, InferScratch};
 pub use quant::{QuantMode, QuantQuery, QuantStore};

@@ -1,7 +1,7 @@
 //! Property tests: the tape-free inference forward matches the tape
-//! forward within 1e-5 on random plain/CG input pairs (in practice it is
-//! bit-identical — both paths share the same axpy matmul and replicate the
-//! softmax/readout accumulation order).
+//! forward within 1e-5 on random plain/CG input pairs. (It is not
+//! bit-identical: the inference kernel pools the other graph once instead
+//! of materialising the attention matrix — see `attention_collapse.rs`.)
 
 use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, GnnConfig, InferScratch};
 use lan_graph::generators::{erdos_renyi, molecule_like, power_law_like};

@@ -18,6 +18,18 @@ fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Index of the centroid nearest to `p`: the first minimum under the IEEE
+/// total order, so a NaN distance (a NaN coordinate somewhere) ranks after
+/// every finite one instead of comparing "equal" to whatever it meets.
+fn nearest_centroid(centroids: &[Vec<f32>], p: &[f32]) -> u32 {
+    centroids
+        .iter()
+        .enumerate()
+        .min_by(|a, b| sq_dist(p, a.1).total_cmp(&sq_dist(p, b.1)))
+        .map(|(j, _)| j as u32)
+        .expect("a fitted clustering has at least one centroid")
+}
+
 impl KMeans {
     /// Fits `k` clusters to `points` (each of equal dimension) with at most
     /// `iters` Lloyd iterations. `k` is clamped to the point count.
@@ -61,16 +73,7 @@ impl KMeans {
         for _ in 0..iters {
             let mut moved = false;
             for (i, p) in points.iter().enumerate() {
-                let best = centroids
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        sq_dist(p, a.1)
-                            .partial_cmp(&sq_dist(p, b.1))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(j, _)| j as u32)
-                    .unwrap();
+                let best = nearest_centroid(&centroids, p);
                 if assignment[i] != best {
                     assignment[i] = best;
                     moved = true;
@@ -118,16 +121,7 @@ impl KMeans {
 
     /// Nearest cluster of an arbitrary point.
     pub fn nearest(&self, p: &[f32]) -> u32 {
-        self.centroids
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                sq_dist(p, a.1)
-                    .partial_cmp(&sq_dist(p, b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(j, _)| j as u32)
-            .unwrap()
+        nearest_centroid(&self.centroids, p)
     }
 }
 
@@ -186,5 +180,45 @@ mod tests {
         let km = KMeans::fit(&pts, 3, 10, 5);
         assert!(km.k() >= 1);
         assert_eq!(km.assignment.len(), 8);
+    }
+
+    #[test]
+    fn nearest_and_fit_are_nan_safe_and_deterministic() {
+        // Regression for the old `partial_cmp(..).unwrap_or(Equal)` minimum:
+        // a NaN centroid in front compared "equal" to everything after it
+        // and won. The choice must not depend on where the NaN sits.
+        let km = |centroids: Vec<Vec<f32>>| KMeans {
+            centroids,
+            assignment: Vec::new(),
+        };
+        let (nan, far, near) = (vec![f32::NAN, 0.0], vec![5.0, 5.0], vec![1.0, 1.0]);
+        let p = [0.9f32, 0.9];
+        assert_eq!(
+            km(vec![nan.clone(), far.clone(), near.clone()]).nearest(&p),
+            2
+        );
+        assert_eq!(
+            km(vec![near.clone(), nan.clone(), far.clone()]).nearest(&p),
+            0
+        );
+        assert_eq!(km(vec![far, near, nan]).nearest(&p), 1);
+
+        // `fit`: a NaN point poisons at most the centroid of its own
+        // cluster; no finite point follows it there.
+        let mut pts = vec![vec![f32::NAN, f32::NAN]];
+        pts.extend(blob(0.0, 6));
+        pts.extend(blob(8.0, 6));
+        let a = KMeans::fit(&pts, 3, 30, 4);
+        let b = KMeans::fit(&pts, 3, 30, 4);
+        assert_eq!(a.assignment, b.assignment);
+        let finite = |c: &Vec<f32>| c.iter().all(|v| v.is_finite());
+        assert!(a.centroids.iter().any(finite));
+        for (i, p) in pts.iter().enumerate().skip(1) {
+            assert!(
+                finite(&a.centroids[a.assignment[i] as usize]),
+                "finite point {i} was assigned to a NaN centroid"
+            );
+            assert_eq!(a.nearest(p), a.assignment[i]);
+        }
     }
 }

@@ -17,7 +17,7 @@
 use crate::fused_service::FusedScoreService;
 use crate::kmeans::KMeans;
 use lan_datasets::Dataset;
-use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, Gin, GnnConfig};
+use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, CrossPrefix, Gin, GnnConfig};
 use lan_graph::Graph;
 use lan_obs::{names, span, Counter, TimerCell};
 use lan_tensor::{sigmoid, Adam, FusedHeads, Matrix, Mlp, MlpScratch, ParamStore, StepDecay, Tape};
@@ -139,8 +139,6 @@ struct PairSlab {
     dim: usize,
     data: Vec<f32>,
     present: Vec<bool>,
-    /// Staging buffer the tape-free forward writes into before the row copy.
-    tmp: Vec<f32>,
 }
 
 impl PairSlab {
@@ -149,7 +147,6 @@ impl PairSlab {
             dim,
             data: Vec::new(),
             present: Vec::new(),
-            tmp: Vec::new(),
         }
     }
 
@@ -283,6 +280,10 @@ pub struct LanModels {
     pub cross: CrossGraphNet,
     pub cross_store: ParamStore,
     pub nh_head: Mlp,
+    /// `nh_head` in the fused-kernel layout (one head), so a whole
+    /// cluster's pair embeddings are scored by one matmul; row for row the
+    /// logits are those of `nh_head`'s own forward.
+    pub nh_fused: FusedHeads,
     pub rk_heads: Vec<Mlp>,
     /// The ranker heads fused into one `[num_heads·h × feat_dim]` kernel
     /// (built once after training) so a whole hop's neighbors are scored by
@@ -304,6 +305,54 @@ pub struct LanModels {
     /// Cross-graph inputs, compressed and plain, per database graph.
     pub db_inputs_cg: Vec<CrossInput>,
     pub db_inputs_plain: Vec<CrossInput>,
+    /// The layer-0 prefix of each of those inputs under the trained
+    /// cross-encoder weights (see [`lan_gnn::infer`]).
+    pub db_prefix_cg: Vec<CrossPrefix>,
+    pub db_prefix_plain: Vec<CrossPrefix>,
+}
+
+/// The per-graph inference artifacts of a database: pure functions of the
+/// graphs, the layer count and the trained cross-encoder, so they are
+/// recomputed (never stored) wherever a [`LanModels`] comes into being.
+pub(crate) struct DbInference {
+    pub cgs: Vec<CompressedGnnGraph>,
+    pub inputs_cg: Vec<CrossInput>,
+    pub inputs_plain: Vec<CrossInput>,
+    pub prefix_cg: Vec<CrossPrefix>,
+    pub prefix_plain: Vec<CrossPrefix>,
+}
+
+impl DbInference {
+    /// One parallel pass over the database, everything for a graph built
+    /// while it is hot. The one implementation behind `LanModels::train`
+    /// and the store loader.
+    pub(crate) fn build(graphs: &[Graph], cross: &CrossGraphNet, cross_store: &ParamStore) -> Self {
+        let layers = cross.layers.len();
+        let per_graph = lan_par::par_map_dyn(graphs, lan_par::Grain::Coarse, |g| {
+            let cg = CompressedGnnGraph::build(g, layers);
+            let input_cg = CrossInput::compressed(&cg, &cross.cfg);
+            let input_plain = CrossInput::plain(g, &cross.cfg);
+            let prefix_cg = cross.prefix(cross_store, &input_cg);
+            let prefix_plain = cross.prefix(cross_store, &input_plain);
+            (cg, input_cg, input_plain, prefix_cg, prefix_plain)
+        });
+        let n = per_graph.len();
+        let mut db = DbInference {
+            cgs: Vec::with_capacity(n),
+            inputs_cg: Vec::with_capacity(n),
+            inputs_plain: Vec::with_capacity(n),
+            prefix_cg: Vec::with_capacity(n),
+            prefix_plain: Vec::with_capacity(n),
+        };
+        for (cg, input_cg, input_plain, prefix_cg, prefix_plain) in per_graph {
+            db.cgs.push(cg);
+            db.inputs_cg.push(input_cg);
+            db.inputs_plain.push(input_plain);
+            db.prefix_cg.push(prefix_cg);
+            db.prefix_plain.push(prefix_plain);
+        }
+        db
+    }
 }
 
 /// A query's precomputed learning context (built once per query). Owns the
@@ -311,6 +360,8 @@ pub struct LanModels {
 /// accumulator, so concurrent queries never share mutable inference state.
 pub struct QueryContext {
     pub input: CrossInput,
+    /// The layer-0 prefix of `input`, built once per query.
+    prefix: CrossPrefix,
     pub gin_embed: Vec<f32>,
     /// Per-query memo of pair embeddings `h_G ‖ h_Q` by database graph id:
     /// the initial-node selection (`M_nh`) and the neighbor rankers
@@ -381,11 +432,11 @@ impl LanModels {
             .iter()
             .map(|ds| {
                 let mut v = ds.clone();
-                v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                v.sort_by(f64::total_cmp);
                 v[cover_k - 1]
             })
             .collect();
-        kth.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        kth.sort_by(f64::total_cmp);
         let qi = ((kth.len() as f64 - 1.0) * cfg.nh_cover_quantile).round() as usize;
         let gamma_star = kth[qi.min(kth.len() - 1)];
 
@@ -426,7 +477,7 @@ impl LanModels {
             &mut cross_store,
             &[2 * cfg.embed_dim, cfg.mlp_hidden, 1],
         );
-        let db_inputs_plain: Vec<CrossInput> =
+        let train_inputs: Vec<CrossInput> =
             lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
                 CrossInput::plain(g, &gcfg)
             });
@@ -438,7 +489,7 @@ impl LanModels {
             &nh_head,
             &dist_head,
             &mut cross_store,
-            &db_inputs_plain,
+            &train_inputs,
             &gcfg,
             &cfg,
             &mut rng,
@@ -463,7 +514,7 @@ impl LanModels {
             gamma_star,
             &cross,
             &cross_store,
-            &db_inputs_plain,
+            &train_inputs,
             &db_embeds,
             &gin,
             &gin_store,
@@ -495,16 +546,12 @@ impl LanModels {
             &mut rng,
         );
 
-        // --- Precompute database CGs (paper §VI-C: one-off). ---
-        let db_cgs: Vec<CompressedGnnGraph> =
-            lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
-                CompressedGnnGraph::build(g, cfg.layers)
-            });
-        let db_inputs_cg: Vec<CrossInput> =
-            lan_par::par_map_dyn(&db_cgs, lan_par::Grain::Coarse, |cg| {
-                CrossInput::compressed(cg, &gcfg)
-            });
+        // --- Precompute database CGs (paper §VI-C: one-off), cross inputs
+        // and their layer-0 prefixes under the now-final encoder weights. ---
+        drop(train_inputs);
+        let db = DbInference::build(&dataset.graphs, &cross, &cross_store);
 
+        let nh_fused = FusedHeads::new(std::slice::from_ref(&nh_head), &cross_store);
         let rk_fused = FusedHeads::new(&rk_heads, &rk_store);
         let models = LanModels {
             cfg,
@@ -514,6 +561,7 @@ impl LanModels {
             cross,
             cross_store,
             nh_head,
+            nh_fused,
             rk_heads,
             rk_fused,
             rk_store,
@@ -523,9 +571,11 @@ impl LanModels {
             gamma_star,
             db_embeds,
             quant,
-            db_cgs,
-            db_inputs_cg,
-            db_inputs_plain,
+            db_cgs: db.cgs,
+            db_inputs_cg: db.inputs_cg,
+            db_inputs_plain: db.inputs_plain,
+            db_prefix_cg: db.prefix_cg,
+            db_prefix_plain: db.prefix_plain,
         };
 
         // --- Validation precision of M_nh (Fig. 8). ---
@@ -559,18 +609,20 @@ impl LanModels {
     pub fn query_context(&self, q: &Graph, use_cg: bool) -> QueryContext {
         let _s = span("gnn.context");
         let gnn_timer = TimerCell::new();
-        let (input, gin_embed) = gnn_timer.time(|| {
-            let gcfg = self.gnn_config();
+        let (input, prefix, gin_embed) = gnn_timer.time(|| {
+            let gcfg = &self.cross.cfg;
             let input = if use_cg {
                 let cg = CompressedGnnGraph::build(q, self.cfg.layers);
-                CrossInput::compressed(&cg, &gcfg)
+                CrossInput::compressed(&cg, gcfg)
             } else {
-                CrossInput::plain(q, &gcfg)
+                CrossInput::plain(q, gcfg)
             };
-            (input, self.embed(q))
+            let prefix = self.cross.prefix(&self.cross_store, &input);
+            (input, prefix, self.embed(q))
         });
         QueryContext {
             input,
+            prefix,
             gin_embed,
             pair_cache: RefCell::new(PairSlab::new(self.cross.pair_dim())),
             gnn_timer,
@@ -597,38 +649,43 @@ impl LanModels {
         ctx
     }
 
-    /// Fills the per-query cache for every id in `ids` (tape-free forwards
-    /// for the misses), counting hits and misses per lookup.
+    /// Fills the per-query cache for every id in `ids`: one prepared
+    /// forward per miss, written straight into its slab row. Hits, misses
+    /// and forwards are counted once per call, by their totals.
     fn ensure_pairs(&self, ctx: &QueryContext, ids: &[u32], use_cg: bool) {
         let mut slab = ctx.pair_cache.borrow_mut();
         slab.ensure_capacity(self.db_embeds.len());
-        let PairSlab {
-            dim,
-            data,
-            present,
-            tmp,
-        } = &mut *slab;
+        let PairSlab { dim, data, present } = &mut *slab;
+        let (inputs, prefixes) = if use_cg {
+            (&self.db_inputs_cg, &self.db_prefix_cg)
+        } else {
+            (&self.db_inputs_plain, &self.db_prefix_plain)
+        };
+        let mut misses = 0u64;
         ctx.gnn_timer.time(|| {
             lan_gnn::with_scratch(|scr| {
                 for &g in ids {
                     let gi = g as usize;
                     if present[gi] {
-                        ctx.hit.inc();
                         continue;
                     }
-                    ctx.miss.inc();
-                    let input = if use_cg {
-                        &self.db_inputs_cg[gi]
-                    } else {
-                        &self.db_inputs_plain[gi]
-                    };
-                    self.cross
-                        .infer_pair(&self.cross_store, input, &ctx.input, scr, tmp);
-                    data[gi * *dim..(gi + 1) * *dim].copy_from_slice(tmp);
+                    misses += 1;
+                    self.cross.infer_pair_prepared(
+                        &self.cross_store,
+                        &inputs[gi],
+                        &prefixes[gi],
+                        &ctx.input,
+                        &ctx.prefix,
+                        scr,
+                        &mut data[gi * *dim..(gi + 1) * *dim],
+                    );
                     present[gi] = true;
                 }
             })
         });
+        ctx.hit.add(ids.len() as u64 - misses);
+        ctx.miss.add(misses);
+        lan_gnn::infer::count_pair_forwards(misses);
     }
 
     /// The cross-graph pair embedding `h_G ‖ h_Q` for database graph `g`.
@@ -664,21 +721,46 @@ impl LanModels {
         v
     }
 
-    /// `M_nh` logit for database graph `g`.
-    pub fn nh_logit(&self, ctx: &QueryContext, g: u32, use_cg: bool) -> f32 {
-        self.ensure_pairs(ctx, std::slice::from_ref(&g), use_cg);
+    /// The `M_nh` logits of `ids`, in order: one cache fill, then one
+    /// fused head pass over the stacked pair embeddings. Each logit depends
+    /// on its own row only, so any batching of the same ids gives the same
+    /// bits.
+    pub fn nh_logits(&self, ctx: &QueryContext, ids: &[u32], use_cg: bool) -> Vec<f32> {
+        self.ensure_pairs(ctx, ids, use_cg);
         let slab = ctx.pair_cache.borrow();
-        ctx.gnn_timer.time(|| {
-            RANK_SCRATCH.with(|rs| {
-                self.nh_head
-                    .infer_scalar(&self.cross_store, slab.row(g), &mut rs.borrow_mut().mlp)
+        RANK_SCRATCH.with(|rs| {
+            let rs = &mut *rs.borrow_mut();
+            ctx.gnn_timer.time(|| {
+                rs.feats.reset(ids.len(), slab.dim);
+                for (i, &g) in ids.iter().enumerate() {
+                    rs.feats.row_mut(i).copy_from_slice(slab.row(g));
+                }
+                self.nh_fused
+                    .score_into(&rs.feats, &mut rs.hidden, &mut rs.logits);
+                rs.logits.data().to_vec()
             })
         })
     }
 
+    /// `M_nh` logit for database graph `g`.
+    pub fn nh_logit(&self, ctx: &QueryContext, g: u32, use_cg: bool) -> f32 {
+        self.nh_logits(ctx, &[g], use_cg)[0]
+    }
+
+    /// Appends the members of `ids` that `M_nh` places in `N_Q`.
+    fn nh_members(&self, ctx: &QueryContext, ids: &[u32], use_cg: bool, out: &mut Vec<u32>) {
+        let logits = self.nh_logits(ctx, ids, use_cg);
+        out.extend(
+            ids.iter()
+                .zip(&logits)
+                .filter(|&(_, &logit)| logit > 0.0)
+                .map(|(&g, _)| g),
+        );
+    }
+
     /// The predicted neighborhood `N̂_Q` using the optimized cluster-based
     /// design (paper §V-B2): `M_c` scores every cluster, `M_nh` is applied
-    /// only within the best `top_clusters`.
+    /// only within the best `top_clusters` — one batched sweep per cluster.
     pub fn predicted_neighborhood(&self, ctx: &QueryContext, use_cg: bool) -> Vec<u32> {
         let mut scored: Vec<(f32, usize)> = ctx.gnn_timer.time(|| {
             (0..self.kmeans.k())
@@ -689,11 +771,7 @@ impl LanModels {
         let members = self.kmeans.members();
         let mut out = Vec::new();
         for &(_, c) in scored.iter().take(self.cfg.top_clusters) {
-            for &g in &members[c] {
-                if self.nh_logit(ctx, g, use_cg) > 0.0 {
-                    out.push(g);
-                }
-            }
+            self.nh_members(ctx, &members[c], use_cg, &mut out);
         }
         out
     }
@@ -701,9 +779,10 @@ impl LanModels {
     /// The basic (cluster-free) design of §V-B1: one `M_nh` prediction per
     /// database graph.
     pub fn predicted_neighborhood_basic(&self, ctx: &QueryContext, use_cg: bool) -> Vec<u32> {
-        (0..self.db_embeds.len() as u32)
-            .filter(|&g| self.nh_logit(ctx, g, use_cg) > 0.0)
-            .collect()
+        let all: Vec<u32> = (0..self.db_embeds.len() as u32).collect();
+        let mut out = Vec::new();
+        self.nh_members(ctx, &all, use_cg, &mut out);
+        out
     }
 
     /// `M_c`'s predicted (normalized) intersection of cluster `c` with N_Q.
@@ -1124,8 +1203,7 @@ fn train_rk(
             let mut ranked: Vec<u32> = neighbors.clone();
             ranked.sort_by(|&a, &b| {
                 dists[a as usize]
-                    .partial_cmp(&dists[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .total_cmp(&dists[b as usize])
                     .then(a.cmp(&b))
             });
             // Pair embeddings come from the frozen encoder, so every

@@ -5,8 +5,9 @@
 //! trained values, the KMeans clustering, `gamma_star`, the database GIN
 //! embeddings, and the quantized prefilter (codes + calibration) — and
 //! *recompute* the cheap deterministic ones at load (compressed
-//! GNN-graphs and cross inputs, which are pure functions of the database
-//! graphs and the config).
+//! GNN-graphs, cross inputs and their layer-0 prefixes, which are pure
+//! functions of the database graphs, the config and the loaded weights —
+//! one pass through the same `DbInference::build` that `train` ends with).
 //!
 //! Loading replays `LanModels::train`'s network-construction order
 //! against a fresh seeded RNG — including the auxiliary distance head
@@ -18,10 +19,10 @@
 //! bit-identically to the index that was saved.
 
 use crate::kmeans::KMeans;
-use crate::models::{LanModels, ModelConfig, TrainReport};
+use crate::models::{DbInference, LanModels, ModelConfig, TrainReport};
 use crate::quant_index::{QuantCalib, QuantIndex};
 use lan_datasets::Dataset;
-use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, Gin, GnnConfig, QuantStore};
+use lan_gnn::{CrossGraphNet, Gin, GnnConfig, QuantStore};
 use lan_store::{Dec, Enc, StoreError};
 use lan_tensor::{FusedHeads, Mlp, ParamStore};
 use rand::rngs::StdRng;
@@ -228,7 +229,7 @@ fn build_skeleton(cfg: &ModelConfig, num_labels: usize) -> Skeleton {
 impl LanModels {
     /// Serializes the trained bundle (weights + clustering + embeddings +
     /// quantized prefilter). Database-derived inference caches (`db_cgs`,
-    /// `db_inputs_*`) are recomputed at load.
+    /// `db_inputs_*`, `db_prefix_*`) are recomputed at load.
     pub fn store_encode(&self, enc: &mut Enc) {
         self.cfg.store_encode(enc);
         enc.put_u64(self.num_labels as u64);
@@ -299,25 +300,13 @@ impl LanModels {
             None
         };
 
-        // Fused ranker kernel: built AFTER the value load — it snapshots
+        // Fused head kernels: built AFTER the value load — they snapshot
         // the head weights at construction.
+        let nh_fused = FusedHeads::new(std::slice::from_ref(&sk.nh_head), &sk.cross_store);
         let rk_fused = FusedHeads::new(&sk.rk_heads, &sk.rk_store);
 
-        // Deterministic database-derived caches, recomputed exactly as
-        // `train` computes them.
-        let gcfg = GnnConfig::uniform(num_labels, cfg.embed_dim, cfg.layers);
-        let db_cgs: Vec<CompressedGnnGraph> =
-            lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
-                CompressedGnnGraph::build(g, cfg.layers)
-            });
-        let db_inputs_cg: Vec<CrossInput> =
-            lan_par::par_map_dyn(&db_cgs, lan_par::Grain::Coarse, |cg| {
-                CrossInput::compressed(cg, &gcfg)
-            });
-        let db_inputs_plain: Vec<CrossInput> =
-            lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
-                CrossInput::plain(g, &gcfg)
-            });
+        // Database-derived inference caches, by the function `train` uses.
+        let db = DbInference::build(&dataset.graphs, &sk.cross, &sk.cross_store);
 
         Ok(LanModels {
             cfg,
@@ -327,6 +316,7 @@ impl LanModels {
             cross: sk.cross,
             cross_store: sk.cross_store,
             nh_head: sk.nh_head,
+            nh_fused,
             rk_heads: sk.rk_heads,
             rk_fused,
             rk_store: sk.rk_store,
@@ -336,9 +326,11 @@ impl LanModels {
             gamma_star,
             db_embeds,
             quant,
-            db_cgs,
-            db_inputs_cg,
-            db_inputs_plain,
+            db_cgs: db.cgs,
+            db_inputs_cg: db.inputs_cg,
+            db_inputs_plain: db.inputs_plain,
+            db_prefix_cg: db.prefix_cg,
+            db_prefix_plain: db.prefix_plain,
         })
     }
 }

@@ -17,8 +17,9 @@
 //!   happens — no `Instant::now()`, no allocation, no locking. The
 //!   `obs_overhead` criterion microbench in `lan-bench` pins this down.
 //! * **Allocation-light when enabled.** Hot-path increments are single
-//!   `fetch_add`s on pre-resolved handles; only span exit and per-shard
-//!   counters format a name (a handful of times per query).
+//!   `fetch_add`s on pre-resolved handles (held by the scope that records,
+//!   or a [`LazyCounter`] static where there is none); only span exit
+//!   formats a name (a handful of times per query).
 //!
 //! # Environment variables
 //!
@@ -57,7 +58,7 @@ pub mod trace;
 
 pub use metrics::{
     counter, enabled, gauge, histogram, set_enabled, snapshot, Counter, Gauge, Histogram,
-    HistogramSnapshot, Snapshot, TimerCell,
+    HistogramSnapshot, LazyCounter, Snapshot, TimerCell,
 };
 pub use span::{span, SpanGuard};
 

@@ -369,6 +369,32 @@ resolve!(counter, Counter, Counter, "counter");
 resolve!(gauge, Gauge, Gauge, "gauge");
 resolve!(histogram, Histogram, Histogram, "histogram");
 
+/// A counter handle for a `static`: the name resolves through the registry
+/// on first use and the handle is kept for the life of the process, so a
+/// per-event call site (one with no longer-lived scope to hold the handle
+/// in) pays one atomic load instead of a hash, a stripe lock and a map
+/// probe per event.
+#[derive(Debug)]
+pub struct LazyCounter {
+    name: &'static str,
+    handle: OnceLock<&'static Counter>,
+}
+
+impl LazyCounter {
+    pub const fn new(name: &'static str) -> Self {
+        LazyCounter {
+            name,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// The registered counter (registering it on the first call).
+    #[inline]
+    pub fn get(&self) -> &'static Counter {
+        self.handle.get_or_init(|| counter(self.name))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots.
 // ---------------------------------------------------------------------------
@@ -538,6 +564,16 @@ mod tests {
         let delta = snapshot().diff(&before);
         assert_eq!(delta.counter("test.metrics.counter_and_snapshot_diff"), 6);
         assert_eq!(delta.counter("test.metrics.never_registered"), 0);
+    }
+
+    #[test]
+    fn lazy_counter_is_the_registered_handle() {
+        static LAZY: LazyCounter = LazyCounter::new("test.metrics.lazy_counter");
+        assert!(std::ptr::eq(
+            LAZY.get(),
+            counter("test.metrics.lazy_counter")
+        ));
+        assert!(std::ptr::eq(LAZY.get(), LAZY.get()));
     }
 
     #[test]
