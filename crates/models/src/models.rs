@@ -441,6 +441,7 @@ impl LanModels {
         let gamma_star = kth[qi.min(kth.len() - 1)];
 
         // --- GIN embedder: Siamese squared-L2 distance regression. ---
+        let phase = span("build.models.embedder");
         let mut gin_store = ParamStore::new();
         let gin = Gin::new(&mut rng, &mut gin_store, gcfg.clone());
         train_embedder(dataset, train_dists, &gin, &mut gin_store, &cfg, &mut rng);
@@ -448,11 +449,13 @@ impl LanModels {
             lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
                 gin.embed(&gin_store, g).data().to_vec()
             });
+        drop(phase);
 
         // --- Quantized prefilter tier: pack codes, calibrate to GED. ---
         // Reuses the train_dists matrix, so calibration costs zero extra
         // distance computations; the training-query embeddings are one
         // cheap GIN forward each.
+        let phase = span("build.models.quant");
         let train_embeds: Vec<Vec<f32>> =
             lan_par::par_map_indices_dyn(train_dists.len(), lan_par::Grain::Auto, |qi| {
                 gin.embed(&gin_store, &dataset.queries[dataset.split.train[qi]])
@@ -460,11 +463,15 @@ impl LanModels {
                     .to_vec()
             });
         let quant = crate::quant_index::QuantIndex::build(&db_embeds, &train_embeds, train_dists);
+        drop(phase);
 
         // --- KMeans over embeddings. ---
+        let phase = span("build.models.kmeans");
         let kmeans = KMeans::fit(&db_embeds, cfg.clusters, 50, cfg.seed ^ 0x5eed);
+        drop(phase);
 
         // --- M_nh: cross encoder + head, negative downsampling. ---
+        let phase = span("build.models.nh");
         let mut cross_store = ParamStore::new();
         let cross = CrossGraphNet::new(&mut rng, &mut cross_store, gcfg.clone());
         let nh_head = Mlp::new(
@@ -494,8 +501,10 @@ impl LanModels {
             &cfg,
             &mut rng,
         );
+        drop(phase);
 
         // --- M_rk heads on frozen-encoder pair embeddings. ---
+        let phase = span("build.models.rk_features");
         let mut rk_store = ParamStore::new();
         let nr = Self::num_rankers(&cfg);
         let rk_heads: Vec<Mlp> = (0..nr)
@@ -507,7 +516,7 @@ impl LanModels {
                 )
             })
             .collect();
-        let rk_loss = train_rk(
+        let rk_set = RkTrainingSet::build(
             dataset,
             adj,
             train_dists,
@@ -518,14 +527,17 @@ impl LanModels {
             &db_embeds,
             &gin,
             &gin_store,
-            &rk_heads,
-            &mut rk_store,
             &gcfg,
             &cfg,
             &mut rng,
         );
+        drop(phase);
+        let phase = span("build.models.rk_heads");
+        let rk_loss = rk_set.map_or(0.0, |set| set.train_heads(&rk_heads, &mut rk_store, &cfg));
+        drop(phase);
 
         // --- M_c: per-cluster intersection-size regression. ---
+        let phase = span("build.models.mc");
         let mut mc_store = ParamStore::new();
         let mc_head = Mlp::new(
             &mut rng,
@@ -545,9 +557,11 @@ impl LanModels {
             &cfg,
             &mut rng,
         );
+        drop(phase);
 
         // --- Precompute database CGs (paper §VI-C: one-off), cross inputs
         // and their layer-0 prefixes under the now-final encoder weights. ---
+        let phase = span("build.models.db_inference");
         drop(train_inputs);
         let db = DbInference::build(&dataset.graphs, &cross, &cross_store);
 
@@ -577,9 +591,12 @@ impl LanModels {
             db_prefix_cg: db.prefix_cg,
             db_prefix_plain: db.prefix_plain,
         };
+        drop(phase);
 
         // --- Validation precision of M_nh (Fig. 8). ---
+        let phase = span("build.models.validate");
         let (nh_precision, nh_recall) = models.nh_precision_on(dataset, &dataset.split.val);
+        drop(phase);
 
         let report = TrainReport {
             gamma_star,
@@ -1158,116 +1175,185 @@ fn train_nh(
     last_loss
 }
 
-#[allow(clippy::too_many_arguments)]
-fn train_rk(
-    dataset: &Dataset,
+/// One `M_rk` training sample before its feature exists: training query
+/// `qi`, a routing state `g` inside `N_Q`, and the neighbor `nb` of `g`
+/// that holds 0-based position `rank` among `g`'s `total` neighbors by
+/// distance to the query (paper §IV-C: the reduced training set
+/// restricted to the neighborhood of Q).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RkSample {
+    qi: usize,
+    g: u32,
+    nb: u32,
+    rank: usize,
+    total: usize,
+}
+
+/// Enumerates the ranker samples: up to 24 shuffled states of `N_Q` per
+/// training query, every neighbor of each. The shuffles are the only
+/// randomness.
+fn rk_samples(
     adj: &[Vec<u32>],
     train_dists: &[Vec<f64>],
     gamma_star: f64,
-    cross: &CrossGraphNet,
-    cross_store: &ParamStore,
-    db_inputs: &[CrossInput],
-    db_embeds: &[Vec<f32>],
-    gin: &Gin,
-    gin_store: &ParamStore,
-    rk_heads: &[Mlp],
-    rk_store: &mut ParamStore,
-    gcfg: &GnnConfig,
-    cfg: &ModelConfig,
     rng: &mut StdRng,
-) -> f32 {
-    // Training states: (Q, G in N_Q, neighbor G') with the neighbor's rank
-    // among G's neighbors by distance to Q (paper §IV-C: the reduced
-    // training set restricted to the neighborhood of Q).
-    struct RkSample {
-        feat: Vec<f32>,
-        /// Rank position of the neighbor (0-based) and neighbor count.
-        rank: usize,
-        total: usize,
-    }
-    let mut samples: Vec<RkSample> = Vec::new();
+) -> Vec<RkSample> {
     let max_states_per_query = 24;
+    let mut samples = Vec::new();
     for (qi, dists) in train_dists.iter().enumerate() {
-        let query = &dataset.queries[dataset.split.train[qi]];
-        let q_input = CrossInput::plain(query, gcfg);
-        let q_gin = gin.embed(gin_store, query).data().to_vec();
         let mut in_nq: Vec<u32> = (0..dists.len() as u32)
             .filter(|&g| dists[g as usize] <= gamma_star)
             .collect();
         in_nq.shuffle(rng);
         for &g in in_nq.iter().take(max_states_per_query) {
-            let neighbors = &adj[g as usize];
-            if neighbors.is_empty() {
-                continue;
-            }
-            let mut ranked: Vec<u32> = neighbors.clone();
+            let mut ranked: Vec<u32> = adj[g as usize].clone();
             ranked.sort_by(|&a, &b| {
                 dists[a as usize]
                     .total_cmp(&dists[b as usize])
                     .then(a.cmp(&b))
             });
-            // Pair embeddings come from the frozen encoder, so every
-            // neighbor's feature is independent — build them in parallel,
-            // order-preserving (rank = position in `ranked`).
-            samples.extend(lan_par::par_map_indices_dyn(
-                ranked.len(),
-                lan_par::Grain::Auto,
-                |rank| {
-                    let nb = ranked[rank];
-                    let mut tape = Tape::new();
-                    let out =
-                        cross.forward(&mut tape, cross_store, &db_inputs[nb as usize], &q_input);
-                    let pair = tape.value(out.h_pair).data().to_vec();
-                    let feat = rk_feature(
-                        &pair,
-                        &db_embeds[g as usize],
-                        &q_gin,
-                        &db_embeds[nb as usize],
-                    );
-                    RkSample {
-                        feat,
-                        rank,
-                        total: ranked.len(),
-                    }
-                },
-            ));
+            let total = ranked.len();
+            samples.extend(ranked.into_iter().enumerate().map(|(rank, nb)| RkSample {
+                qi,
+                g,
+                nb,
+                rank,
+                total,
+            }));
         }
     }
-    if samples.is_empty() {
-        return 0.0;
+    samples
+}
+
+/// Everything the ranker heads train on, fixed before the first step.
+///
+/// Head training draws nothing from the RNG, so the epoch orders can be
+/// drawn up front — and once they are known, so is the set of samples
+/// training will ever visit. Only those get a feature: each costs a
+/// frozen-encoder forward through the tape, and at benchmark sizes the
+/// `6·epochs·min(n, 4·max_samples)` visits land on under a third of the
+/// enumerated samples.
+struct RkTrainingSet {
+    samples: Vec<RkSample>,
+    /// Sample indices visited by each of the `6·epochs` head epochs.
+    orders: Vec<Vec<usize>>,
+    /// The `1 × F` feature of every sample some order visits, ready to be
+    /// a tape leaf; `None` for the rest.
+    feats: Vec<Option<Matrix>>,
+}
+
+impl RkTrainingSet {
+    /// `None` when no training query has a state with neighbors inside its
+    /// neighborhood (nothing to train on; no order is drawn).
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        dataset: &Dataset,
+        adj: &[Vec<u32>],
+        train_dists: &[Vec<f64>],
+        gamma_star: f64,
+        cross: &CrossGraphNet,
+        cross_store: &ParamStore,
+        db_inputs: &[CrossInput],
+        db_embeds: &[Vec<f32>],
+        gin: &Gin,
+        gin_store: &ParamStore,
+        gcfg: &GnnConfig,
+        cfg: &ModelConfig,
+        rng: &mut StdRng,
+    ) -> Option<Self> {
+        let samples = rk_samples(adj, train_dists, gamma_star, rng);
+        if samples.is_empty() {
+            return None;
+        }
+        // Heads are cheap (features are cached), so give them a much larger
+        // budget than the encoder.
+        let orders: Vec<Vec<usize>> = (0..cfg.epochs * 6)
+            .map(|_| {
+                let mut order: Vec<usize> = (0..samples.len()).collect();
+                order.shuffle(rng);
+                order.truncate(cfg.max_samples_per_epoch * 4);
+                order
+            })
+            .collect();
+
+        let mut visited = vec![false; samples.len()];
+        for &si in orders.iter().flatten() {
+            visited[si] = true;
+        }
+
+        let queries: Vec<(CrossInput, Vec<f32>)> = dataset
+            .split
+            .train
+            .iter()
+            .map(|&qi| {
+                let query = &dataset.queries[qi];
+                (
+                    CrossInput::plain(query, gcfg),
+                    gin.embed(gin_store, query).data().to_vec(),
+                )
+            })
+            .collect();
+        // Pair embeddings come from the frozen encoder, so every feature is
+        // independent: one flat order-preserving pass over the visited
+        // samples.
+        let feats = lan_par::par_map_indices_dyn(samples.len(), lan_par::Grain::Auto, |si| {
+            visited[si].then(|| {
+                let s = &samples[si];
+                let (q_input, q_gin) = &queries[s.qi];
+                let mut tape = Tape::new();
+                let out = cross.forward(&mut tape, cross_store, &db_inputs[s.nb as usize], q_input);
+                let feat = rk_feature(
+                    tape.value(out.h_pair).data(),
+                    &db_embeds[s.g as usize],
+                    q_gin,
+                    &db_embeds[s.nb as usize],
+                );
+                Matrix::from_vec(1, feat.len(), feat)
+            })
+        });
+        Some(RkTrainingSet {
+            samples,
+            orders,
+            feats,
+        })
     }
 
-    let schedule = StepDecay::paper();
-    let mut last = 0.0f32;
-    // Heads are cheap (features are cached), so give them a much larger
-    // budget than the encoder.
-    let mut adam = Adam::new(schedule.initial_lr);
-    for epoch in 0..(cfg.epochs as u32 * 6) {
-        adam.lr = schedule.lr_at(epoch);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        order.shuffle(rng);
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        for &si in order.iter().take(cfg.max_samples_per_epoch * 4) {
-            let s = &samples[si];
-            rk_store.zero_grads();
-            for (i, head) in rk_heads.iter().enumerate() {
-                // Positive iff the neighbor is among the top (i+1)·y% ranks.
-                let top = (((i + 1) * cfg.batch_pct * s.total) as f64 / 100.0).ceil() as usize;
-                let label = if s.rank < top.max(1) { 1.0 } else { 0.0 };
+    /// Trains the heads over the fixed orders; returns the mean loss of
+    /// the last epoch. Takes no RNG: the orders are the randomness.
+    fn train_heads(&self, rk_heads: &[Mlp], rk_store: &mut ParamStore, cfg: &ModelConfig) -> f32 {
+        let schedule = StepDecay::paper();
+        let mut adam = Adam::new(schedule.initial_lr);
+        let mut last = 0.0f32;
+        for (epoch, order) in self.orders.iter().enumerate() {
+            adam.lr = schedule.lr_at(epoch as u32);
+            let mut total = 0.0f32;
+            let mut count = 0usize;
+            for &si in order {
+                let s = &self.samples[si];
+                rk_store.zero_grads();
+                // One tape, one feature leaf; the heads share no parameter,
+                // so each backward pass reaches only its own head's nodes.
                 let mut tape = Tape::new();
-                let x = tape.leaf(Matrix::from_vec(1, s.feat.len(), s.feat.clone()));
-                let logit = head.forward(&mut tape, rk_store, x);
-                let loss = tape.bce_with_logits(logit, label);
-                total += tape.value(loss).scalar();
-                count += 1;
-                tape.backward(loss, rk_store);
+                let feat = self.feats[si]
+                    .as_ref()
+                    .expect("every visited sample has a feature");
+                let x = tape.leaf(feat.clone());
+                for (i, head) in rk_heads.iter().enumerate() {
+                    // Positive iff the neighbor is among the top (i+1)·y% ranks.
+                    let top = (((i + 1) * cfg.batch_pct * s.total) as f64 / 100.0).ceil() as usize;
+                    let label = if s.rank < top.max(1) { 1.0 } else { 0.0 };
+                    let logit = head.forward(&mut tape, rk_store, x);
+                    let loss = tape.bce_with_logits(logit, label);
+                    total += tape.value(loss).scalar();
+                    count += 1;
+                    tape.backward(loss, rk_store);
+                }
+                adam.step(rk_store);
             }
-            adam.step(rk_store);
+            last = total / count.max(1) as f32;
         }
-        last = total / count.max(1) as f32;
+        last
     }
-    last
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1363,6 +1449,188 @@ mod tests {
         sort_scored_desc(&mut v);
         let ids: Vec<u32> = v.iter().map(|&(_, id)| id).collect();
         assert_eq!(ids, vec![2, 5, 9]);
+    }
+
+    /// The data pass of `train_rk` as it was before `RkTrainingSet`,
+    /// frozen as the reference: a feature for every enumerated sample,
+    /// built state by state, then the epoch orders shuffled where the
+    /// training loop used to shuffle them. Returns `(feature, rank, total)`
+    /// per sample and the visited prefix of each order.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn eager_rk_reference(
+        dataset: &Dataset,
+        adj: &[Vec<u32>],
+        train_dists: &[Vec<f64>],
+        gamma_star: f64,
+        cross: &CrossGraphNet,
+        cross_store: &ParamStore,
+        db_inputs: &[CrossInput],
+        db_embeds: &[Vec<f32>],
+        gin: &Gin,
+        gin_store: &ParamStore,
+        gcfg: &GnnConfig,
+        cfg: &ModelConfig,
+        rng: &mut StdRng,
+    ) -> (Vec<(Vec<f32>, usize, usize)>, Vec<Vec<usize>>) {
+        let mut samples = Vec::new();
+        for (qi, dists) in train_dists.iter().enumerate() {
+            let query = &dataset.queries[dataset.split.train[qi]];
+            let q_input = CrossInput::plain(query, gcfg);
+            let q_gin = gin.embed(gin_store, query).data().to_vec();
+            let mut in_nq: Vec<u32> = (0..dists.len() as u32)
+                .filter(|&g| dists[g as usize] <= gamma_star)
+                .collect();
+            in_nq.shuffle(rng);
+            for &g in in_nq.iter().take(24) {
+                let neighbors = &adj[g as usize];
+                if neighbors.is_empty() {
+                    continue;
+                }
+                let mut ranked: Vec<u32> = neighbors.clone();
+                ranked.sort_by(|&a, &b| {
+                    dists[a as usize]
+                        .total_cmp(&dists[b as usize])
+                        .then(a.cmp(&b))
+                });
+                for (rank, &nb) in ranked.iter().enumerate() {
+                    let mut tape = Tape::new();
+                    let out =
+                        cross.forward(&mut tape, cross_store, &db_inputs[nb as usize], &q_input);
+                    let pair = tape.value(out.h_pair).data().to_vec();
+                    let feat = rk_feature(
+                        &pair,
+                        &db_embeds[g as usize],
+                        &q_gin,
+                        &db_embeds[nb as usize],
+                    );
+                    samples.push((feat, rank, ranked.len()));
+                }
+            }
+        }
+        let mut orders = Vec::new();
+        if !samples.is_empty() {
+            for _ in 0..(cfg.epochs as u32 * 6) {
+                let mut order: Vec<usize> = (0..samples.len()).collect();
+                order.shuffle(rng);
+                order.truncate(cfg.max_samples_per_epoch * 4);
+                orders.push(order);
+            }
+        }
+        (samples, orders)
+    }
+
+    #[test]
+    fn lazy_rk_training_set_matches_the_eager_reference() {
+        let ds = Dataset::generate(
+            lan_datasets::DatasetSpec::syn()
+                .with_graphs(48)
+                .with_queries(16)
+                .with_metric(lan_ged::GedMethod::Hungarian),
+        );
+        let pair_fn = |a: u32, b: u32| ds.pair_distance(a, b);
+        let pairs = lan_pg::PairCache::new(&pair_fn);
+        let pg = lan_pg::ProximityGraph::build(ds.graphs.len(), &pairs, &lan_pg::PgConfig::new(4));
+        let train_dists: Vec<Vec<f64>> = ds
+            .split
+            .train
+            .iter()
+            .map(|&qi| {
+                (0..ds.graphs.len() as u32)
+                    .map(|g| ds.distance(&ds.queries[qi], g))
+                    .collect()
+            })
+            .collect();
+        // A neighborhood of about a quarter of the database per query.
+        let mut all: Vec<f64> = train_dists.iter().flatten().copied().collect();
+        all.sort_by(f64::total_cmp);
+        let gamma_star = all[all.len() / 4];
+
+        // Few enough visits that most samples are never drawn.
+        let cfg = ModelConfig {
+            embed_dim: 8,
+            epochs: 1,
+            max_samples_per_epoch: 5,
+            ..ModelConfig::default()
+        };
+        let gcfg = GnnConfig::uniform(ds.spec.num_labels as usize, cfg.embed_dim, cfg.layers);
+        let mut init = StdRng::seed_from_u64(7);
+        let mut gin_store = ParamStore::new();
+        let gin = Gin::new(&mut init, &mut gin_store, gcfg.clone());
+        let mut cross_store = ParamStore::new();
+        let cross = CrossGraphNet::new(&mut init, &mut cross_store, gcfg.clone());
+        let db_embeds: Vec<Vec<f32>> = ds
+            .graphs
+            .iter()
+            .map(|g| gin.embed(&gin_store, g).data().to_vec())
+            .collect();
+        let db_inputs: Vec<CrossInput> = ds
+            .graphs
+            .iter()
+            .map(|g| CrossInput::plain(g, &gcfg))
+            .collect();
+
+        let mut rng_eager = StdRng::seed_from_u64(0xCAFE);
+        let mut rng_lazy = rng_eager.clone();
+        let (want, want_orders) = eager_rk_reference(
+            &ds,
+            pg.base(),
+            &train_dists,
+            gamma_star,
+            &cross,
+            &cross_store,
+            &db_inputs,
+            &db_embeds,
+            &gin,
+            &gin_store,
+            &gcfg,
+            &cfg,
+            &mut rng_eager,
+        );
+        let set = RkTrainingSet::build(
+            &ds,
+            pg.base(),
+            &train_dists,
+            gamma_star,
+            &cross,
+            &cross_store,
+            &db_inputs,
+            &db_embeds,
+            &gin,
+            &gin_store,
+            &gcfg,
+            &cfg,
+            &mut rng_lazy,
+        )
+        .expect("the tiny dataset has ranker samples");
+
+        // Same samples, same orders, and the stream handed on to `train_mc`
+        // is at the same position (`train_heads` takes no RNG).
+        assert_eq!(set.samples.len(), want.len());
+        assert_eq!(set.orders, want_orders);
+        assert_eq!(rng_lazy.gen::<u64>(), rng_eager.gen::<u64>());
+
+        // Every visited sample carries the reference's feature, on bits;
+        // nothing else was computed.
+        let visited: std::collections::BTreeSet<usize> =
+            set.orders.iter().flatten().copied().collect();
+        assert_eq!(set.feats.iter().flatten().count(), visited.len());
+        assert!(
+            visited.len() * 2 < want.len(),
+            "the test must leave most samples unvisited ({} of {})",
+            visited.len(),
+            want.len()
+        );
+        for &si in &visited {
+            let (feat, rank, total) = &want[si];
+            let got = set.feats[si].as_ref().expect("visited");
+            assert_eq!(got.shape(), (1, feat.len()));
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(got.data()), bits(feat), "feature of sample {si}");
+            assert_eq!(
+                (set.samples[si].rank, set.samples[si].total),
+                (*rank, *total)
+            );
+        }
     }
 
     #[test]

@@ -1,30 +1,19 @@
 //! End-to-end training of the LAN models on a tiny dataset.
 
+mod common;
+
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_models::{LanModels, LearnedRanker, ModelConfig};
 use lan_pg::np_route::{np_route, NeighborRanker};
-use lan_pg::{beam_search, DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_pg::{beam_search, DistCache, ProximityGraph};
 
 fn tiny_setup() -> (Dataset, ProximityGraph, Vec<Vec<f64>>, LanModels) {
     let spec = DatasetSpec::syn()
         .with_graphs(60)
         .with_queries(20)
         .with_metric(GedMethod::Hungarian);
-    let ds = Dataset::generate(spec);
-    let pair_fn = |a: u32, b: u32| ds.pair_distance(a, b);
-    let pairs = PairCache::new(&pair_fn);
-    let pg = ProximityGraph::build(ds.graphs.len(), &pairs, &PgConfig::new(4));
-    let train_dists: Vec<Vec<f64>> = ds
-        .split
-        .train
-        .iter()
-        .map(|&qi| {
-            (0..ds.graphs.len() as u32)
-                .map(|g| ds.distance(&ds.queries[qi], g))
-                .collect()
-        })
-        .collect();
+    let (ds, pg, train_dists) = common::training_inputs(spec);
     let cfg = ModelConfig {
         embed_dim: 8,
         epochs: 2,

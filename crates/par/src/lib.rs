@@ -20,8 +20,32 @@
 //! Thread count comes from [`num_threads`]: the `LAN_THREADS` environment
 //! variable when set (any positive integer; `1` forces every helper into
 //! its serial fallback), otherwise [`std::thread::available_parallelism`].
-//! The variable is re-read on every call so tests and benchmarks can flip
-//! it at runtime.
+//! The variable is re-read by every fan-out that starts outside a worker,
+//! so tests and benchmarks can flip it at runtime.
+//!
+//! # Nested fan-outs inherit a thread budget
+//!
+//! The helpers nest: a sharded build fans out over shards, each shard's
+//! proximity-graph build fans out over the neighbors of every expansion,
+//! its model training over database graphs and ranker samples. If each
+//! level asked
+//! [`num_threads`] for itself, `T` shard workers would spawn and join `T`
+//! threads apiece thousands of times, on a host whose `T` cores are
+//! already busy with the shard workers. So a fan-out of `w` workers on a
+//! budget of `T` threads gives each worker the budget `max(1, T / w)` in
+//! a thread-local, and a helper called from that worker uses the budget
+//! in place of [`num_threads`]. With `w >= T` (2 shards on 2 cores) every
+//! inner call is the plain serial loop on the worker's own thread,
+//! decided before any environment variable is read; with `w < T` (2
+//! shards on 4 cores) an inner call may run 2 workers, whose own inner
+//! calls are serial. A fan-out that starts on a thread `lan-par` did not
+//! spawn (the main thread, a server's shard worker, a test) has no
+//! budget and asks [`num_threads`] as before.
+//!
+//! This is a rule for dividing threads, not a pool: threads are still
+//! spawned per fan-out by `std::thread::scope` and joined before the
+//! helper returns, nothing outlives a call, and there is no queue whose
+//! order could leak into results.
 //!
 //! Determinism contract: all helpers return results in input order, so a
 //! pure `f` yields output identical to the serial `items.iter().map(f)` —
@@ -317,12 +341,65 @@ impl Grain {
     }
 }
 
+thread_local! {
+    /// Threads a fan-out started from this thread may use: `0` on a thread
+    /// no helper spawned (ask [`num_threads`]), otherwise this worker's
+    /// share of the fan-out that spawned it. A worker thread lives for one
+    /// fan-out, so the value is set once and never restored.
+    static BUDGET: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// True when a fan-out over `len` items from this thread is the plain
+/// serial loop whatever the environment says: at most one item, or a
+/// worker whose share of the enclosing fan-out is one thread. Every
+/// helper asks this first, so a serial fallback costs one thread-local
+/// read — no environment lookup, no lock, no `String`.
+fn must_run_serial(len: usize) -> bool {
+    len <= 1 || BUDGET.with(|b| b.get()) == 1
+}
+
+/// How one fan-out divides its threads.
+#[derive(Clone, Copy)]
+struct FanOut {
+    /// Threads to spawn (at most one per item).
+    workers: usize,
+    /// The budget each of them hands to the fan-outs it starts.
+    inner: usize,
+}
+
+impl FanOut {
+    /// The division for `len` items: this thread's inherited budget, or
+    /// [`num_threads`] outside any worker, spread over `min(budget, len)`
+    /// workers. `None` when that is a single worker — run the serial loop.
+    fn over(len: usize) -> Option<Self> {
+        if must_run_serial(len) {
+            return None;
+        }
+        let budget = match BUDGET.with(|b| b.get()) {
+            0 => num_threads(),
+            inherited => inherited,
+        };
+        let workers = budget.min(len);
+        (workers > 1).then_some(FanOut {
+            workers,
+            // workers <= budget, so every worker gets at least one thread.
+            inner: budget / workers,
+        })
+    }
+
+    /// Marks the calling (freshly spawned) thread as one of this fan-out's
+    /// workers.
+    fn enter(self) {
+        BUDGET.with(|b| b.set(self.inner));
+    }
+}
+
 /// Shared work-stealing driver: workers claim `[start, start+grain)` item
 /// ranges from an atomic cursor until it passes `len`, run `run_chunk`
 /// on each claimed range, and the per-range outputs are re-assembled in
 /// input order. A panic in `run_chunk` propagates after the scope joins
 /// (sibling workers drain the remaining ranges first).
-fn dyn_run<R, F>(len: usize, threads: usize, grain: usize, run_chunk: F) -> Vec<R>
+fn dyn_run<R, F>(len: usize, fan: FanOut, grain: usize, run_chunk: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, usize) -> Vec<R> + Sync,
@@ -332,19 +409,22 @@ where
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(len.div_ceil(grain)));
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..fan.workers)
             .map(|_| {
-                s.spawn(|| loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
+                s.spawn(|| {
+                    fan.enter();
+                    loop {
+                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                        if start >= len {
+                            break;
+                        }
+                        let end = (start + grain).min(len);
+                        let out = run_chunk(start, end);
+                        parts
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push((start, out));
                     }
-                    let end = (start + grain).min(len);
-                    let out = run_chunk(start, end);
-                    parts
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((start, out));
                 })
             })
             .collect();
@@ -370,17 +450,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    if must_run_serial(items.len()) {
+        return items.iter().map(f).collect();
+    }
     match sched() {
         Sched::Sequential => return items.iter().map(f).collect(),
         Sched::Static => return par_map(items, f),
         Sched::WorkStealing => {}
     }
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
+    let Some(fan) = FanOut::over(items.len()) else {
         return items.iter().map(f).collect();
-    }
-    let g = grain.size(items.len(), threads);
-    dyn_run(items.len(), threads, g, |start, end| {
+    };
+    let g = grain.size(items.len(), fan.workers);
+    dyn_run(items.len(), fan, g, |start, end| {
         items[start..end].iter().map(&f).collect()
     })
 }
@@ -391,17 +473,19 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    if must_run_serial(n) {
+        return (0..n).map(f).collect();
+    }
     match sched() {
         Sched::Sequential => return (0..n).map(f).collect(),
         Sched::Static => return par_map_indices(n, f),
         Sched::WorkStealing => {}
     }
-    let threads = num_threads().min(n);
-    if threads <= 1 {
+    let Some(fan) = FanOut::over(n) else {
         return (0..n).map(f).collect();
-    }
-    let g = grain.size(n, threads);
-    dyn_run(n, threads, g, |start, end| (start..end).map(&f).collect())
+    };
+    let g = grain.size(n, fan.workers);
+    dyn_run(n, fan, g, |start, end| (start..end).map(&f).collect())
 }
 
 /// Work-stealing variant of [`par_chunks`]: each dynamically claimed range
@@ -419,17 +503,19 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> Vec<R> + Sync,
 {
+    if must_run_serial(items.len()) {
+        return f(0, items);
+    }
     match sched() {
         Sched::Sequential => return f(0, items),
         Sched::Static => return par_chunks(items, f),
         Sched::WorkStealing => {}
     }
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
+    let Some(fan) = FanOut::over(items.len()) else {
         return f(0, items);
-    }
-    let g = grain.size(items.len(), threads);
-    dyn_run(items.len(), threads, g, |start, end| {
+    };
+    let g = grain.size(items.len(), fan.workers);
+    dyn_run(items.len(), fan, g, |start, end| {
         f(start, &items[start..end])
     })
 }
@@ -444,16 +530,20 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
+    let Some(fan) = FanOut::over(items.len()) else {
         return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
+    };
+    let chunk = items.len().div_ceil(fan.workers);
     std::thread::scope(|s| {
         let f = &f;
         let handles: Vec<_> = items
             .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
+            .map(|c| {
+                s.spawn(move || {
+                    fan.enter();
+                    c.iter().map(f).collect::<Vec<R>>()
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -468,6 +558,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    if must_run_serial(n) {
+        return (0..n).map(f).collect();
+    }
     let idx: Vec<usize> = (0..n).collect();
     par_map(&idx, |&i| f(i))
 }
@@ -483,17 +576,21 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> Vec<R> + Sync,
 {
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
+    let Some(fan) = FanOut::over(items.len()) else {
         return f(0, items);
-    }
-    let chunk = items.len().div_ceil(threads);
+    };
+    let chunk = items.len().div_ceil(fan.workers);
     std::thread::scope(|s| {
         let f = &f;
         let handles: Vec<_> = items
             .chunks(chunk)
             .enumerate()
-            .map(|(ci, c)| s.spawn(move || f(ci * chunk, c)))
+            .map(|(ci, c)| {
+                s.spawn(move || {
+                    fan.enter();
+                    f(ci * chunk, c)
+                })
+            })
             .collect();
         handles
             .into_iter()

@@ -7,7 +7,10 @@
 //! per-item closures (which the `lan-core` end-to-end tests pin).
 
 use lan_par::{par_chunks_dyn, par_map, par_map_dyn, par_map_indices_dyn, testenv, Grain, Sched};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 const GRAINS: [Grain; 5] = [
     Grain::Fine,
@@ -156,6 +159,87 @@ fn panics_propagate_not_deadlock() {
                 assert_eq!(par_map_dyn(&items, Grain::Auto, |&x| x + 1).len(), 100);
             },
         );
+    }
+}
+
+#[test]
+fn inner_fan_out_of_a_saturated_outer_runs_on_the_worker_itself() {
+    // w = 4 workers on T = 4 threads (and w = T = 2): each worker's budget
+    // is one thread, so a fan-out it starts never leaves its thread.
+    for (threads, sched) in [("4", "ws"), ("4", "static"), ("2", "ws")] {
+        testenv::with_env(
+            &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
+            || {
+                let outer: Vec<u32> = (0..8).collect();
+                let per_worker: Vec<(ThreadId, Vec<ThreadId>)> =
+                    par_map_dyn(&outer, Grain::Fine, |_| {
+                        let me = std::thread::current().id();
+                        let inner: Vec<u32> = (0..16).collect();
+                        let ids = par_map_dyn(&inner, Grain::Fine, |_| std::thread::current().id());
+                        (me, ids)
+                    });
+                let main = std::thread::current().id();
+                for (me, ids) in per_worker {
+                    assert_ne!(me, main, "outer fan-out must have spawned workers");
+                    assert!(
+                        ids.iter().all(|&id| id == me),
+                        "inner item left its worker (threads={threads}, sched={sched})"
+                    );
+                }
+            },
+        );
+    }
+}
+
+#[test]
+fn inner_fan_out_gets_its_share_of_the_budget() {
+    // w = 2 workers on T = 4 threads: each may use 2 for its own fan-out.
+    // Inner items 0 and 1 wait for each other, which forces two threads
+    // (a serial inner loop would time out here, not hang); the budget
+    // caps it at two.
+    testenv::with_env(
+        &[("LAN_THREADS", Some("4")), ("LAN_SCHED", Some("ws"))],
+        || {
+            let outer = [0u32, 1];
+            let distinct: Vec<usize> = par_map_dyn(&outer, Grain::Fine, |_| {
+                let arrived = AtomicUsize::new(0);
+                let ids = par_map_indices_dyn(8, Grain::Fine, |i| {
+                    if i < 2 {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while arrived.load(Ordering::SeqCst) < 2 {
+                            assert!(Instant::now() < deadline, "inner fan-out ran serially");
+                            std::thread::yield_now();
+                        }
+                    }
+                    std::thread::current().id()
+                });
+                ids.into_iter().collect::<HashSet<ThreadId>>().len()
+            });
+            assert_eq!(distinct, [2, 2]);
+        },
+    );
+}
+
+#[test]
+fn nested_output_equals_the_serial_map() {
+    let serial: Vec<Vec<u64>> = (0..9u64)
+        .map(|o| (0..33u64).map(|i| skewed(&(o * 100 + i))).collect())
+        .collect();
+    for threads in ["1", "2", "4", "7"] {
+        for sched in ["seq", "static", "ws"] {
+            testenv::with_env(
+                &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
+                || {
+                    let nested: Vec<Vec<u64>> = par_map_indices_dyn(9, Grain::Fine, |o| {
+                        par_map_indices_dyn(33, Grain::Auto, |i| {
+                            skewed(&(o as u64 * 100 + i as u64))
+                        })
+                    });
+                    assert_eq!(nested, serial, "threads={threads} sched={sched}");
+                },
+            );
+        }
     }
 }
 

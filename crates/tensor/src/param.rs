@@ -71,6 +71,12 @@ impl ParamStore {
         &mut self.params[id].grad
     }
 
+    /// Adam's first and second moment of a parameter (diagnostics and the
+    /// optimizer equivalence tests; training never reads them from outside).
+    pub fn moments(&self, id: usize) -> (&Matrix, &Matrix) {
+        (&self.params[id].m, &self.params[id].v)
+    }
+
     pub(crate) fn param_mut(&mut self, id: usize) -> &mut Param {
         &mut self.params[id]
     }
@@ -78,8 +84,7 @@ impl ParamStore {
     /// Zeroes every gradient (call before each backward accumulation round).
     pub fn zero_grads(&mut self) {
         for p in &mut self.params {
-            let (r, c) = p.value.shape();
-            p.grad = Matrix::zeros(r, c);
+            p.grad.data_mut().fill(0.0);
         }
     }
 }
