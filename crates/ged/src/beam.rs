@@ -36,7 +36,7 @@
 //! scratch has grown to the pair's size.
 
 use crate::mapping::{mapping_cost_with, NodeMapping, EPS};
-use crate::scratch::{with_scratch, GedScratch};
+use crate::scratch::{with_scratch, MappingOut};
 use lan_graph::{Graph, Label, NodeId};
 use std::cmp::Ordering;
 
@@ -177,18 +177,18 @@ pub(crate) struct BeamScratch {
 /// distance and the mapping that achieves it.
 pub fn beam_ged_with_mapping(g1: &Graph, g2: &Graph, width: usize) -> (f64, NodeMapping) {
     with_scratch(|s| {
-        let d = beam_ged_scratch(g1, g2, width, s);
-        // The search ran from the smaller side; `s.map` maps that side.
+        let d = beam_ged_scratch(g1, g2, width, &mut s.beam, &mut s.out);
+        // The search ran from the smaller side; `s.out` maps that side.
         let map = if g1.node_count() > g2.node_count() {
             let mut inv = vec![EPS; g1.node_count()];
-            for (u, &v) in s.map.iter().enumerate() {
+            for (u, &v) in s.out.map.iter().enumerate() {
                 if v != EPS {
                     inv[v as usize] = u as NodeId;
                 }
             }
             inv
         } else {
-            s.map.clone()
+            s.out.map.clone()
         };
         (d, NodeMapping { map })
     })
@@ -197,12 +197,18 @@ pub fn beam_ged_with_mapping(g1: &Graph, g2: &Graph, width: usize) -> (f64, Node
 /// Beam-search approximate GED (distance only; allocation-free once this
 /// thread's scratch has grown to the pair's size).
 pub fn beam_ged(g1: &Graph, g2: &Graph, width: usize) -> f64 {
-    with_scratch(|s| beam_ged_scratch(g1, g2, width, s))
+    with_scratch(|s| beam_ged_scratch(g1, g2, width, &mut s.beam, &mut s.out))
 }
 
-/// [`beam_ged`] on an explicit scratch, leaving the best mapping — from the
-/// graph with fewer nodes to the other — in `s.map`.
-pub(crate) fn beam_ged_scratch(g1: &Graph, g2: &Graph, width: usize, s: &mut GedScratch) -> f64 {
+/// [`beam_ged`] on explicit buffers, leaving the best mapping — from the
+/// graph with fewer nodes to the other — in `out`.
+pub(crate) fn beam_ged_scratch(
+    g1: &Graph,
+    g2: &Graph,
+    width: usize,
+    b: &mut BeamScratch,
+    out: &mut MappingOut,
+) -> f64 {
     assert!(width >= 1, "beam width must be at least 1");
     // Search from the smaller side: shallower tree, better pruning.
     let (g1, g2) = if g1.node_count() > g2.node_count() {
@@ -212,7 +218,6 @@ pub(crate) fn beam_ged_scratch(g1: &Graph, g2: &Graph, width: usize, s: &mut Ged
     };
     let n1 = g1.node_count();
     let n2 = g2.node_count();
-    let b = &mut s.beam;
 
     // Dense labels: positions in g1's distinct labels; one shared extra slot
     // for g2 labels g1 lacks (never matched, never equal to a g1 label).
@@ -312,14 +317,14 @@ pub(crate) fn beam_ged_scratch(g1: &Graph, g2: &Graph, width: usize, s: &mut Ged
     // The cheapest complete mapping; the earliest in frontier order on ties.
     let mut best = (f64::INFINITY, 0usize);
     for q in 0..b.frontier.len {
-        let d = mapping_cost_with(g1, g2, b.frontier.map(q), &mut s.hit);
+        let d = mapping_cost_with(g1, g2, b.frontier.map(q), &mut out.hit);
         if d.total_cmp(&best.0) == Ordering::Less {
             best = (d, q);
         }
     }
     let (d, q) = best;
-    s.map.clear();
-    s.map.extend_from_slice(b.frontier.map(q));
+    out.map.clear();
+    out.map.extend_from_slice(b.frontier.map(q));
     d
 }
 

@@ -14,10 +14,10 @@
 //! upper bounds, which is why the ground-truth protocol takes the best of
 //! both (plus beam search).
 
-use crate::assignment::{hungarian_solve, lapjv_solve, CostMatrix};
+use crate::assignment::{hungarian_solve, lapjv_solve, AssignScratch, CostMatrix};
 use crate::lower_bounds::sorted_label_multiset_lb;
 use crate::mapping::{mapping_cost_with, NodeMapping, EPS};
-use crate::scratch::{with_scratch, GedScratch};
+use crate::scratch::{with_scratch, GedScratch, MappingOut};
 use lan_graph::{Graph, Label, NodeId};
 
 /// Which LSAP solver drives the approximation.
@@ -120,7 +120,12 @@ pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
 pub fn bipartite_ged_with_mapping(g1: &Graph, g2: &Graph, solver: Solver) -> (f64, NodeMapping) {
     with_scratch(|s| {
         let d = bipartite_ged_scratch(g1, g2, solver, s);
-        (d, NodeMapping { map: s.map.clone() })
+        (
+            d,
+            NodeMapping {
+                map: s.out.map.clone(),
+            },
+        )
     })
 }
 
@@ -131,7 +136,7 @@ pub fn bipartite_ged(g1: &Graph, g2: &Graph, solver: Solver) -> f64 {
 }
 
 /// [`bipartite_ged`] on an explicit scratch (the entry points route through
-/// the per-thread one), leaving the mapping in `s.map`. Bit-identical to a
+/// the per-thread one), leaving the mapping in `s.out`. Bit-identical to a
 /// fresh scratch.
 pub(crate) fn bipartite_ged_scratch(
     g1: &Graph,
@@ -144,32 +149,39 @@ pub(crate) fn bipartite_ged_scratch(
     // nodes may derive a costlier path), and a database routinely compares a
     // graph against itself, so short-circuit.
     if g1 == g2 {
-        s.map.clear();
-        s.map.extend(g1.nodes());
+        s.out.map.clear();
+        s.out.map.extend(g1.nodes());
         return 0.0;
     }
     rb_cost_matrix_into(g1, g2, s);
-    solve_rb_matrix(g1, g2, solver, s)
+    solve_rb_matrix(g1, g2, solver, &s.cost, &mut s.assign, &mut s.out)
 }
 
-/// Solves the Riesen–Bunke matrix already in `s.cost` (built for this
-/// `g1`, `g2`) and returns the cost of the derived edit path, leaving its
-/// mapping in `s.map`. `BestOfThree` builds the matrix once and calls this
-/// for both solvers.
-pub(crate) fn solve_rb_matrix(g1: &Graph, g2: &Graph, solver: Solver, s: &mut GedScratch) -> f64 {
+/// Solves the Riesen–Bunke matrix `cost` (built for this `g1`, `g2`) in
+/// `assign` and returns the cost of the derived edit path, leaving its
+/// mapping in `out`. `BestOfThree` builds the matrix once and calls this
+/// for both solvers, each with its own `assign` and `out`.
+pub(crate) fn solve_rb_matrix(
+    g1: &Graph,
+    g2: &Graph,
+    solver: Solver,
+    cost: &CostMatrix,
+    assign: &mut AssignScratch,
+    out: &mut MappingOut,
+) -> f64 {
     let n1 = g1.node_count();
     let n2 = g2.node_count();
     match solver {
-        Solver::Hungarian => hungarian_solve(&s.cost, &mut s.assign),
-        Solver::Vj => lapjv_solve(&s.cost, &mut s.assign),
+        Solver::Hungarian => hungarian_solve(cost, assign),
+        Solver::Vj => lapjv_solve(cost, assign),
     }
-    s.map.clear();
-    s.map
-        .extend(s.assign.row_to_col()[..n1].iter().map(|&j| match j {
+    out.map.clear();
+    out.map
+        .extend(assign.row_to_col()[..n1].iter().map(|&j| match j {
             j if j < n2 => j as NodeId,
             _ => EPS,
         }));
-    mapping_cost_with(g1, g2, &s.map, &mut s.hit)
+    mapping_cost_with(g1, g2, &out.map, &mut out.hit)
 }
 
 #[cfg(test)]
@@ -291,7 +303,7 @@ mod tests {
                 let d_fresh = bipartite_ged_scratch(&g1, &g2, solver, &mut fresh);
                 let d_scr = bipartite_ged_scratch(&g1, &g2, solver, &mut s);
                 assert_eq!(d_fresh.to_bits(), d_scr.to_bits());
-                assert_eq!(fresh.map, s.map);
+                assert_eq!(fresh.out.map, s.out.map);
             }
         }
     }

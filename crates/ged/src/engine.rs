@@ -62,8 +62,26 @@ pub fn ged(g1: &Graph, g2: &Graph, method: &GedMethod) -> Option<f64> {
     }
 }
 
+/// Smallest Riesen–Bunke matrix (`n1 + n2` rows) whose `BestOfThree` call
+/// forks its Hungarian solve onto a second thread. Below it the call is
+/// serial: a spawn and join costs 34–38 µs, and the Hungarian half, O(n³),
+/// is not worth that until the matrix has about this many rows. Serial
+/// over forked time per call on a 2-core x86-64 host (40 molecule or
+/// power-law pairs per size, two runs): 0.47 at 16 rows, 0.65 at 20, 0.89–0.97
+/// at 30, 0.90–1.04 at 32, 1.04–1.16 at 34, 0.94–1.07 at 36, 1.12–1.17 at
+/// 40, 1.19–1.35 at 50 (the `aids-ged` molecules). SYN-sized calls (≈ 20
+/// rows) stay serial.
+pub const FORK_MIN_ROWS: usize = 36;
+
 /// `min(Hungarian, Vj, Beam)`, with the Riesen–Bunke matrix built once and
 /// handed to both LSAP solvers.
+///
+/// From [`FORK_MIN_ROWS`] rows up, the Hungarian solve runs on a second
+/// thread through [`lan_par::join`] — serial when the thread budget is one,
+/// as inside every saturated fan-out — while this thread runs VJ and then
+/// the beam search. The halves read the shared matrix and write disjoint
+/// parts of `s`, and the minimum is the same expression as the serial
+/// form's, so the value is the serial one bit for bit.
 fn best_of_three(g1: &Graph, g2: &Graph, beam_width: usize, s: &mut GedScratch) -> f64 {
     // Both bipartite values are 0 on equal graphs (their own short-circuit)
     // and no beam value is below 0.
@@ -71,9 +89,26 @@ fn best_of_three(g1: &Graph, g2: &Graph, beam_width: usize, s: &mut GedScratch) 
         return 0.0;
     }
     rb_cost_matrix_into(g1, g2, s);
-    let h = solve_rb_matrix(g1, g2, Solver::Hungarian, s);
-    let v = solve_rb_matrix(g1, g2, Solver::Vj, s);
-    let b = beam_ged_scratch(g1, g2, beam_width, s);
+    let GedScratch {
+        cost,
+        assign,
+        out,
+        beam,
+        fork_assign,
+        fork_out,
+        ..
+    } = s;
+    let cost = &*cost;
+    let mut vj_then_beam = || {
+        let v = solve_rb_matrix(g1, g2, Solver::Vj, cost, assign, out);
+        (v, beam_ged_scratch(g1, g2, beam_width, beam, out))
+    };
+    let mut hungarian = || solve_rb_matrix(g1, g2, Solver::Hungarian, cost, fork_assign, fork_out);
+    let ((v, b), h) = if cost.n() >= FORK_MIN_ROWS {
+        lan_par::join(vj_then_beam, hungarian)
+    } else {
+        (vj_then_beam(), hungarian())
+    };
     h.min(v).min(b)
 }
 

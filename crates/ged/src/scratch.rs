@@ -9,12 +9,26 @@
 //! through a `thread_local` (mirroring `lan-gnn`'s `InferScratch`): once a
 //! thread has seen its largest pair, a distance call through
 //! [`crate::engine::ged`] with `Hungarian`, `Vj`, `Beam` or `BestOfThree`
-//! performs no heap allocation (`tests/zero_alloc.rs` counts them).
+//! performs no heap allocation of its own — a forked `BestOfThree` call
+//! (below) pays only the spawn's bookkeeping, the same few allocations
+//! whatever the pair size (`tests/zero_alloc.rs` counts them).
 //!
 //! Every user reinitializes the buffers it touches, so a scratch carries
 //! capacity between calls and never state: reuse is bit-identical to fresh
 //! allocation (property-tested in [`crate::assignment`],
 //! [`crate::bipartite`] and `tests/kernel_equivalence.rs`).
+//!
+//! # Two slots for one `BestOfThree` call
+//!
+//! From [`crate::engine::FORK_MIN_ROWS`] matrix rows up, and when the
+//! thread budget allows, `BestOfThree` forks its Hungarian solve onto a
+//! second thread while the calling thread runs VJ and then the beam
+//! search. Both halves read the one cost matrix; each writes only its own
+//! [`MappingOut`] and [`AssignScratch`] — `out`/`assign` on the caller,
+//! `fork_out`/`fork_assign` on the helper — so they share no mutable
+//! memory, and the helper thread grows buffers of the caller's scratch
+//! instead of a thread-local of its own: once warmed up it never touches
+//! the allocator.
 
 use crate::assignment::{AssignScratch, CostMatrix};
 use crate::beam::BeamScratch;
@@ -35,17 +49,27 @@ pub struct GedScratch {
     pub(crate) nl1: NeighborLabels,
     pub(crate) nl2: NeighborLabels,
     /// The node mapping behind the last approximate distance.
-    pub(crate) map: Vec<NodeId>,
-    /// `mapping_cost`'s image mask.
-    pub(crate) hit: Vec<bool>,
+    pub(crate) out: MappingOut,
     /// Beam-search candidates and frontier.
     pub(crate) beam: BeamScratch,
+    /// `BestOfThree`'s forked Hungarian solve: its solver arrays and
+    /// mapping.
+    pub(crate) fork_assign: AssignScratch,
+    pub(crate) fork_out: MappingOut,
 }
 
 impl GedScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Where an approximate distance leaves the node mapping it derived, with
+/// `mapping_cost`'s image mask.
+#[derive(Debug, Default)]
+pub(crate) struct MappingOut {
+    pub(crate) map: Vec<NodeId>,
+    pub(crate) hit: Vec<bool>,
 }
 
 thread_local! {

@@ -3,10 +3,13 @@
 //! The LAN cost model is dominated by expensive distance (GED) calls and
 //! GNN forward passes, which makes the workload embarrassingly parallel
 //! across shards, queries, and construction candidates. These helpers put
-//! that parallelism behind two order-preserving primitives built on
+//! that parallelism behind order-preserving primitives built on
 //! `std::thread::scope` — no external dependencies, no global pool, no
 //! `unsafe`.
 //!
+//! * [`join`] — run two closures, the second on a spawned thread, and
+//!   return both results (one `BestOfThree` GED call forks its Hungarian
+//!   solve from its VJ and beam solves this way);
 //! * [`par_map`] — map a function over a slice, preserving input order;
 //! * [`par_map_indices`] — the `0..n` index variant;
 //! * [`par_chunks`] — hand each worker a contiguous sub-slice;
@@ -19,9 +22,13 @@
 //!
 //! Thread count comes from [`num_threads`]: the `LAN_THREADS` environment
 //! variable when set (any positive integer; `1` forces every helper into
-//! its serial fallback), otherwise [`std::thread::available_parallelism`].
-//! The variable is re-read by every fan-out that starts outside a worker,
-//! so tests and benchmarks can flip it at runtime.
+//! its serial fallback), otherwise [`std::thread::available_parallelism`],
+//! asked once per process. The variable is re-read by every fan-out that
+//! starts outside a worker, so tests and benchmarks can flip it at runtime.
+//!
+//! The caller of a fan-out is one of its workers: a fan-out over `w`
+//! workers spawns `w - 1` threads and runs the remaining share on the
+//! calling thread, which would otherwise only block in the join.
 //!
 //! # Nested fan-outs inherit a thread budget
 //!
@@ -40,7 +47,9 @@
 //! shards on 4 cores) an inner call may run 2 workers, whose own inner
 //! calls are serial. A fan-out that starts on a thread `lan-par` did not
 //! spawn (the main thread, a server's shard worker, a test) has no
-//! budget and asks [`num_threads`] as before.
+//! budget and asks [`num_threads`] as before. While the caller runs its
+//! own share it carries the same per-worker budget, and gets its own back
+//! when the share is done (also when the share panics).
 //!
 //! This is a rule for dividing threads, not a pool: threads are still
 //! spawned per fan-out by `std::thread::scope` and joined before the
@@ -221,28 +230,33 @@ pub mod env {
 /// (non-numeric, negative, or zero — a zero-thread pool cannot make
 /// progress, so it is rejected rather than clamped).
 pub fn try_num_threads() -> Result<usize, env::EnvError> {
-    match env::parse_var("LAN_THREADS", env::positive_usize)? {
-        Some(n) => Ok(n),
-        None => Ok(std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)),
-    }
+    Ok(env::parse_var("LAN_THREADS", env::positive_usize)?.unwrap_or_else(host_threads))
 }
 
 /// Worker count used by the helpers: `LAN_THREADS` env override when set,
-/// else the host's available parallelism. Re-read on every call. A
-/// malformed override (including `0`) warns once on stderr and falls back
-/// to the host parallelism — it no longer silently clamps.
+/// else the host's available parallelism. `LAN_THREADS` is re-read on every
+/// call; the host value is read once per process. A malformed override
+/// (including `0`) warns once on stderr and falls back to the host
+/// parallelism — it no longer silently clamps.
 pub fn num_threads() -> usize {
-    match try_num_threads() {
-        Ok(n) => n,
-        Err(e) => {
-            env::warn_once(&e);
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        }
-    }
+    try_num_threads().unwrap_or_else(|e| {
+        env::warn_once(&e);
+        host_threads()
+    })
+}
+
+/// The host's parallelism, once known (see [`host_threads`]).
+static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+
+/// [`std::thread::available_parallelism`] (4 when it fails), asked once per
+/// process: on Linux it reads cgroup files, ~15 µs a call, which every
+/// top-level fan-out and every [`join`] would otherwise pay.
+fn host_threads() -> usize {
+    *HOST_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Execution scheduler used by the dynamic helpers ([`par_map_dyn`],
@@ -344,8 +358,9 @@ impl Grain {
 thread_local! {
     /// Threads a fan-out started from this thread may use: `0` on a thread
     /// no helper spawned (ask [`num_threads`]), otherwise this worker's
-    /// share of the fan-out that spawned it. A worker thread lives for one
-    /// fan-out, so the value is set once and never restored.
+    /// share of the fan-out it works for. A spawned worker lives for one
+    /// fan-out, so it sets the value once; a caller running its own share
+    /// sets it for that share and restores it afterwards ([`FanOut::on_caller`]).
     static BUDGET: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -392,13 +407,61 @@ impl FanOut {
     fn enter(self) {
         BUDGET.with(|b| b.set(self.inner));
     }
+
+    /// Runs `f` on the thread that started the fan-out, as one of its
+    /// workers: the budget is `inner` while `f` runs and the caller's own
+    /// again afterwards, also when `f` panics.
+    fn on_caller<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                BUDGET.with(|b| b.set(self.0));
+            }
+        }
+        let _restore = Restore(BUDGET.with(|b| b.replace(self.inner)));
+        f()
+    }
+}
+
+/// Runs `a` and `b`, in parallel when the thread budget allows, and returns
+/// `(a(), b())`.
+///
+/// `b` runs on one spawned scoped thread and `a` on the caller; each side
+/// gets half of the caller's budget for the fan-outs (and joins) it starts,
+/// under the nesting rule above. When the budget is one thread — inside a
+/// saturated fan-out, or under `LAN_THREADS=1` — this is the plain
+/// `(a(), b())` on the caller, decided by one thread-local read on a
+/// worker. A spawn and join costs 34–38 µs on a 2-core x86-64 host, so
+/// fork only work well above that. A panic in either closure propagates once both have finished.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let Some(fan) = FanOut::over(2) else {
+        return (a(), b());
+    };
+    std::thread::scope(|s| {
+        let hb = s.spawn(move || {
+            fan.enter();
+            b()
+        });
+        let ra = fan.on_caller(a);
+        let rb = hb
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (ra, rb)
+    })
 }
 
 /// Shared work-stealing driver: workers claim `[start, start+grain)` item
 /// ranges from an atomic cursor until it passes `len`, run `run_chunk`
 /// on each claimed range, and the per-range outputs are re-assembled in
-/// input order. A panic in `run_chunk` propagates after the scope joins
-/// (sibling workers drain the remaining ranges first).
+/// input order. The caller is one of the `fan.workers` workers, so
+/// `workers - 1` threads are spawned. A panic in `run_chunk` propagates
+/// after the scope joins (sibling workers drain the remaining ranges
+/// first).
 fn dyn_run<R, F>(len: usize, fan: FanOut, grain: usize, run_chunk: F) -> Vec<R>
 where
     R: Send,
@@ -408,26 +471,28 @@ where
     use std::sync::Mutex;
     let cursor = AtomicUsize::new(0);
     let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(len.div_ceil(grain)));
+    let work = || loop {
+        let start = cursor.fetch_add(grain, Ordering::Relaxed);
+        if start >= len {
+            break;
+        }
+        let end = (start + grain).min(len);
+        let out = run_chunk(start, end);
+        parts
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((start, out));
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..fan.workers)
+        let handles: Vec<_> = (1..fan.workers)
             .map(|_| {
                 s.spawn(|| {
                     fan.enter();
-                    loop {
-                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                        if start >= len {
-                            break;
-                        }
-                        let end = (start + grain).min(len);
-                        let out = run_chunk(start, end);
-                        parts
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push((start, out));
-                    }
+                    work()
                 })
             })
             .collect();
+        fan.on_caller(work);
         for h in handles {
             h.join().expect("work-stealing worker panicked");
         }
@@ -522,34 +587,16 @@ where
 
 /// Parallel, order-preserving map over a slice.
 ///
-/// Splits `items` into one contiguous chunk per worker; falls back to a
-/// plain serial map when a single worker suffices. Panics in `f` propagate.
+/// Splits `items` into one contiguous chunk per worker (the caller maps
+/// the first); falls back to a plain serial map when a single worker
+/// suffices. Panics in `f` propagate.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let Some(fan) = FanOut::over(items.len()) else {
-        return items.iter().map(f).collect();
-    };
-    let chunk = items.len().div_ceil(fan.workers);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    fan.enter();
-                    c.iter().map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    })
+    par_chunks(items, |_, c| c.iter().map(&f).collect())
 }
 
 /// [`par_map`] over the index range `0..n`.
@@ -580,22 +627,24 @@ where
         return f(0, items);
     };
     let chunk = items.len().div_ceil(fan.workers);
+    let (first, rest) = items.split_at(chunk);
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = items
+        let handles: Vec<_> = rest
             .chunks(chunk)
             .enumerate()
             .map(|(ci, c)| {
                 s.spawn(move || {
                     fan.enter();
-                    f(ci * chunk, c)
+                    f((ci + 1) * chunk, c)
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_chunks worker panicked"))
-            .collect()
+        let mut out = fan.on_caller(|| f(0, first));
+        for h in handles {
+            out.extend(h.join().expect("par_chunks worker panicked"));
+        }
+        out
     })
 }
 
@@ -670,6 +719,39 @@ mod tests {
         testenv::with_env(&[("LAN_THREADS", None)], || {
             assert!(num_threads() >= 1);
         });
+    }
+
+    #[test]
+    fn host_parallelism_is_cached_while_lan_threads_is_reread() {
+        testenv::with_env(&[("LAN_THREADS", None)], || {
+            let host = num_threads();
+            assert_eq!(HOST_THREADS.get(), Some(&host), "asked once, then kept");
+            assert_eq!(num_threads(), host);
+        });
+        for (raw, want) in [("3", 3), ("1", 1), ("5", 5)] {
+            testenv::with_env(&[("LAN_THREADS", Some(raw))], || {
+                assert_eq!(num_threads(), want, "LAN_THREADS={raw} must be re-read");
+            });
+        }
+    }
+
+    #[test]
+    fn caller_share_restores_the_budget() {
+        let _l = testenv::lock();
+        let fan = FanOut {
+            workers: 2,
+            inner: 3,
+        };
+        for before in [0, 1, 6] {
+            BUDGET.with(|b| b.set(before));
+            let inside = fan.on_caller(|| BUDGET.with(|b| b.get()));
+            assert_eq!(inside, 3);
+            assert_eq!(BUDGET.with(|b| b.get()), before);
+            let r = std::panic::catch_unwind(|| fan.on_caller(|| panic!("share panicked")));
+            assert!(r.is_err());
+            assert_eq!(BUDGET.with(|b| b.get()), before, "restored on panic");
+        }
+        BUDGET.with(|b| b.set(0));
     }
 
     #[test]
