@@ -6,10 +6,13 @@
 //! of the parallel layer, property-tested in
 //! `crates/core/tests/parallel_equivalence.rs`):
 //!
-//! 1. `sequential` — queries one after another, shards visited in order;
-//! 2. `parallel_shards` — each query fans its shards out in parallel;
-//! 3. `parallel_queries` — the query batch itself runs in parallel
-//!    (shards sequential within each query).
+//! 1. `sequential` — queries one after another under `LAN_THREADS=1`, so
+//!    `ShardedLanIndex::search` visits the shards in order;
+//! 2. `parallel_shards` — the same loop on the process's thread budget:
+//!    each query fans its shards out in parallel;
+//! 3. `parallel_queries` — the query batch itself runs in parallel, and
+//!    each query's shard fan-out gets what is left of the budget (on a
+//!    host with no more threads than queries, its shards run serially).
 //!
 //! The worker count defaults to the host's parallelism; `LAN_THREADS`
 //! overrides it. On a single-core host the speedup is honestly ~1×, and
@@ -193,30 +196,12 @@ fn main() {
         lan_par::num_threads()
     );
 
-    let seq = run_batch(
-        "sequential",
-        &queries,
-        &truth_kth,
-        k,
-        |q, seed| sharded.search(q, k, b, init, route, seed),
-        false,
-    );
-    let par_shards = run_batch(
-        "parallel shards",
-        &queries,
-        &truth_kth,
-        k,
-        |q, seed| sharded.search_par(q, k, b, init, route, seed),
-        false,
-    );
-    let par_queries = run_batch(
-        "parallel queries",
-        &queries,
-        &truth_kth,
-        k,
-        |q, seed| sharded.search(q, k, b, init, route, seed),
-        true,
-    );
+    let search = |q: &Graph, seed| sharded.search(q, k, b, init, route, seed);
+    let seq = lan_par::testenv::with_env(&[("LAN_THREADS", Some("1"))], || {
+        run_batch("sequential", &queries, &truth_kth, k, search, false)
+    });
+    let par_shards = run_batch("parallel shards", &queries, &truth_kth, k, search, false);
+    let par_queries = run_batch("parallel queries", &queries, &truth_kth, k, search, true);
 
     assert_eq!(
         seq.avg_ndc, par_shards.avg_ndc,

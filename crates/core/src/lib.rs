@@ -13,9 +13,9 @@
 //! Queries run under an optional [`QueryBudget`] (NDC cap, wall-clock
 //! deadline, hop cap) with cooperative cancellation across shards and
 //! graceful degradation — see `lan_pg::budget` and the
-//! `search_with_budget` / `search_budgeted` / `search_par_budgeted`
-//! entry points. Deterministic fault injection for distance computations
-//! lives in `lan_pg::faults` (`LAN_FAULTS`).
+//! `search_with_budget` / `search_budgeted` entry points. Deterministic
+//! fault injection for distance computations lives in `lan_pg::faults`
+//! (`LAN_FAULTS`).
 //!
 //! # Quickstart
 //!

@@ -6,7 +6,9 @@
 //! Each shard is a complete [`LanIndex`] (its own proximity graph, models,
 //! and CGs) over a slice of the database; a query runs on every shard and
 //! the per-shard top-k are merged. Shard-local graph ids are remapped back
-//! to global database ids.
+//! to global database ids. Where the paper searches the shards one after
+//! another, a query here runs them concurrently under the `lan-par` thread
+//! budget; results and NDC are the same either way.
 
 use crate::index::{LanConfig, LanIndex};
 use crate::query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
@@ -14,7 +16,7 @@ use lan_datasets::{Dataset, DatasetSpec, WorkloadSplit};
 use lan_graph::Graph;
 use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
 use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A database partitioned into independently indexed shards.
 pub struct ShardedLanIndex {
@@ -117,8 +119,10 @@ impl ShardedLanIndex {
         self.len() == 0
     }
 
-    /// Sequential k-ANN over every shard with merged global results
-    /// (the paper's sub-database protocol). NDC and times accumulate.
+    /// k-ANN over every shard with merged global results — the paper's
+    /// sub-database protocol, with the shards searched concurrently under
+    /// the `lan-par` thread budget (see [`ShardedLanIndex::search_budgeted`]
+    /// for the schedule). NDC and the distance/GNN times accumulate.
     pub fn search(
         &self,
         q: &Graph,
@@ -132,10 +136,25 @@ impl ShardedLanIndex {
     }
 
     /// [`ShardedLanIndex::search`] under a query budget. All shards share
-    /// one [`BudgetCtx`], so the NDC cap is global across the query — and
-    /// once one shard exhausts it, the remaining shards are skipped
-    /// entirely (their best-so-far is simply absent from the merge).
-    /// Unlimited budgets are bit-identical to [`ShardedLanIndex::search`].
+    /// one [`BudgetCtx`], so the NDC cap is global across the query.
+    ///
+    /// The schedule depends on the budget:
+    ///
+    /// * **Unlimited** — the shards fan out through `lan-par` (one work
+    ///   item per shard), so a query on `S` shards uses up to `S` threads
+    ///   of the caller's budget; at a budget of one thread (`LAN_THREADS=1`,
+    ///   or inside a saturated fan-out such as a parallel query batch) it
+    ///   is the plain serial loop. Every shard's search is deterministic
+    ///   and shard-local and the merge is order-independent, so results
+    ///   and NDC are identical at every thread count; only `total_time`
+    ///   (wall-clock) changes.
+    /// * **Finite** — the shards run in shard order on the calling
+    ///   thread, and once one shard exhausts the budget the remaining
+    ///   shards are skipped (their best-so-far is simply absent from the
+    ///   merge). Run concurrently, the shards would race for the shared
+    ///   NDC reservations, and which shard's computations won would
+    ///   decide the results; in shard order a budgeted query is as
+    ///   deterministic as an unbudgeted one.
     #[allow(clippy::too_many_arguments)]
     pub fn search_budgeted(
         &self,
@@ -154,21 +173,16 @@ impl ShardedLanIndex {
         }
         let t0 = Instant::now();
         let ctx = BudgetCtx::new(budget);
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            if ctx.cancelled() {
-                break;
-            }
-            per_shard.push(shard.search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx));
-        }
+        let per_shard = self.fan_out(&ctx, |s, shard| {
+            shard.search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx)
+        });
         self.merge_shard_outcomes(per_shard, k, t0, ctx.termination())
     }
 
     /// [`ShardedLanIndex::search`] that additionally returns the merged
-    /// EXPLAIN plan: one sub-plan per searched shard (skipped shards are
-    /// absent), tier/NDC/hit counts summed, and a `shard.N` timeline entry
-    /// per shard giving the cumulative query NDC and the global wall-clock
-    /// offset at which that shard finished.
+    /// EXPLAIN plan (see [`merged_explain`]): one sub-plan per searched
+    /// shard (skipped shards are absent), counts and component times
+    /// summed, and a `shard.N` timeline entry per shard.
     pub fn search_explain(
         &self,
         q: &Graph,
@@ -181,7 +195,8 @@ impl ShardedLanIndex {
         self.search_explain_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
     }
 
-    /// [`ShardedLanIndex::search_explain`] under a query budget.
+    /// [`ShardedLanIndex::search_explain`] under a query budget, on the
+    /// schedule of [`ShardedLanIndex::search_budgeted`].
     #[allow(clippy::too_many_arguments)]
     pub fn search_explain_budgeted(
         &self,
@@ -195,142 +210,43 @@ impl ShardedLanIndex {
     ) -> (QueryOutcome, QueryExplain) {
         let t0 = Instant::now();
         let ctx = BudgetCtx::new(budget);
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(self.shards.len());
-        let mut plans: Vec<QueryExplain> = Vec::with_capacity(self.shards.len());
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(self.shards.len());
-        let mut ndc_so_far = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if ctx.cancelled() {
-                break;
-            }
-            let (out, ex) =
-                shard.search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx);
-            ndc_so_far += ex.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-            plans.push(ex);
-            per_shard.push(out);
-        }
+        let t_fan = Instant::now();
+        let pairs = self.fan_out(&ctx, |s, shard| {
+            shard.search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx)
+        });
+        let fan = t_fan.elapsed();
+        let (per_shard, plans): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         let merged = self.merge_shard_outcomes(per_shard, k, t0, ctx.termination());
-        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, timeline);
+        let own = t0.elapsed().saturating_sub(fan);
+        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, own);
         (merged, ex)
     }
 
-    /// Parallel k-ANN: every shard searched concurrently, merged exactly
-    /// like [`ShardedLanIndex::search`]. Results and total NDC are
-    /// byte-identical to the sequential path (each shard's search is
-    /// deterministic and shard-local, and the merge is order-independent);
-    /// only `total_time` differs — it measures true wall-clock, so it
-    /// shrinks with the worker count.
-    pub fn search_par(
+    /// Runs `search(s, shard)` for every shard and returns the outputs in
+    /// shard order, on the schedule documented at
+    /// [`ShardedLanIndex::search_budgeted`]: fanned out under the `lan-par`
+    /// budget when `ctx` is unlimited, otherwise in shard order on the
+    /// calling thread until a shard exhausts the budget.
+    fn fan_out<R: Send>(
         &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-    ) -> QueryOutcome {
-        self.search_par_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
-    }
-
-    /// [`ShardedLanIndex::search_par`] under a query budget: the shared
-    /// [`BudgetCtx`] crosses the `lan-par` fan-out, so the NDC cap is a
-    /// strict *global* bound (reservations are atomic) and the first
-    /// exhausted shard cooperatively cancels its siblings mid-flight.
-    ///
-    /// Unlimited budgets stay bit-identical to the sequential path. With a
-    /// *finite* budget the per-shard results depend on which shard's
-    /// computations won the budget race, so parallel degraded results are
-    /// best-so-far but not run-to-run deterministic — only the invariants
-    /// (NDC ≤ cap, degraded tag set) are guaranteed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_par_budgeted(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> QueryOutcome {
-        if lan_obs::explain::enabled() {
-            let (out, ex) = self.search_par_explain_budgeted(q, k, b, init, route, seed, budget);
-            lan_obs::explain::emit(&ex);
-            return out;
+        ctx: &BudgetCtx,
+        search: impl Fn(usize, &LanIndex) -> R + Sync,
+    ) -> Vec<R> {
+        if !ctx.is_unlimited() {
+            return self
+                .shards
+                .iter()
+                .enumerate()
+                .map_while(|(s, shard)| (!ctx.cancelled()).then(|| search(s, shard)))
+                .collect();
         }
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let idx: Vec<usize> = (0..self.shards.len()).collect();
         // Worker threads have empty trace thread-locals; re-attach the
         // caller's traced query id so per-shard hops keep their `q`.
         let traced = lan_obs::trace::active_query();
-        let per_shard: Vec<QueryOutcome> = lan_par::par_map_dyn(&idx, lan_par::Grain::Fine, |&s| {
+        lan_par::par_map_indices_dyn(self.shards.len(), lan_par::Grain::Fine, |s| {
             let _t = lan_obs::trace::propagate(traced);
-            self.shards[s].search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx)
-        });
-        self.merge_shard_outcomes(per_shard, k, t0, ctx.termination())
-    }
-
-    /// [`ShardedLanIndex::search_par`] that additionally returns the
-    /// merged EXPLAIN plan. Shards overlap in time under the parallel
-    /// fan-out, so each `shard.N` timeline entry reports that shard's own
-    /// wall-clock (its sub-plan `total_ns`) rather than a global offset;
-    /// the cumulative NDC is accumulated in shard order.
-    pub fn search_par_explain(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.search_par_explain_budgeted(q, k, b, init, route, seed, &QueryBudget::unlimited())
-    }
-
-    /// [`ShardedLanIndex::search_par_explain`] under a query budget.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_par_explain_budgeted(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> (QueryOutcome, QueryExplain) {
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let idx: Vec<usize> = (0..self.shards.len()).collect();
-        let traced = lan_obs::trace::active_query();
-        let pairs: Vec<(QueryOutcome, QueryExplain)> =
-            lan_par::par_map_dyn(&idx, lan_par::Grain::Fine, |&s| {
-                let _t = lan_obs::trace::propagate(traced);
-                self.shards[s].search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx)
-            });
-        let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(pairs.len());
-        let mut plans: Vec<QueryExplain> = Vec::with_capacity(pairs.len());
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(pairs.len());
-        let mut ndc_so_far = 0u64;
-        for (s, (out, ex)) in pairs.into_iter().enumerate() {
-            ndc_so_far += ex.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: ex.total_ns,
-            });
-            plans.push(ex);
-            per_shard.push(out);
-        }
-        let merged = self.merge_shard_outcomes(per_shard, k, t0, ctx.termination());
-        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, timeline);
-        (merged, ex)
+            search(s, &self.shards[s])
+        })
     }
 
     /// One shard's slice of a fan-out query, executed through shard-shared
@@ -422,11 +338,21 @@ impl ShardedLanIndex {
     }
 }
 
-/// Assembles the fan-out's merged EXPLAIN plan: counts (NDC, hits, hops,
+/// Assembles the fan-out's merged EXPLAIN plan. Counts (NDC, hits, hops,
 /// tiers) and the init/route/distance/GNN time components are summed
-/// across the per-shard sub-plans (CPU time under the parallel fan-out),
-/// `total_ns` is the true wall-clock of the whole fan-out, and the
-/// sub-plans themselves ride along under `shards`.
+/// across the per-shard sub-plans, which ride along under `shards`.
+///
+/// `total_ns` is the work the query cost, on the same footing as those
+/// sums: the shards' own `total_ns` plus `own`, the caller's time outside
+/// the shard searches (set-up and merge). Under a parallel fan-out it
+/// exceeds the wall-clock, which stays in `merged.total_time`; either
+/// way `dist_ns + gnn_ns <= total_ns`, and `total_ns` minus the shards'
+/// sum is the merge overhead.
+///
+/// The timeline holds one `shard.N` entry per searched shard, in shard
+/// order: the query NDC accumulated up to and including that shard, and
+/// that shard's own `total_ns` (shards overlap in time under the parallel
+/// fan-out, so a global offset would say nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn merged_explain(
     merged: &QueryOutcome,
@@ -437,19 +363,29 @@ pub fn merged_explain(
     seed: u64,
     ctx: &BudgetCtx,
     plans: Vec<QueryExplain>,
-    timeline: Vec<TimelineEvent>,
+    own: Duration,
 ) -> QueryExplain {
+    let mut timeline = Vec::with_capacity(plans.len());
+    let mut total_ns = own.as_nanos() as u64;
+    let mut ndc_so_far = 0u64;
     let mut tiers = TierBreakdown::default();
     let mut init_ns = 0u64;
     let mut route_ns = 0u64;
     let mut cache_hits = 0u64;
     let mut hops = 0u64;
-    for p in &plans {
+    for (s, p) in plans.iter().enumerate() {
         tiers.accumulate(&p.tiers);
         init_ns += p.init_ns;
         route_ns += p.route_ns;
         cache_hits += p.cache_hits;
         hops += p.hops;
+        total_ns += p.total_ns;
+        ndc_so_far += p.ndc;
+        timeline.push(TimelineEvent {
+            stage: format!("shard.{s}"),
+            ndc: ndc_so_far,
+            elapsed_ns: p.total_ns,
+        });
     }
     let limits = ctx.limits();
     QueryExplain {
@@ -459,7 +395,7 @@ pub fn merged_explain(
         init: init.as_str().to_string(),
         route: route.as_str().to_string(),
         termination: merged.termination.as_str().to_string(),
-        total_ns: merged.total_time.as_nanos() as u64,
+        total_ns,
         init_ns,
         route_ns,
         dist_ns: merged.distance_time.as_nanos() as u64,

@@ -133,9 +133,11 @@ proptest! {
         }
     }
 
-    /// The sharded paths obey the same contract, with one budget shared
+    /// The sharded path obeys the same contract, with one budget shared
     /// across every shard: the cap bounds the *summed* NDC, and unlimited
-    /// budgets stay identical to the unbudgeted sequential/parallel paths.
+    /// budgets stay identical to the unbudgeted search. A finite budget
+    /// runs the shards in shard order whatever the thread budget, so its
+    /// results, NDC and termination repeat exactly at 1, 2 and 4 threads.
     #[test]
     fn sharded_budget_is_shared_and_strict(
         seed in 0u64..1_000_000,
@@ -147,32 +149,37 @@ proptest! {
         let sharded = sharded_fixture();
         let q = dataset().queries[(seed % 10) as usize].clone();
         let (init, route) = strategies(full_lan);
+        let at_threads = |budget: &QueryBudget| {
+            ["1", "2", "4"].map(|threads| {
+                let out = lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+                    sharded.search_budgeted(&q, k, b, init, route, seed, budget)
+                });
+                (threads, out)
+            })
+        };
         let base = sharded.search(&q, k, b, init, route, seed);
         prop_assert_eq!(base.termination, Termination::Converged);
+        for (threads, unl) in at_threads(&QueryBudget::unlimited()) {
+            prop_assert_eq!(&base.results, &unl.results, "LAN_THREADS={}", threads);
+            prop_assert_eq!(base.ndc, unl.ndc, "LAN_THREADS={}", threads);
+        }
 
-        let unl = sharded.search_budgeted(&q, k, b, init, route, seed,
-            &QueryBudget::unlimited());
-        prop_assert_eq!(&base.results, &unl.results);
-        prop_assert_eq!(base.ndc, unl.ndc);
-
-        let par = sharded.search_par_budgeted(&q, k, b, init, route, seed,
-            &QueryBudget::unlimited());
-        prop_assert_eq!(&base.results, &par.results);
-        prop_assert_eq!(base.ndc, par.ndc);
-
-        // A shared finite cap bounds the summed NDC on both shard paths.
+        // A shared finite cap bounds the summed NDC, and binds the same
+        // way at every thread count.
         for cap in [1usize, base.ndc / 3, base.ndc / 2] {
             if cap == 0 {
                 continue;
             }
-            let budget = QueryBudget::unlimited().with_max_ndc(cap);
-            let seq = sharded.search_budgeted(&q, k, b, init, route, seed, &budget);
-            prop_assert!(seq.ndc <= cap, "sequential shards: {} > cap {}", seq.ndc, cap);
-            let par = sharded.search_par_budgeted(&q, k, b, init, route, seed, &budget);
-            prop_assert!(par.ndc <= cap, "parallel shards: {} > cap {}", par.ndc, cap);
-            if cap < base.ndc {
-                prop_assert!(seq.termination.is_degraded());
-                prop_assert!(par.termination.is_degraded());
+            let runs = at_threads(&QueryBudget::unlimited().with_max_ndc(cap));
+            let (_, first) = &runs[0];
+            for (threads, out) in &runs {
+                prop_assert!(out.ndc <= cap, "LAN_THREADS={}: {} > cap {}", threads, out.ndc, cap);
+                prop_assert_eq!(&out.results, &first.results, "LAN_THREADS={}", threads);
+                prop_assert_eq!(out.ndc, first.ndc, "LAN_THREADS={}", threads);
+                prop_assert_eq!(out.termination, first.termination, "LAN_THREADS={}", threads);
+                if cap < base.ndc {
+                    prop_assert!(out.termination.is_degraded());
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 //! EXPLAIN-plan reconciliation properties: the per-tier NDC attribution
 //! must sum *exactly* to the query's NDC — which equals the `ged.calls`
-//! registry delta — under every termination cause and under both shard
-//! fan-outs, and collecting a plan must never perturb the search.
+//! registry delta — under every termination cause and on both shard
+//! schedules (the serial loop at `LAN_THREADS=1`, the fan-out at 4), and
+//! collecting a plan must never perturb the search.
 //!
 //! The tests read global-registry deltas and flip the EXPLAIN switch, so
 //! every test serializes on one lock (they share this binary's process
@@ -143,46 +144,85 @@ fn tiers_reconcile_under_every_termination_cause() {
     assert!(causes.len() >= 3, "causes seen: {causes:?}");
 }
 
+/// [`ShardedLanIndex::search_explain_budgeted`] under `LAN_THREADS=threads`.
+fn sharded_explain_at(
+    threads: &str,
+    q: &lan_graph::Graph,
+    budget: &QueryBudget,
+) -> (QueryOutcome, QueryExplain) {
+    lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+        sharded().search_explain_budgeted(
+            q,
+            5,
+            10,
+            InitStrategy::LanIs,
+            RouteStrategy::LanRoute { use_cg: true },
+            1,
+            budget,
+        )
+    })
+}
+
 #[test]
-fn sharded_fanout_reconciles_sequential_and_parallel() {
+fn sharded_fanout_reconciles_at_one_and_four_threads() {
     let _l = lock();
     lan_obs::set_enabled(true);
-    let sharded = sharded();
-    let q = sharded.shards[0].dataset.queries[0].clone();
-    let init = InitStrategy::LanIs;
-    let route = RouteStrategy::LanRoute { use_cg: true };
+    let q = sharded().shards[0].dataset.queries[0].clone();
 
     for (label, budget) in [
         ("unlimited", QueryBudget::unlimited()),
         ("ndc_8", QueryBudget::unlimited().with_max_ndc(8)),
     ] {
-        let before = ged_calls();
-        let (out, ex) = sharded.search_explain_budgeted(&q, 5, 10, init, route, 1, &budget);
-        let delta = ged_calls() - before;
-        assert_reconciles(&out, &ex, delta, &format!("sharded-seq/{label}"));
-        assert!(!ex.shards.is_empty(), "merged plan lost its sub-plans");
-        // The merged counters are exactly the sums of the sub-plans.
-        let sub_ndc: u64 = ex.shards.iter().map(|s| s.ndc).sum();
-        let sub_tiers: u64 = ex.shards.iter().map(|s| s.tiers.attributed()).sum();
-        assert_eq!(ex.ndc, sub_ndc, "{label}: merged NDC != sum of shard NDC");
-        assert_eq!(ex.tiers.attributed(), sub_tiers, "{label}");
-        assert_eq!(
-            ex.timeline.len(),
-            ex.shards.len(),
-            "{label}: one timeline entry per searched shard"
-        );
-
-        let before = ged_calls();
-        let (pout, pex) = sharded.search_par_explain_budgeted(&q, 5, 10, init, route, 1, &budget);
-        let pdelta = ged_calls() - before;
-        assert_reconciles(&pout, &pex, pdelta, &format!("sharded-par/{label}"));
-        if budget.is_unlimited() {
-            // The parallel fan-out is bit-identical to sequential when no
-            // budget races the shards.
-            assert_eq!(out.results, pout.results, "{label}");
-            assert_eq!(ex.ndc, pex.ndc, "{label}");
-            assert_eq!(ex.tiers, pex.tiers, "{label}");
+        let mut runs = Vec::new();
+        for threads in ["1", "4"] {
+            let what = format!("{label}/LAN_THREADS={threads}");
+            let before = ged_calls();
+            let (out, ex) = sharded_explain_at(threads, &q, &budget);
+            let delta = ged_calls() - before;
+            assert_reconciles(&out, &ex, delta, &what);
+            assert!(
+                !ex.shards.is_empty(),
+                "{what}: merged plan lost its sub-plans"
+            );
+            // The merged counters are exactly the sums of the sub-plans.
+            let mut sub_tiers = lan_obs::explain::TierBreakdown::default();
+            for sub in &ex.shards {
+                sub_tiers.accumulate(&sub.tiers);
+            }
+            assert_eq!(ex.tiers, sub_tiers, "{what}: merged tiers != sum of shards");
+            let sub_ndc: u64 = ex.shards.iter().map(|s| s.ndc).sum();
+            assert_eq!(ex.ndc, sub_ndc, "{what}: merged NDC != sum of shard NDC");
+            // Times are work, summed like the components they contain:
+            // the query's time holds every shard's and the merge's.
+            let sub_ns: u64 = ex.shards.iter().map(|s| s.total_ns).sum();
+            assert!(
+                ex.total_ns >= sub_ns,
+                "{what}: total_ns below the shards' sum"
+            );
+            assert!(
+                ex.dist_ns + ex.gnn_ns <= ex.total_ns,
+                "{what}: distance and GNN time do not fit in total_ns"
+            );
+            // One timeline entry per searched shard: its own time and the
+            // NDC accumulated in shard order.
+            assert_eq!(ex.timeline.len(), ex.shards.len(), "{what}");
+            let mut ndc_so_far = 0;
+            for (s, (ev, sub)) in ex.timeline.iter().zip(&ex.shards).enumerate() {
+                ndc_so_far += sub.ndc;
+                assert_eq!(ev.stage, format!("shard.{s}"), "{what}");
+                assert_eq!(ev.ndc, ndc_so_far, "{what}");
+                assert_eq!(ev.elapsed_ns, sub.total_ns, "{what}");
+            }
+            runs.push((out, ex));
         }
+        // Both schedules give the same answer, work and plan counts
+        // (a finite budget runs the shards in order at any thread count).
+        let ((out1, ex1), (out4, ex4)) = (&runs[0], &runs[1]);
+        assert_eq!(out1.results, out4.results, "{label}");
+        assert_eq!(out1.termination, out4.termination, "{label}");
+        assert_eq!(ex1.ndc, ex4.ndc, "{label}");
+        assert_eq!(ex1.tiers, ex4.tiers, "{label}");
+        assert_eq!(ex1.shards.len(), ex4.shards.len(), "{label}");
     }
 }
 
@@ -250,22 +290,18 @@ fn env_gated_emission_lands_in_the_ring() {
     // per-shard sub-searches must not double-emit.
     let sharded = sharded();
     lan_obs::explain::set_enabled(true);
-    let _ = sharded.search(
-        &q,
-        5,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        0,
-    );
-    let _ = sharded.search_par(
-        &q,
-        5,
-        10,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-        0,
-    );
+    for threads in ["1", "4"] {
+        lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            sharded.search(
+                &q,
+                5,
+                10,
+                InitStrategy::LanIs,
+                RouteStrategy::LanRoute { use_cg: true },
+                0,
+            )
+        });
+    }
     let lines = lan_obs::explain::drain();
     lan_obs::explain::set_enabled(false);
     assert_eq!(lines.len(), 2, "one merged plan per sharded search");

@@ -71,10 +71,11 @@ fn single_fixture() -> &'static LanIndex {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Parallel sharded search is byte-identical to sequential across
-    /// seeds, shard counts, k, beam widths, and both routing families.
+    /// Sharded search fanned out over 4 threads is byte-identical to the
+    /// serial shard loop it runs at `LAN_THREADS=1`, across seeds, shard
+    /// counts, k, beam widths, and both routing families.
     #[test]
-    fn sharded_parallel_matches_sequential(
+    fn sharded_search_matches_across_thread_counts(
         seed in 0u64..1_000_000,
         shard_idx in 0usize..2,
         k in 1usize..=8,
@@ -89,8 +90,12 @@ proptest! {
         } else {
             (InitStrategy::HnswIs, RouteStrategy::HnswRoute)
         };
-        let seq = sharded.search(&q, k, b, init, route, seed);
-        let par = sharded.search_par(&q, k, b, init, route, seed);
+        let search = |threads| {
+            lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+                sharded.search(&q, k, b, init, route, seed)
+            })
+        };
+        let (seq, par) = (search("1"), search("4"));
         prop_assert_eq!(&seq.results, &par.results,
             "parallel sharded results diverged");
         prop_assert_eq!(seq.ndc, par.ndc, "parallel sharded NDC diverged");

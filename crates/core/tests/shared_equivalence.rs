@@ -2,7 +2,7 @@
 //! through shard-shared resources ([`SearchShared`] — the cross-query
 //! combining funnel and the pooled pair slabs) must return results,
 //! per-query NDC, and EXPLAIN tier attribution **bit-identical** to the
-//! serial [`ShardedLanIndex::search_budgeted`] /
+//! offline [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points, no matter
 //! how many concurrent queries ride the same funnel.
 //!
@@ -17,10 +17,10 @@ use lan_core::{
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::Graph;
 use lan_models::{FusedScoreService, SlabArena};
-use lan_obs::explain::{QueryExplain, TimelineEvent};
+use lan_obs::explain::QueryExplain;
 use lan_pg::budget::{BudgetCtx, QueryBudget};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn tiny_cfg() -> LanConfig {
     LanConfig {
@@ -130,8 +130,6 @@ fn search_shared_explain(
     let ctx = BudgetCtx::new(&QueryBudget::unlimited());
     let mut per_shard = Vec::new();
     let mut plans = Vec::new();
-    let mut timeline = Vec::new();
-    let mut ndc_so_far = 0u64;
     for s in 0..sharded.num_shards() {
         let (out, ex) = sharded.shard_search_explain_budgeted_shared(
             s,
@@ -144,12 +142,6 @@ fn search_shared_explain(
             &ctx,
             &res.shared(s),
         );
-        ndc_so_far += ex.ndc;
-        timeline.push(TimelineEvent {
-            stage: format!("shard.{s}"),
-            ndc: ndc_so_far,
-            elapsed_ns: t0.elapsed().as_nanos() as u64,
-        });
         plans.push(ex);
         per_shard.push(out);
     }
@@ -163,7 +155,7 @@ fn search_shared_explain(
         seed,
         &ctx,
         plans,
-        timeline,
+        Duration::ZERO,
     );
     (merged, ex)
 }

@@ -158,13 +158,18 @@ fn sharded_index_round_trips_bit_identically() {
             let q = ds.queries[qi].clone();
             for seed in [0u64, 7] {
                 let a = built.search(&q, 3, 4, init, route, seed);
-                let b = loaded.search(&q, 3, 4, init, route, seed);
-                let tag = format!("init={init:?} route={route:?} qi={qi} seed={seed}");
-                assert_eq!(a.results, b.results, "results diverged ({tag})");
-                assert_eq!(a.ndc, b.ndc, "NDC diverged ({tag})");
-                // The parallel fan-out over loaded shards must agree too.
-                let p = loaded.search_par(&q, 3, 4, init, route, seed);
-                assert_eq!(a.results, p.results, "parallel fan-out diverged ({tag})");
+                // The loaded shards agree with the built ones on the serial
+                // shard loop and on the parallel fan-out alike.
+                for threads in ["1", "4"] {
+                    let b = lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+                        loaded.search(&q, 3, 4, init, route, seed)
+                    });
+                    let tag = format!(
+                        "init={init:?} route={route:?} qi={qi} seed={seed} LAN_THREADS={threads}"
+                    );
+                    assert_eq!(a.results, b.results, "results diverged ({tag})");
+                    assert_eq!(a.ndc, b.ndc, "NDC diverged ({tag})");
+                }
             }
         }
     }

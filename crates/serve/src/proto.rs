@@ -92,7 +92,7 @@ pub struct SearchRequest {
     pub k: usize,
     pub b: usize,
     /// Global query seed (per-shard seeds are derived server-side exactly
-    /// like the serial fan-out: `seed ^ shard`).
+    /// like the offline fan-out: `seed ^ shard`).
     pub seed: u64,
     pub graph: Graph,
     /// Attach the per-request EXPLAIN plan to the response.

@@ -15,7 +15,7 @@
 //! single `FusedHeads` matmuls — and draw their pair slabs from the
 //! shard's [`SlabArena`], so steady-state traffic allocates no slab
 //! memory. Each query keeps its own `BudgetCtx` and per-shard
-//! `DistCache` exactly as in the serial fan-out, which is what makes
+//! `DistCache` exactly as in the offline fan-out, which is what makes
 //! results bit-identical to [`ShardedLanIndex::search_budgeted`]
 //! (property-tested in `tests/equivalence.rs`).
 //!
@@ -42,7 +42,7 @@ use crate::proto::{
 use lan_core::sharded::merged_explain;
 use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared, ShardedLanIndex};
 use lan_models::{FusedScoreService, SlabArena};
-use lan_obs::explain::{QueryExplain, TimelineEvent};
+use lan_obs::explain::QueryExplain;
 use lan_obs::names;
 use lan_pg::budget::BudgetCtx;
 use std::collections::VecDeque;
@@ -257,10 +257,14 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
     let workers: Vec<JoinHandle<()>> = (0..num_shards)
         .map(|s| {
             let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("lan-serve-shard-{s}"))
-                .spawn(move || shard_worker(s, &inner))
-                .expect("spawn shard worker")
+            // Each worker's micro-batch fan-out gets its share of the
+            // thread budget, not all of it.
+            lan_par::spawn_worker(
+                std::thread::Builder::new().name(format!("lan-serve-shard-{s}")),
+                num_shards,
+                move || shard_worker(s, &inner),
+            )
+            .expect("spawn shard worker")
         })
         .collect();
 
@@ -500,7 +504,11 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             .push_back(Arc::clone(&job));
         sq.cv.notify_all();
     }
+    // The front-end's own share of the plan's `total_ns`: enqueueing
+    // before the shards run and merging after (queue waits are not work).
+    let set_up = job.t0.elapsed();
     let slots = job.wait();
+    let t_merge = Instant::now();
     inner
         .metrics
         .latency
@@ -527,16 +535,6 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
         .index
         .merge_shard_outcomes(per_shard, k, job.t0, job.ctx.termination());
     let explain_json = explain.then(|| {
-        let mut timeline: Vec<TimelineEvent> = Vec::with_capacity(plans.len());
-        let mut ndc_so_far = 0u64;
-        for (s, p) in plans.iter().enumerate() {
-            ndc_so_far += p.ndc;
-            timeline.push(TimelineEvent {
-                stage: format!("shard.{s}"),
-                ndc: ndc_so_far,
-                elapsed_ns: job.t0.elapsed().as_nanos() as u64,
-            });
-        }
         let ex = merged_explain(
             &merged,
             k,
@@ -546,7 +544,7 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             job.req.seed,
             &job.ctx,
             plans,
-            timeline,
+            set_up + t_merge.elapsed(),
         );
         ex.to_json()
     });

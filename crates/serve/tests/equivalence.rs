@@ -1,7 +1,7 @@
 //! Over-the-wire half of the serving equivalence contract: a booted
 //! server answering concurrent TCP clients must return results, NDC,
 //! termination, and EXPLAIN tier attribution **bit-identical** to the
-//! serial [`ShardedLanIndex::search_budgeted`] /
+//! offline [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points — protocol
 //! encoding, micro-batching, the cross-query funnel, and slab pooling
 //! all included. (The in-process half lives in
