@@ -234,6 +234,6 @@ mod tests {
         assert_eq!(idx.pg.len(), idx.dataset.graphs.len());
         assert!(idx.build_ndc > 0);
         assert!(idx.report.gamma_star > 0.0);
-        assert_eq!(idx.models.db_cgs.len(), idx.dataset.graphs.len());
+        assert_eq!(idx.models.db_embeds.len(), idx.dataset.graphs.len());
     }
 }

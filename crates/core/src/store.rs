@@ -246,36 +246,18 @@ impl ShardedLanIndex {
         Ok(bytes)
     }
 
-    /// Loads a sharded index saved by [`ShardedLanIndex::save`].
+    /// Loads a sharded index saved by [`ShardedLanIndex::save`]. The
+    /// shards decode in parallel under the `lan-par` thread budget (the
+    /// serial loop at a budget of 1); when several fail, the error of the
+    /// first in shard order is returned.
     pub fn open(path: &Path) -> Result<ShardedLanIndex, StoreError> {
         register_schemas();
         let _s = lan_obs::span("store.load");
         let t0 = Instant::now();
         let a = Archive::open(path)?;
-        let mut meta = a.section("sharded.meta")?;
-        let num_shards = meta.get_u64()? as usize;
-        let total = meta.get_u64()? as usize;
-        if num_shards == 0 {
-            return Err(StoreError::corrupt("sharded store has zero shards"));
-        }
-        let mut global_ids: Vec<Vec<u32>> = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let ids = meta.get_u32_slice()?;
-            if ids.iter().any(|&g| g as usize >= total) {
-                return Err(StoreError::corrupt(format!(
-                    "shard {s} maps to a global id >= {total}"
-                )));
-            }
-            global_ids.push(ids.to_vec());
-        }
-        meta.expect_end()?;
-        if global_ids.iter().map(Vec::len).sum::<usize>() != total {
-            return Err(StoreError::corrupt(
-                "global-id maps do not cover the database",
-            ));
-        }
-        let mut shards: Vec<LanIndex> = Vec::with_capacity(num_shards);
-        for (s, ids) in global_ids.iter().enumerate() {
+        let global_ids = decode_global_ids(&mut a.section("sharded.meta")?)?;
+        let shards = lan_par::par_map_indices_dyn(global_ids.len(), lan_par::Grain::Fine, |s| {
+            let ids = &global_ids[s];
             let shard = decode_index_sections(&a, &format!("shard.{s}."))?;
             if shard.dataset.graphs.len() != ids.len() {
                 return Err(StoreError::corrupt(format!(
@@ -284,11 +266,51 @@ impl ShardedLanIndex {
                     ids.len()
                 )));
             }
-            shards.push(shard);
-        }
+            Ok(shard)
+        });
+        let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
         record_load(a.total_bytes() as u64, t0);
         Ok(ShardedLanIndex::from_parts(shards, global_ids))
     }
+}
+
+/// Decodes `sharded.meta`: the per-shard global-id maps, which together
+/// must be a permutation of `0..total`.
+fn decode_global_ids(meta: &mut Dec<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
+    let num_shards = meta.get_u64()? as usize;
+    let total = meta.get_u64()? as usize;
+    if num_shards == 0 {
+        return Err(StoreError::corrupt("sharded store has zero shards"));
+    }
+    // The count comes from the file: bound the reservation, not the loop.
+    let mut global_ids: Vec<Vec<u32>> = Vec::with_capacity(num_shards.min(1 << 20));
+    for s in 0..num_shards {
+        let ids = meta.get_u32_slice()?;
+        if ids.iter().any(|&g| g as usize >= total) {
+            return Err(StoreError::corrupt(format!(
+                "shard {s} maps to a global id >= {total}"
+            )));
+        }
+        global_ids.push(ids.to_vec());
+    }
+    meta.expect_end()?;
+    if global_ids.iter().map(Vec::len).sum::<usize>() != total {
+        return Err(StoreError::corrupt(
+            "global-id maps do not cover the database",
+        ));
+    }
+    // `total` ids, each below `total`: a permutation iff none repeats.
+    let mut seen = vec![false; total];
+    for (s, ids) in global_ids.iter().enumerate() {
+        for &g in ids {
+            if std::mem::replace(&mut seen[g as usize], true) {
+                return Err(StoreError::corrupt(format!(
+                    "shard {s} maps global id {g} a second time"
+                )));
+            }
+        }
+    }
+    Ok(global_ids)
 }
 
 impl L2RouteIndex {

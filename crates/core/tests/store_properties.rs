@@ -6,18 +6,21 @@
 //!   own), and the same EXPLAIN tier attribution
 //!   (with the reconciliation invariant `lb + tau + full == ndc` holding
 //!   on both sides), across both routers, several seeds, and the sharded
-//!   fan-out; the recomputed (never stored) layer-0 prefixes of the
-//!   cross-encoder come back with the bits `build` gave them;
-//! * **corruption safety** — a truncated file, a flipped byte, and a
-//!   future format version come back as typed [`StoreError`]s, never a
-//!   panic or silently wrong data.
+//!   fan-out; the layer-0 prefixes of the cross-encoder, never stored and
+//!   prepared on first use, come back with the bits `build` gave them,
+//!   also when four threads race to touch them first;
+//! * **corruption safety** — a truncated file, a flipped byte, a future
+//!   format version, hostile counts and global-id maps that are not a
+//!   permutation come back as typed [`StoreError`]s, never a panic or
+//!   silently wrong data.
 
 mod store_fixtures;
 
 use lan_core::{L2RouteIndex, LanIndex, ShardedLanIndex};
-use lan_store::StoreError;
-use std::path::PathBuf;
+use lan_store::{Enc, StoreError, Writer};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use store_fixtures::{tiny_cfg, tiny_dataset, STRATEGIES};
 
 /// A fresh path under the system temp dir (no external tempfile crate).
@@ -126,8 +129,9 @@ fn sharded_index_round_trips_bit_identically() {
     assert_eq!(loaded.len(), built.len());
     assert_eq!(loaded.global_ids, built.global_ids);
 
-    // The layer-0 prefixes are recomputed at `open` from the loaded
-    // weights by the function `train` ends with: same bits, both kinds.
+    // The layer-0 prefixes are prepared on first use from the loaded
+    // weights by the chain the built index uses: same bits, both kinds,
+    // every graph.
     let prefix_bits = |p: &lan_gnn::CrossPrefix| -> Vec<u32> {
         let lnw = p.lnw().iter().flatten();
         let all = p.tw().data().iter().chain(p.mu_w()).chain(lnw);
@@ -135,14 +139,10 @@ fn sharded_index_round_trips_bit_identically() {
     };
     for (s, (a, b)) in built.shards.iter().zip(&loaded.shards).enumerate() {
         let (a, b) = (&a.models, &b.models);
-        assert_eq!(a.db_prefix_cg.len(), a.db_embeds.len());
-        assert_eq!(a.db_prefix_plain.len(), a.db_embeds.len());
-        for (kind, built, loaded) in [
-            ("cg", &a.db_prefix_cg, &b.db_prefix_cg),
-            ("plain", &a.db_prefix_plain, &b.db_prefix_plain),
-        ] {
-            assert_eq!(built.len(), loaded.len());
-            for (g, (pa, pb)) in built.iter().zip(loaded).enumerate() {
+        assert_eq!(a.db_embeds.len(), b.db_embeds.len());
+        for g in 0..a.db_embeds.len() {
+            for (kind, use_cg) in [("cg", true), ("plain", false)] {
+                let (pa, pb) = (a.db_prefix(g, use_cg), b.db_prefix(g, use_cg));
                 assert_eq!(pa.tw().shape(), pb.tw().shape());
                 assert_eq!(
                     prefix_bits(pa),
@@ -173,6 +173,47 @@ fn sharded_index_round_trips_bit_identically() {
             }
         }
     }
+}
+
+/// Four threads query a freshly opened sharded index at once, each the
+/// same queries in its own rotation, so their first touches of the
+/// database inputs and prefixes race. Every answer, NDC and EXPLAIN tier
+/// split equals the built index's.
+#[test]
+fn concurrent_first_queries_on_an_opened_index_match_the_built_one() {
+    const THREADS: usize = 4;
+    let ds = tiny_dataset(60);
+    let built = ShardedLanIndex::build(&ds, &tiny_cfg(), 2);
+    let path = scratch("race");
+    let _cleanup = TempFile(path.clone());
+    built.save(&path).expect("save");
+    let loaded = ShardedLanIndex::open(&path).expect("open");
+
+    let cases: Vec<_> = STRATEGIES
+        .iter()
+        .flat_map(|&(init, route)| (0..4usize).map(move |qi| (init, route, qi)))
+        .collect();
+    let summary = |index: &ShardedLanIndex, (init, route, qi): (_, _, usize)| {
+        let (out, ex) = index.search_explain(&ds.queries[qi], 3, 4, init, route, 0);
+        let t = ex.tiers;
+        let tiers = (t.quant_skips, t.lb_prunes, t.tau_aborts, t.full_solves);
+        (out.results, out.ndc, tiers)
+    };
+    let expect: Vec<_> = cases.iter().map(|&c| summary(&built, c)).collect();
+
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (start, cases, expect, loaded) = (&start, &cases, &expect, &loaded);
+            scope.spawn(move || {
+                start.wait();
+                for i in (0..cases.len()).map(|i| (i + t) % cases.len()) {
+                    let got = summary(loaded, cases[i]);
+                    assert_eq!(got, expect[i], "thread {t}: case {:?}", cases[i]);
+                }
+            });
+        }
+    });
 }
 
 #[test]
@@ -282,4 +323,78 @@ fn corrupted_files_are_typed_errors_never_panics() {
         matches!(err, StoreError::MissingSection { .. }),
         "got {err:?}"
     );
+}
+
+fn open_sharded_err(path: &Path, why: &str) -> StoreError {
+    match ShardedLanIndex::open(path) {
+        Err(e) => e,
+        Ok(_) => panic!("open unexpectedly succeeded: {why}"),
+    }
+}
+
+/// Global-id maps that repeat an id (and so miss another) are refused,
+/// although every id is in range, the map lengths add up to the database
+/// size and every checksum is valid.
+#[test]
+fn sharded_maps_that_are_not_a_permutation_are_refused() {
+    let ds = tiny_dataset(40);
+    let mut built = ShardedLanIndex::build(&ds, &tiny_cfg(), 2);
+    // Shard 1 maps 20..40; make it claim 19 (shard 0's) instead of 20.
+    assert_eq!(built.global_ids[1][0], 20);
+    built.global_ids[1][0] = 19;
+    let path = scratch("dupids");
+    let _cleanup = TempFile(path.clone());
+    built.save(&path).expect("save");
+    let err = open_sharded_err(&path, "a repeated global id must fail");
+    assert!(matches!(err, StoreError::Corrupt { .. }), "got {err:?}");
+}
+
+/// A shard count read from the file is never trusted as an allocation
+/// size: neither `u64::MAX` (a capacity overflow) nor a count that is
+/// merely too large to allocate may panic or abort the process.
+#[test]
+fn hostile_shard_counts_are_typed_errors() {
+    for count in [u64::MAX, 1 << 40] {
+        let mut meta = Enc::new();
+        meta.put_u64(count);
+        meta.put_u64(4);
+        meta.put_u32_slice(&[0, 1, 2, 3]);
+        let mut w = Writer::new();
+        w.add_section("sharded.meta", meta);
+        let path = scratch("shardcount");
+        let _cleanup = TempFile(path.clone());
+        w.write(&path).expect("write");
+        let err = open_sharded_err(&path, "a hostile shard count must fail");
+        assert!(
+            matches!(
+                err,
+                StoreError::Truncated { .. } | StoreError::Corrupt { .. }
+            ),
+            "count {count}: got {err:?}"
+        );
+    }
+}
+
+/// Shards decode in parallel, but when several are bad the error is the
+/// first bad shard's, at every thread count.
+#[test]
+fn the_first_bad_shard_in_order_names_the_error() {
+    let ds = tiny_dataset(60);
+    let mut built = ShardedLanIndex::build(&ds, &tiny_cfg(), 3);
+    // Still a permutation, but shard 1 maps one id too few and shard 2
+    // one too many for the graphs they hold.
+    let moved = built.global_ids[1].pop().expect("shard 1 maps ids");
+    built.global_ids[2].insert(0, moved);
+    let path = scratch("firsterr");
+    let _cleanup = TempFile(path.clone());
+    built.save(&path).expect("save");
+    for threads in ["1", "4"] {
+        let err = lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            open_sharded_err(&path, "mismatched shard maps must fail")
+        });
+        assert!(
+            err.to_string().contains("shard 1 holds"),
+            "LAN_THREADS={threads}: got {err}"
+        );
+    }
 }

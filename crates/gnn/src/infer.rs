@@ -109,7 +109,9 @@ impl CrossPrefix {
     }
 
     /// Recomputes the prefix of `x` in place, keeping the allocations.
-    fn fill(
+    /// [`CrossGraphNet::prefix`] with the thread's scratch already held:
+    /// the same bits, for callers inside [`with_scratch`].
+    pub fn fill(
         &mut self,
         net: &CrossGraphNet,
         store: &ParamStore,

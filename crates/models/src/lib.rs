@@ -13,5 +13,5 @@ pub mod store;
 pub use fused_service::FusedScoreService;
 pub use kmeans::KMeans;
 pub use learned_ranker::LearnedRanker;
-pub use models::{LanModels, ModelConfig, QueryContext, SlabArena, TrainReport};
+pub use models::{DbInputs, LanModels, ModelConfig, QueryContext, SlabArena, TrainReport};
 pub use quant_index::{QuantCalib, QuantIndex, QuantPrefilter};

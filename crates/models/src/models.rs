@@ -17,7 +17,9 @@
 use crate::fused_service::FusedScoreService;
 use crate::kmeans::KMeans;
 use lan_datasets::Dataset;
-use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, CrossPrefix, Gin, GnnConfig};
+use lan_gnn::{
+    CompressedGnnGraph, CrossGraphNet, CrossInput, CrossPrefix, Gin, GnnConfig, InferScratch,
+};
 use lan_graph::Graph;
 use lan_obs::{names, span, Counter, TimerCell};
 use lan_tensor::{sigmoid, Adam, FusedHeads, Matrix, Mlp, MlpScratch, ParamStore, StepDecay, Tape};
@@ -25,7 +27,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::ops::Index;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Hyperparameters for model training and inference.
@@ -300,58 +303,66 @@ pub struct LanModels {
     /// — the quantized prefilter tier (`None` only for degenerate
     /// databases with nothing to quantize).
     pub quant: Option<crate::quant_index::QuantIndex>,
-    /// Precomputed compressed GNN-graphs of the database (paper §VI-C).
-    pub db_cgs: Vec<CompressedGnnGraph>,
-    /// Cross-graph inputs, compressed and plain, per database graph.
-    pub db_inputs_cg: Vec<CrossInput>,
-    pub db_inputs_plain: Vec<CrossInput>,
-    /// The layer-0 prefix of each of those inputs under the trained
-    /// cross-encoder weights (see [`lan_gnn::infer`]).
-    pub db_prefix_cg: Vec<CrossPrefix>,
-    pub db_prefix_plain: Vec<CrossPrefix>,
+    /// Cross-graph inputs, compressed and plain, of every database graph,
+    /// each prepared on first use together with its layer-0 prefix.
+    pub db_inputs_cg: DbInputs,
+    pub db_inputs_plain: DbInputs,
 }
 
-/// The per-graph inference artifacts of a database: pure functions of the
-/// graphs, the layer count and the trained cross-encoder, so they are
-/// recomputed (never stored) wherever a [`LanModels`] comes into being.
-pub(crate) struct DbInference {
-    pub cgs: Vec<CompressedGnnGraph>,
-    pub inputs_cg: Vec<CrossInput>,
-    pub inputs_plain: Vec<CrossInput>,
-    pub prefix_cg: Vec<CrossPrefix>,
-    pub prefix_plain: Vec<CrossPrefix>,
+/// One kind (compressed or plain) of cross-graph input of every database
+/// graph, and its layer-0 prefix under the trained weights (see
+/// [`lan_gnn::infer`]): pure functions of the graph, the network and the
+/// weights, so neither stored nor built up front but each prepared the
+/// first time it is read. Indexing yields the input.
+pub struct DbInputs {
+    graphs: Arc<[Graph]>,
+    cfg: GnnConfig,
+    compressed: bool,
+    cells: Box<[(OnceLock<CrossInput>, OnceLock<CrossPrefix>)]>,
 }
 
-impl DbInference {
-    /// One parallel pass over the database, everything for a graph built
-    /// while it is hot. The one implementation behind `LanModels::train`
-    /// and the store loader.
-    pub(crate) fn build(graphs: &[Graph], cross: &CrossGraphNet, cross_store: &ParamStore) -> Self {
-        let layers = cross.layers.len();
-        let per_graph = lan_par::par_map_dyn(graphs, lan_par::Grain::Coarse, |g| {
-            let cg = CompressedGnnGraph::build(g, layers);
-            let input_cg = CrossInput::compressed(&cg, &cross.cfg);
-            let input_plain = CrossInput::plain(g, &cross.cfg);
-            let prefix_cg = cross.prefix(cross_store, &input_cg);
-            let prefix_plain = cross.prefix(cross_store, &input_plain);
-            (cg, input_cg, input_plain, prefix_cg, prefix_plain)
-        });
-        let n = per_graph.len();
-        let mut db = DbInference {
-            cgs: Vec::with_capacity(n),
-            inputs_cg: Vec::with_capacity(n),
-            inputs_plain: Vec::with_capacity(n),
-            prefix_cg: Vec::with_capacity(n),
-            prefix_plain: Vec::with_capacity(n),
+impl DbInputs {
+    /// The compressed and the plain kind over one shared copy of `graphs`.
+    pub(crate) fn both(graphs: &[Graph], cfg: &GnnConfig) -> (DbInputs, DbInputs) {
+        let graphs: Arc<[Graph]> = graphs.into();
+        let kind = |compressed| DbInputs {
+            graphs: Arc::clone(&graphs),
+            cfg: cfg.clone(),
+            compressed,
+            cells: graphs.iter().map(|_| Default::default()).collect(),
         };
-        for (cg, input_cg, input_plain, prefix_cg, prefix_plain) in per_graph {
-            db.cgs.push(cg);
-            db.inputs_cg.push(input_cg);
-            db.inputs_plain.push(input_plain);
-            db.prefix_cg.push(prefix_cg);
-            db.prefix_plain.push(prefix_plain);
-        }
-        db
+        (kind(true), kind(false))
+    }
+
+    /// The prefix of input `g` under the weights of `m`, which owns this.
+    /// Fills through the caller's scratch, so it may run inside
+    /// [`lan_gnn::with_scratch`].
+    fn prefix(&self, g: usize, m: &LanModels, scratch: &mut InferScratch) -> &CrossPrefix {
+        self.cells[g].1.get_or_init(|| {
+            let mut p = CrossPrefix::default();
+            p.fill(&m.cross, &m.cross_store, &self[g], scratch);
+            p
+        })
+    }
+}
+
+impl Index<usize> for DbInputs {
+    type Output = CrossInput;
+
+    fn index(&self, g: usize) -> &CrossInput {
+        self.cells[g]
+            .0
+            .get_or_init(|| cross_input(&self.graphs[g], &self.cfg, self.compressed))
+    }
+}
+
+/// The cross-graph input of `g`: over its compressed GNN-graph (paper
+/// §VI-C) with `compressed`, over `g` itself otherwise.
+fn cross_input(g: &Graph, cfg: &GnnConfig, compressed: bool) -> CrossInput {
+    if compressed {
+        CrossInput::compressed(&CompressedGnnGraph::build(g, cfg.dims.len()), cfg)
+    } else {
+        CrossInput::plain(g, cfg)
     }
 }
 
@@ -484,10 +495,7 @@ impl LanModels {
             &mut cross_store,
             &[2 * cfg.embed_dim, cfg.mlp_hidden, 1],
         );
-        let train_inputs: Vec<CrossInput> =
-            lan_par::par_map_dyn(&dataset.graphs, lan_par::Grain::Coarse, |g| {
-                CrossInput::plain(g, &gcfg)
-            });
+        let (db_inputs_cg, db_inputs_plain) = DbInputs::both(&dataset.graphs, &gcfg);
         let nh_loss = train_nh(
             dataset,
             train_dists,
@@ -496,7 +504,7 @@ impl LanModels {
             &nh_head,
             &dist_head,
             &mut cross_store,
-            &train_inputs,
+            &db_inputs_plain,
             &gcfg,
             &cfg,
             &mut rng,
@@ -523,7 +531,7 @@ impl LanModels {
             gamma_star,
             &cross,
             &cross_store,
-            &train_inputs,
+            &db_inputs_plain,
             &db_embeds,
             &gin,
             &gin_store,
@@ -559,12 +567,6 @@ impl LanModels {
         );
         drop(phase);
 
-        // --- Precompute database CGs (paper §VI-C: one-off), cross inputs
-        // and their layer-0 prefixes under the now-final encoder weights. ---
-        let phase = span("build.models.db_inference");
-        drop(train_inputs);
-        let db = DbInference::build(&dataset.graphs, &cross, &cross_store);
-
         let nh_fused = FusedHeads::new(std::slice::from_ref(&nh_head), &cross_store);
         let rk_fused = FusedHeads::new(&rk_heads, &rk_store);
         let models = LanModels {
@@ -585,13 +587,9 @@ impl LanModels {
             gamma_star,
             db_embeds,
             quant,
-            db_cgs: db.cgs,
-            db_inputs_cg: db.inputs_cg,
-            db_inputs_plain: db.inputs_plain,
-            db_prefix_cg: db.prefix_cg,
-            db_prefix_plain: db.prefix_plain,
+            db_inputs_cg,
+            db_inputs_plain,
         };
-        drop(phase);
 
         // --- Validation precision of M_nh (Fig. 8). ---
         let phase = span("build.models.validate");
@@ -627,13 +625,7 @@ impl LanModels {
         let _s = span("gnn.context");
         let gnn_timer = TimerCell::new();
         let (input, prefix, gin_embed) = gnn_timer.time(|| {
-            let gcfg = &self.cross.cfg;
-            let input = if use_cg {
-                let cg = CompressedGnnGraph::build(q, self.cfg.layers);
-                CrossInput::compressed(&cg, gcfg)
-            } else {
-                CrossInput::plain(q, gcfg)
-            };
+            let input = cross_input(q, &self.cross.cfg, use_cg);
             let prefix = self.cross.prefix(&self.cross_store, &input);
             (input, prefix, self.embed(q))
         });
@@ -673,11 +665,7 @@ impl LanModels {
         let mut slab = ctx.pair_cache.borrow_mut();
         slab.ensure_capacity(self.db_embeds.len());
         let PairSlab { dim, data, present } = &mut *slab;
-        let (inputs, prefixes) = if use_cg {
-            (&self.db_inputs_cg, &self.db_prefix_cg)
-        } else {
-            (&self.db_inputs_plain, &self.db_prefix_plain)
-        };
+        let db = self.db_inputs(use_cg);
         let mut misses = 0u64;
         ctx.gnn_timer.time(|| {
             lan_gnn::with_scratch(|scr| {
@@ -689,8 +677,8 @@ impl LanModels {
                     misses += 1;
                     self.cross.infer_pair_prepared(
                         &self.cross_store,
-                        &inputs[gi],
-                        &prefixes[gi],
+                        &db[gi],
+                        db.prefix(gi, self, scr),
                         &ctx.input,
                         &ctx.prefix,
                         scr,
@@ -703,6 +691,21 @@ impl LanModels {
         ctx.hit.add(ids.len() as u64 - misses);
         ctx.miss.add(misses);
         lan_gnn::infer::count_pair_forwards(misses);
+    }
+
+    /// The database-side inputs of one kind: compressed with `use_cg`.
+    fn db_inputs(&self, use_cg: bool) -> &DbInputs {
+        if use_cg {
+            &self.db_inputs_cg
+        } else {
+            &self.db_inputs_plain
+        }
+    }
+
+    /// The layer-0 prefix of database graph `g`'s input of one kind under
+    /// the trained weights, prepared on first use like the search path's.
+    pub fn db_prefix(&self, g: usize, use_cg: bool) -> &CrossPrefix {
+        lan_gnn::with_scratch(|s| self.db_inputs(use_cg).prefix(g, self, s))
     }
 
     /// The cross-graph pair embedding `h_G ‖ h_Q` for database graph `g`.
@@ -722,11 +725,7 @@ impl LanModels {
                 return slab.row(g).to_vec();
             }
         }
-        let gi = if use_cg {
-            &self.db_inputs_cg[g as usize]
-        } else {
-            &self.db_inputs_plain[g as usize]
-        };
+        let gi = &self.db_inputs(use_cg)[g as usize];
         let mut tape = Tape::new();
         let out = self
             .cross
@@ -1111,7 +1110,7 @@ fn train_nh(
     nh_head: &Mlp,
     dist_head: &Mlp,
     store: &mut ParamStore,
-    db_inputs: &[CrossInput],
+    db_inputs: &DbInputs,
     gcfg: &GnnConfig,
     cfg: &ModelConfig,
     rng: &mut StdRng,
@@ -1253,7 +1252,7 @@ impl RkTrainingSet {
         gamma_star: f64,
         cross: &CrossGraphNet,
         cross_store: &ParamStore,
-        db_inputs: &[CrossInput],
+        db_inputs: &DbInputs,
         db_embeds: &[Vec<f32>],
         gin: &Gin,
         gin_store: &ParamStore,
@@ -1568,6 +1567,7 @@ mod tests {
             .iter()
             .map(|g| CrossInput::plain(g, &gcfg))
             .collect();
+        let (_, lazy_inputs) = DbInputs::both(&ds.graphs, &gcfg);
 
         let mut rng_eager = StdRng::seed_from_u64(0xCAFE);
         let mut rng_lazy = rng_eager.clone();
@@ -1593,7 +1593,7 @@ mod tests {
             gamma_star,
             &cross,
             &cross_store,
-            &db_inputs,
+            &lazy_inputs,
             &db_embeds,
             &gin,
             &gin_store,

@@ -3,11 +3,11 @@
 //! Serialization strategy: persist exactly the artifacts that are
 //! expensive or RNG-dependent to reproduce — the four parameter stores'
 //! trained values, the KMeans clustering, `gamma_star`, the database GIN
-//! embeddings, and the quantized prefilter (codes + calibration) — and
-//! *recompute* the cheap deterministic ones at load (compressed
-//! GNN-graphs, cross inputs and their layer-0 prefixes, which are pure
-//! functions of the database graphs, the config and the loaded weights —
-//! one pass through the same `DbInference::build` that `train` ends with).
+//! embeddings, and the quantized prefilter (codes + calibration). The
+//! cheap deterministic ones (compressed GNN-graphs, cross inputs and their
+//! layer-0 prefixes, pure functions of the database graphs, the config and
+//! the loaded weights) are neither stored nor built at load: the decoded
+//! bundle prepares each on first use, as a trained one does (`DbInputs`).
 //!
 //! Loading replays `LanModels::train`'s network-construction order
 //! against a fresh seeded RNG — including the auxiliary distance head
@@ -19,7 +19,7 @@
 //! bit-identically to the index that was saved.
 
 use crate::kmeans::KMeans;
-use crate::models::{DbInference, LanModels, ModelConfig, TrainReport};
+use crate::models::{DbInputs, LanModels, ModelConfig, TrainReport};
 use crate::quant_index::{QuantCalib, QuantIndex};
 use lan_datasets::Dataset;
 use lan_gnn::{CrossGraphNet, Gin, GnnConfig, QuantStore};
@@ -228,8 +228,8 @@ fn build_skeleton(cfg: &ModelConfig, num_labels: usize) -> Skeleton {
 
 impl LanModels {
     /// Serializes the trained bundle (weights + clustering + embeddings +
-    /// quantized prefilter). Database-derived inference caches (`db_cgs`,
-    /// `db_inputs_*`, `db_prefix_*`) are recomputed at load.
+    /// quantized prefilter). The database-derived inputs (`db_inputs_*`)
+    /// are prepared on first use after load.
     pub fn store_encode(&self, enc: &mut Enc) {
         self.cfg.store_encode(enc);
         enc.put_u64(self.num_labels as u64);
@@ -254,7 +254,8 @@ impl LanModels {
     }
 
     /// Decodes a bundle written by [`LanModels::store_encode`] against the
-    /// dataset it was trained on (needed to rebuild the inference caches).
+    /// dataset it was trained on (its graphs feed the inputs prepared on
+    /// first use).
     pub fn store_decode(dec: &mut Dec<'_>, dataset: &Dataset) -> Result<LanModels, StoreError> {
         let cfg = ModelConfig::store_decode(dec)?;
         let num_labels = dec.get_u64()? as usize;
@@ -305,8 +306,7 @@ impl LanModels {
         let nh_fused = FusedHeads::new(std::slice::from_ref(&sk.nh_head), &sk.cross_store);
         let rk_fused = FusedHeads::new(&sk.rk_heads, &sk.rk_store);
 
-        // Database-derived inference caches, by the function `train` uses.
-        let db = DbInference::build(&dataset.graphs, &sk.cross, &sk.cross_store);
+        let (db_inputs_cg, db_inputs_plain) = DbInputs::both(&dataset.graphs, &sk.cross.cfg);
 
         Ok(LanModels {
             cfg,
@@ -326,11 +326,8 @@ impl LanModels {
             gamma_star,
             db_embeds,
             quant,
-            db_cgs: db.cgs,
-            db_inputs_cg: db.inputs_cg,
-            db_inputs_plain: db.inputs_plain,
-            db_prefix_cg: db.prefix_cg,
-            db_prefix_plain: db.prefix_plain,
+            db_inputs_cg,
+            db_inputs_plain,
         })
     }
 }

@@ -1,4 +1,4 @@
-//! `LanModels::train` accounts for its own time: nine `build.models.*`
+//! `LanModels::train` accounts for its own time: eight `build.models.*`
 //! sub-phase spans that together cover the `build.models` span `lan-core`
 //! opens around it. A test binary of its own, because the span profiler
 //! is process-global.
@@ -9,7 +9,7 @@ use lan_datasets::DatasetSpec;
 use lan_ged::GedMethod;
 use lan_models::{LanModels, ModelConfig};
 
-const PHASES: [&str; 9] = [
+const PHASES: [&str; 8] = [
     "embedder",
     "quant",
     "kmeans",
@@ -17,7 +17,6 @@ const PHASES: [&str; 9] = [
     "rk_features",
     "rk_heads",
     "mc",
-    "db_inference",
     "validate",
 ];
 

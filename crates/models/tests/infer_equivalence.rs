@@ -1,11 +1,13 @@
 //! Equivalence properties of the tape-free inference fast path at the
 //! models layer: the batched+cached `LearnedRanker` must route exactly
 //! like the per-neighbor path, the batched `M_nh` sweep must score exactly
-//! like one graph at a time, and the tape-free pair embeddings must match
-//! the autograd-tape baseline within 1e-5.
+//! like one graph at a time, the tape-free pair embeddings must match
+//! the autograd-tape baseline within 1e-5, and the database inputs and
+//! prefixes prepared on first use must carry the bits of a direct build.
 
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
+use lan_gnn::{CompressedGnnGraph, CrossInput, CrossPrefix};
 use lan_models::{LanModels, LearnedRanker, ModelConfig};
 use lan_pg::np_route::np_route;
 use lan_pg::{DistCache, PairCache, PgConfig, ProximityGraph};
@@ -173,6 +175,76 @@ fn batched_nh_sweep_is_bit_identical_to_per_graph_logits() {
                 let ctx = models.query_context(q, use_cg);
                 assert_eq!(models.predicted_neighborhood(&ctx, use_cg), expect);
             }
+        }
+    }
+}
+
+/// Shapes, then values: every matrix's `(rows, cols)` and every size
+/// vector's length ahead of the flattened bits.
+fn input_bits(x: &CrossInput) -> Vec<u32> {
+    let mats = || x.aggs.iter().chain([&x.feats]);
+    let shapes = mats().flat_map(|m| [m.rows(), m.cols()]);
+    let lens = x.sizes.iter().map(Vec::len);
+    let mut bits: Vec<u32> = shapes.chain(lens).map(|n| n as u32).collect();
+    let values = mats()
+        .flat_map(|m| m.data())
+        .chain(x.sizes.iter().flatten());
+    bits.extend(values.map(|v| v.to_bits()));
+    bits
+}
+
+fn prefix_bits(p: &CrossPrefix) -> Vec<u32> {
+    let (rows, cols) = (p.tw().rows() as u32, p.tw().cols() as u32);
+    let lnw = p.lnw().iter().flatten();
+    let all = p.tw().data().iter().chain(p.mu_w()).chain(lnw);
+    [rows, cols]
+        .into_iter()
+        .chain(all.map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Every database input and prefix, of both kinds, equals bit for bit the
+/// one built directly by `CompressedGnnGraph::build` → `CrossInput` →
+/// `CrossGraphNet::prefix`, whichever path filled it first: the search
+/// path's cache fill (inside the thread's forward scratch) for the graphs
+/// one query touches, the accessors for the rest.
+#[test]
+fn lazily_prepared_inputs_and_prefixes_match_a_direct_build() {
+    let (ds, _pg, models) = tiny_setup();
+    let q = &ds.queries[ds.split.test[0]];
+    let mut touched = 0;
+    for use_cg in [true, false] {
+        let ctx = models.query_context(q, use_cg);
+        touched += models.predicted_neighborhood(&ctx, use_cg).len();
+    }
+    assert!(
+        touched > 0,
+        "the query must fill some cells on the search path"
+    );
+    let cfg = &models.cross.cfg;
+    for (g, graph) in ds.graphs.iter().enumerate() {
+        for use_cg in [true, false] {
+            let direct = if use_cg {
+                CrossInput::compressed(&CompressedGnnGraph::build(graph, cfg.dims.len()), cfg)
+            } else {
+                CrossInput::plain(graph, cfg)
+            };
+            let lazy = if use_cg {
+                &models.db_inputs_cg[g]
+            } else {
+                &models.db_inputs_plain[g]
+            };
+            assert_eq!(
+                input_bits(lazy),
+                input_bits(&direct),
+                "graph {g} use_cg={use_cg}: input"
+            );
+            let direct_prefix = models.cross.prefix(&models.cross_store, &direct);
+            assert_eq!(
+                prefix_bits(models.db_prefix(g, use_cg)),
+                prefix_bits(&direct_prefix),
+                "graph {g} use_cg={use_cg}: prefix"
+            );
         }
     }
 }

@@ -51,7 +51,8 @@ impl ProximityGraph {
                 "pg entry {entry} out of range"
             )));
         }
-        let mut layers: Vec<Vec<Vec<u32>>> = Vec::with_capacity(num_layers);
+        // The count comes from the file: bound the reservation, not the loop.
+        let mut layers: Vec<Vec<Vec<u32>>> = Vec::with_capacity(num_layers.min(1 << 20));
         for l in 0..num_layers {
             let offsets = dec.get_u64_slice()?;
             let flat = dec.get_u32_slice()?;
@@ -120,6 +121,26 @@ mod tests {
         assert_eq!(back.layers, pg.layers);
         assert_eq!(back.levels, pg.levels);
         assert_eq!(back.entry, pg.entry);
+    }
+
+    /// A layer count read from the file is never trusted as an allocation
+    /// size: `u32::MAX` layers of an empty graph would abort the process.
+    #[test]
+    fn hostile_layer_count_is_typed() {
+        let mut enc = Enc::new();
+        enc.put_u64(0);
+        enc.put_u32(0);
+        enc.put_u32(u32::MAX);
+        enc.put_u8_slice(&[]);
+        let mut w = Writer::new();
+        w.add_section("pg", enc);
+        let bytes = w.to_bytes();
+        let a = Archive::from_bytes(&bytes).unwrap();
+        let mut d = a.section("pg").unwrap();
+        assert!(matches!(
+            ProximityGraph::store_decode(&mut d),
+            Err(StoreError::Truncated { .. })
+        ));
     }
 
     #[test]

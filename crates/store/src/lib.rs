@@ -12,8 +12,8 @@
 //! ```
 //!
 //! Offsets are relative to the file start and no section references
-//! another by address, so the file is relocatable: it can be copied,
-//! memory-mapped, or read anywhere in one aligned `read_exact`.
+//! another by address, so the file is relocatable: it can be copied, or
+//! read anywhere in one aligned `read_exact`.
 //!
 //! The reader loads the whole file into an 8-byte-aligned buffer and hands
 //! out borrowed [`Dec`] cursors per section. Bulk numeric payloads
