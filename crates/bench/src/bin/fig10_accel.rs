@@ -56,5 +56,5 @@ fn main() {
             }
         }
     }
-    lan_bench::finish_obs("fig10_accel", &[]);
+    lan_bench::finish_obs("fig10_accel");
 }

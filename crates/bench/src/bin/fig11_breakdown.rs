@@ -46,5 +46,5 @@ fn main() {
         );
     }
     println!("\n(paper: GNN share ~24/25/20/29% on AIDS/LINUX/PUBCHEM/SYN)");
-    lan_bench::finish_obs("fig11_breakdown", &[]);
+    lan_bench::finish_obs("fig11_breakdown");
 }

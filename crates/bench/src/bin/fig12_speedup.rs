@@ -111,5 +111,5 @@ fn main() {
         );
     }
     println!("\n(paper: CG speedup ~4/4.2/5.3/3.1x on AIDS/LINUX/PUBCHEM/SYN; HAG ~1x)");
-    lan_bench::finish_obs("fig12_speedup", &[]);
+    lan_bench::finish_obs("fig12_speedup");
 }

@@ -73,5 +73,5 @@ fn main() {
             }
         }
     }
-    lan_bench::finish_obs("fig5_compare", &[]);
+    lan_bench::finish_obs("fig5_compare");
 }

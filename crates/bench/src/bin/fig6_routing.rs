@@ -61,5 +61,5 @@ fn main() {
             l.param, l.avg_ndc, h.avg_ndc
         );
     }
-    lan_bench::finish_obs("fig6_routing", &[]);
+    lan_bench::finish_obs("fig6_routing");
 }

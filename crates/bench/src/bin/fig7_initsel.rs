@@ -49,5 +49,5 @@ fn main() {
             }
         }
     }
-    lan_bench::finish_obs("fig7_initsel", &[]);
+    lan_bench::finish_obs("fig7_initsel");
 }

@@ -29,5 +29,5 @@ fn main() {
         let hit = 1.0 - (1.0 - precision).powi(s);
         println!("           Lemma 2 with s = {s}: P(sample hits N_Q) = {hit:.4}");
     }
-    lan_bench::finish_obs("fig8_precision", &[]);
+    lan_bench::finish_obs("fig8_precision");
 }

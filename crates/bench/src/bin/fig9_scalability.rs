@@ -92,5 +92,5 @@ fn main() {
     }
     println!("\n(expected shape: each column grows ~linearly with the scale —");
     println!(" the sequential sub-database protocol of the paper)");
-    lan_bench::finish_obs("fig9_scalability", &[]);
+    lan_bench::finish_obs("fig9_scalability");
 }

@@ -156,5 +156,5 @@ fn main() {
             }
         }
     }
-    lan_bench::finish_obs("figs_main", &[]);
+    lan_bench::finish_obs("figs_main");
 }

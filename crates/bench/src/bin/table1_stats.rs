@@ -38,5 +38,5 @@ fn main() {
     }
     println!("\n(paper sizes: AIDS 42,687 / LINUX 47,239 / PUBCHEM 22,794 / SYN 1,000,000;");
     println!(" this reproduction scales #graphs down, preserving the per-graph statistics)");
-    lan_bench::finish_obs("table1_stats", &[]);
+    lan_bench::finish_obs("table1_stats");
 }

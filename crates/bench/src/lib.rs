@@ -10,13 +10,6 @@
 //! server, 42k–1M graph databases); EXPERIMENTS.md records what transfers:
 //! orderings, approximate speedup factors, and crossover locations.
 
-/// The zero-dep JSON parser now lives in `lan-obs` (shared with the
-/// serving protocol); re-exported here so the sentinel and smoke
-/// checkers keep their `lan_bench::json::` paths.
-pub mod json {
-    pub use lan_obs::json::*;
-}
-
 use lan_core::{LanConfig, LanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
@@ -156,14 +149,6 @@ fn cache_path(spec: &DatasetSpec, scale: Scale) -> Option<std::path::PathBuf> {
     })
 }
 
-/// [`build_index`] without the `sized_spec` re-sizing or the `LAN_STORE`
-/// cache: builds exactly the spec given (the `persist` bench's 10k tier
-/// must not be clamped to the scale's default database size, and must
-/// measure a real rebuild).
-pub fn build_index_exact(spec: DatasetSpec, scale: Scale) -> LanIndex {
-    build_index_uncached(spec, scale)
-}
-
 fn build_index_uncached(spec: DatasetSpec, scale: Scale) -> LanIndex {
     let name = spec.name;
     eprintln!(
@@ -210,96 +195,6 @@ pub fn k_for(scale: Scale) -> usize {
     }
 }
 
-/// Builds (or `open`s from the `LAN_STORE` cache) a sharded index over an
-/// **already generated** dataset. The cache key pins everything the scale
-/// campaign varies — dataset name, sizes, seed, and shard count; callers
-/// are responsible for regenerating `dataset` identically (the scale
-/// tiers use the seed-deterministic `Dataset::generate_par`). Stale or
-/// corrupt entries are rebuilt and overwritten, like [`build_index`].
-pub fn build_sharded_cached(
-    dataset: &Dataset,
-    cfg: &LanConfig,
-    num_shards: usize,
-) -> lan_core::ShardedLanIndex {
-    let spec = &dataset.spec;
-    let cache = std::env::var("LAN_STORE").ok().map(|dir| {
-        std::path::PathBuf::from(dir).join(format!(
-            "sharded_{}_g{}_q{}_seed{}_s{}.lan",
-            spec.name.to_lowercase(),
-            spec.num_graphs,
-            spec.num_queries,
-            spec.seed,
-            num_shards
-        ))
-    });
-    if let Some(path) = &cache {
-        match lan_core::ShardedLanIndex::open(path) {
-            Ok(index) => {
-                eprintln!(
-                    "[{}] opened cached sharded index {}",
-                    spec.name,
-                    path.display()
-                );
-                return index;
-            }
-            Err(lan_store::StoreError::Io(_)) => {} // not cached yet
-            Err(e) => eprintln!(
-                "[{}] ignoring unusable cache {}: {e}",
-                spec.name,
-                path.display()
-            ),
-        }
-    }
-    let index = lan_core::ShardedLanIndex::build(dataset, cfg, num_shards);
-    if let Some(path) = &cache {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match index.save(path) {
-            Ok(bytes) => eprintln!(
-                "[{}] cached sharded index to {} ({bytes} bytes)",
-                spec.name,
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "[{}] failed to cache sharded index to {}: {e}",
-                spec.name,
-                path.display()
-            ),
-        }
-    }
-    index
-}
-
-/// Host hardware parallelism (`available_parallelism`; 1 when the probe
-/// fails). Distinct from [`lan_par::num_threads`], which is the worker
-/// count actually used (clamped by `LAN_THREADS`).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// True when the host has too little parallelism for any speedup field to
-/// be meaningful (< 4 hardware threads). Benches record this flag instead
-/// of asserting speedup floors — a 1.0x "speedup" measured on a 1-core
-/// host is a property of the host, not a regression.
-pub fn underprovisioned() -> bool {
-    host_threads() < 4
-}
-
-/// JSON header fragment recording host and worker parallelism. Embedded
-/// near the top of every `BENCH_*.json` so readers (and the sentinel)
-/// can tell that speedup/QPS fields are functions of this configuration.
-/// Emits complete `"key": value,` lines; splice between two fields.
-pub fn host_header_json() -> String {
-    format!(
-        "  \"host_threads\": {},\n  \"lan_threads\": {},\n",
-        host_threads(),
-        lan_par::num_threads()
-    )
-}
-
 /// Finishes a bench run's observability outputs: the global metrics
 /// snapshot as `results/BENCH_obs.json` (+ `results/BENCH_obs.prom`);
 /// when `LAN_TRACE=route`, the buffered routing trace as
@@ -308,20 +203,12 @@ pub fn host_header_json() -> String {
 /// `LAN_PROFILE=1`, the folded span-tree stacks as
 /// `results/PROFILE_<bench>.folded` (inferno/speedscope-compatible) plus
 /// a top-self-time table on stderr.
-///
-/// `extra` entries (e.g. the run's independently summed `total_ndc`) are
-/// embedded at the top level of the JSON next to the metrics, so checkers
-/// can cross-validate the snapshot against the bench's own accounting.
-pub fn finish_obs(bench: &str, extra: &[(&str, u64)]) {
+pub fn finish_obs(bench: &str) {
     std::fs::create_dir_all("results").expect("create results/");
     lan_obs::mem::sample_peak_rss();
     let snap = lan_obs::snapshot();
-    let extras: String = extra
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v},\n"))
-        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"metrics_enabled\": {},\n{extras}  \"metrics\": {}\n}}\n",
+        "{{\n  \"bench\": \"{bench}\",\n  \"metrics_enabled\": {},\n  \"metrics\": {}\n}}\n",
         lan_obs::enabled(),
         snap.to_json(),
     );

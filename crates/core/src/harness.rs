@@ -7,7 +7,7 @@ use crate::l2route::L2RouteIndex;
 use crate::query::{InitStrategy, QueryOutcome, RouteStrategy};
 use lan_obs::trace;
 use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One point of a recall–QPS curve.
 #[derive(Debug, Clone, Copy)]
@@ -54,8 +54,7 @@ impl Breakdown {
 }
 
 /// Shared accumulation of a query batch: tie-aware recall, NDC, and the
-/// time breakdown — one implementation for the sequential and parallel
-/// harness paths (they must count identically for the determinism tests).
+/// time breakdown — one implementation for the beam and L2route curves.
 #[derive(Debug, Default)]
 struct Aggregate {
     recall_sum: f64,
@@ -70,15 +69,14 @@ impl Aggregate {
         self.breakdown.add(out);
     }
 
-    /// Finishes the batch into a curve point. `wall` is the denominator of
-    /// QPS: the summed per-query time for sequential runs, the true batch
-    /// wall-clock for parallel runs.
-    fn finish(self, param: usize, n_queries: usize, wall: Duration) -> (CurvePoint, Breakdown) {
+    /// Finishes the batch into a curve point; QPS is over the summed
+    /// per-query time.
+    fn finish(self, param: usize, n_queries: usize) -> (CurvePoint, Breakdown) {
         let n = n_queries.max(1) as f64;
         let point = CurvePoint {
             param,
             recall: self.recall_sum / n,
-            qps: n / wall.as_secs_f64().max(1e-12),
+            qps: n / self.breakdown.total.as_secs_f64().max(1e-12),
             avg_ndc: self.ndc_sum as f64 / n,
         };
         (point, self.breakdown)
@@ -124,46 +122,7 @@ pub fn run_point(
         let out = index.search_with_budget(q, k, b, init, route, qi as u64, &ctx);
         agg.add(&out, truths[i], k);
     }
-    let wall = agg.breakdown.total;
-    agg.finish(b, query_idx.len(), wall)
-}
-
-/// The parallel counterpart of [`run_point`]: queries of the batch run
-/// concurrently (worker count from `lan-par`, `LAN_THREADS` overrides) and
-/// QPS is measured as true batch wall-clock throughput.
-///
-/// Every query keeps its sequential seed (`qi`), so per-query results,
-/// recall, and NDC are identical to [`run_point`]; the reported breakdown
-/// still sums per-query component times. The sequential path remains the
-/// one to use for deterministic latency measurements — parallel per-query
-/// `total_time` includes scheduling noise.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_parallel(
-    index: &LanIndex,
-    query_idx: &[usize],
-    truths: &[f64],
-    k: usize,
-    b: usize,
-    init: InitStrategy,
-    route: RouteStrategy,
-) -> (CurvePoint, Breakdown) {
-    let budget = QueryBudget::from_env();
-    let t0 = Instant::now();
-    let outs: Vec<QueryOutcome> = lan_par::par_map_dyn(query_idx, lan_par::Grain::Fine, |&qi| {
-        let q = &index.dataset.queries[qi];
-        let _t = trace::query(qi as u64);
-        // One context per query (not per batch): each query gets the full
-        // budget, exactly like the sequential path above.
-        let ctx = BudgetCtx::new(&budget);
-        index.search_with_budget(q, k, b, init, route, qi as u64, &ctx)
-    });
-    let wall = t0.elapsed();
-
-    let mut agg = Aggregate::default();
-    for (i, out) in outs.iter().enumerate() {
-        agg.add(out, truths[i], k);
-    }
-    agg.finish(b, query_idx.len(), wall)
+    agg.finish(b, query_idx.len())
 }
 
 /// A recall–QPS curve over a sweep of beam sizes.
@@ -209,8 +168,7 @@ pub fn l2route_curve(
                 };
                 agg.add(&out, truths[i], k);
             }
-            let wall = agg.breakdown.total;
-            agg.finish(c, query_idx.len(), wall).0
+            agg.finish(c, query_idx.len()).0
         })
         .collect()
 }

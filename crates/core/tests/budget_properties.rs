@@ -192,6 +192,7 @@ fn expired_deadline_degrades_gracefully() {
     let index = single_fixture();
     let q = dataset().queries[0].clone();
     let ctx = BudgetCtx::new(&QueryBudget::unlimited().with_deadline(Duration::ZERO));
+    let before = lan_obs::snapshot();
     let out = index.search_with_budget(
         &q,
         5,
@@ -203,6 +204,15 @@ fn expired_deadline_degrades_gracefully() {
     );
     assert_eq!(out.termination, Termination::Deadline);
     assert_eq!(out.ndc, 0, "no distance may be charged after the deadline");
+    // Sibling tests only ever add to the counter: the delta is at least
+    // this query's own increment.
+    let degraded = lan_obs::snapshot()
+        .diff(&before)
+        .counter(lan_obs::names::QUERY_DEGRADED);
+    assert!(
+        degraded >= 1,
+        "a degraded query must count in query.degraded"
+    );
 }
 
 /// The hop cap bounds exploration without cancelling anything: the query

@@ -4,7 +4,6 @@
 //! global `LAN_METRICS` switch, which would race tests in other binaries'
 //! threads.
 
-use lan_core::harness::ground_truths;
 use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
@@ -82,37 +81,4 @@ fn metrics_state_never_changes_results_or_ndc() {
     lan_obs::set_enabled(true);
     lan_obs::trace::set_route_enabled(false);
     lan_obs::trace::drain();
-}
-
-#[test]
-fn harness_aggregation_identical_sequential_vs_parallel() {
-    // The shared Aggregate helper must make the sequential and parallel
-    // harness paths count recall and NDC identically.
-    let index = tiny_index();
-    let query_idx: Vec<usize> = (0..6).collect();
-    let truths = ground_truths(&index, &query_idx, 3);
-    let (p_seq, b_seq) = lan_core::harness::run_point(
-        &index,
-        &query_idx,
-        &truths,
-        3,
-        4,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-    );
-    let (p_par, b_par) = lan_core::harness::run_point_parallel(
-        &index,
-        &query_idx,
-        &truths,
-        3,
-        4,
-        InitStrategy::LanIs,
-        RouteStrategy::LanRoute { use_cg: true },
-    );
-    assert_eq!(p_seq.recall, p_par.recall);
-    assert_eq!(p_seq.avg_ndc, p_par.avg_ndc);
-    // Component times are per-query sums, so both paths report comparable
-    // breakdowns (values differ by scheduling; structure must match).
-    assert!(b_seq.total > std::time::Duration::ZERO);
-    assert!(b_par.total > std::time::Duration::ZERO);
 }

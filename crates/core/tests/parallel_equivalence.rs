@@ -102,40 +102,66 @@ proptest! {
     }
 }
 
-/// The parallel query batch reproduces the sequential batch exactly:
-/// same per-point recall and average NDC (each query keeps its seed).
+/// A BestOfThree index over graphs big enough that every GED call forks
+/// its Hungarian solve through `lan_par::join` when the thread budget
+/// allows (`FORK_MIN_ROWS` cost-matrix rows) — the fan-out inside a single
+/// `LanIndex` query.
+fn forking_fixture() -> &'static LanIndex {
+    static FIXTURE: OnceLock<LanIndex> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        force_threads();
+        let mut spec = DatasetSpec::syn()
+            .with_graphs(32)
+            .with_queries(8)
+            .with_metric(lan_ged::GedMethod::BestOfThree { beam_width: 2 });
+        spec.avg_nodes = 24;
+        LanIndex::build(Dataset::generate(spec), tiny_cfg())
+    })
+}
+
+/// The harness batch is thread-count invariant: at one thread every GED
+/// call solves its three bounds in turn, at four the Hungarian solve runs
+/// on a second thread, and the per-point recall and average NDC are
+/// identical (each query keeps its seed).
 #[test]
-fn parallel_batch_matches_run_point() {
+fn run_point_is_thread_count_invariant() {
     force_threads();
-    let index = single_fixture();
-    let test_q: Vec<usize> = index.dataset.split.test.clone();
-    assert!(!test_q.is_empty());
+    let index = forking_fixture();
+    let queries: Vec<usize> = (0..index.dataset.queries.len()).collect();
+    let forks = |q: &lan_graph::Graph| {
+        index
+            .dataset
+            .graphs
+            .iter()
+            .filter(|g| q.node_count() + g.node_count() >= lan_ged::engine::FORK_MIN_ROWS)
+            .count()
+    };
+    assert!(
+        index.dataset.queries.iter().map(forks).sum::<usize>() * 2
+            > queries.len() * index.dataset.graphs.len(),
+        "most query distances must take the forking path"
+    );
     let k = 5;
-    let truths = harness::ground_truths(index, &test_q, k);
+    let truths = harness::ground_truths(index, &queries, k);
     for b in [4usize, 12] {
-        let (seq, seq_bd) = harness::run_point(
-            index,
-            &test_q,
-            &truths,
-            k,
-            b,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
-        );
-        let (par, par_bd) = harness::run_point_parallel(
-            index,
-            &test_q,
-            &truths,
-            k,
-            b,
-            InitStrategy::LanIs,
-            RouteStrategy::LanRoute { use_cg: true },
-        );
+        let point = |threads| {
+            lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+                harness::run_point(
+                    index,
+                    &queries,
+                    &truths,
+                    k,
+                    b,
+                    InitStrategy::LanIs,
+                    RouteStrategy::LanRoute { use_cg: true },
+                )
+            })
+        };
+        let ((seq, seq_bd), (par, par_bd)) = (point("1"), point("4"));
         assert_eq!(seq.recall, par.recall, "b={b}: recall diverged");
         assert_eq!(seq.avg_ndc, par.avg_ndc, "b={b}: NDC diverged");
-        // Component times are per-query sums; identical work on both
-        // paths means the distance breakdown stays in the same ballpark
-        // (exact equality is impossible for wall-clock measures).
+        // Component times are per-query sums of wall-clock measures, which
+        // can never be compared for equality.
         assert!(par_bd.distance >= std::time::Duration::ZERO);
         assert!(seq_bd.distance >= std::time::Duration::ZERO);
     }
@@ -147,7 +173,7 @@ fn parallel_batch_matches_run_point() {
 #[test]
 fn build_is_thread_count_invariant() {
     // This test intentionally leaves LAN_THREADS at 4 (set by fixtures) and
-    // compares against a second in-process build — par_map is
+    // compares against a second in-process build — the lan-par helpers are
     // order-preserving, so both builds must agree bit-for-bit.
     force_threads();
     let a = LanIndex::build(dataset(), tiny_cfg());

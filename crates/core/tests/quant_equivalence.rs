@@ -6,7 +6,10 @@
 //! * a routing prefilter with an effectively-infinite margin never fires
 //!   and is bit-identical to the tier being off;
 //! * with a tight margin the tier actually engages (surrogate evaluations
-//!   observed) and still returns k results.
+//!   observed) and still returns k results;
+//! * over a margin sweep some operating point keeps tie-aware recall at
+//!   0.98 or more at strictly lower NDC than the tier off, and the
+//!   documented `scalar:1.5` point keeps recall at 0.98 or more.
 
 use lan_core::{InitStrategy, LanConfig, LanIndex, QuantConfig, QuantMode, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};
@@ -116,5 +119,70 @@ fn tight_margin_engages_the_tier() {
     assert!(
         delta.counter(lan_obs::names::QUANT_PREFILTER_EVALS) > 0,
         "prefilter never consulted — tier not wired into routing"
+    );
+}
+
+#[test]
+fn prefilter_sweep_keeps_recall_at_lower_ndc() {
+    let ds = Dataset::generate(
+        DatasetSpec::syn()
+            .with_graphs(160)
+            .with_queries(16)
+            .with_metric(lan_ged::GedMethod::Hungarian),
+    );
+    let cfg = LanConfig {
+        pg: PgConfig::new(6),
+        model: ModelConfig {
+            embed_dim: 32,
+            epochs: 3,
+            max_samples_per_epoch: 400,
+            nh_cover_k: 16,
+            clusters: 4,
+            top_clusters: 2,
+            mlp_hidden: 16,
+            ..ModelConfig::default()
+        },
+        ds: 1.0,
+        quant: QuantConfig {
+            mode: QuantMode::Off,
+            margin: 1.5,
+        },
+    };
+    let mut index = LanIndex::build(ds, cfg);
+    let (k, b) = (5usize, 20usize);
+    let queries: Vec<usize> = (0..12).collect();
+    let truths = lan_core::harness::ground_truths(&index, &queries, k);
+    // (tie-aware recall, total NDC) at the index's current quant config.
+    let run = |index: &LanIndex| {
+        let (mut recall, mut ndc) = (0.0f64, 0usize);
+        for (&qi, &kth) in queries.iter().zip(&truths) {
+            let out = index.search_with(
+                &index.dataset.queries[qi],
+                k,
+                b,
+                InitStrategy::LanIs,
+                RouteStrategy::LanRoute { use_cg: true },
+                qi as u64,
+            );
+            recall += lan_datasets::recall_at_k_ties(&out.results, kth, k);
+            ndc += out.ndc;
+        }
+        (recall / queries.len() as f64, ndc)
+    };
+    let (_, off_ndc) = run(&index);
+    let mut held_at_lower_ndc = false;
+    for mode in [QuantMode::Binary, QuantMode::Scalar] {
+        for margin in [1.0f64, 1.05, 1.1, 1.15, 1.25, 1.5, 2.0] {
+            index.cfg.quant = QuantConfig { mode, margin };
+            let (recall, ndc) = run(&index);
+            held_at_lower_ndc |= recall >= 0.98 && ndc < off_ndc;
+            if mode == QuantMode::Scalar && margin == 1.5 {
+                assert!(recall >= 0.98, "scalar:1.5 recall {recall:.3} below 0.98");
+            }
+        }
+    }
+    assert!(
+        held_at_lower_ndc,
+        "no sweep point held recall >= 0.98 below the tier-off NDC {off_ndc}"
     );
 }

@@ -1,7 +1,7 @@
-//! End-to-end determinism contract of the `LAN_SCHED` executors: a query
+//! End-to-end determinism contract of the `lan-par` executor: a query
 //! batch over a sharded index must be bit-identical — results, per-query
-//! NDC, the global `ged.calls` delta, and EXPLAIN tier attribution —
-//! under sequential, static-chunked, and work-stealing execution.
+//! NDC, the global `ged.calls` delta, and EXPLAIN tier attribution — at
+//! one thread (the serial loop) and on several work-stealing workers.
 //!
 //! The `lan-par` property tests pin the executor primitives; this binary
 //! pins the composition: every hot fan-out on the query path (batch,
@@ -55,7 +55,7 @@ fn fixture() -> &'static (Dataset, ShardedLanIndex) {
     })
 }
 
-/// Everything the scheduler must not change about a batch run.
+/// Everything the thread count must not change about a batch run.
 #[derive(Debug, PartialEq)]
 struct BatchFingerprint {
     results: Vec<Vec<(u64, u32)>>, // distance bits, id
@@ -64,102 +64,87 @@ struct BatchFingerprint {
     tiers: Vec<(u64, u64, u64, u64)>,
 }
 
-fn run_batch(threads: &str, sched: &str) -> BatchFingerprint {
-    testenv::with_env(
-        &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-        || {
-            let (ds, sharded) = fixture();
-            let before = lan_obs::snapshot();
-            let outs: Vec<lan_core::QueryOutcome> =
-                lan_par::par_map_indices_dyn(ds.queries.len(), lan_par::Grain::Fine, |qi| {
-                    sharded.search(
-                        &ds.queries[qi],
-                        K,
-                        B,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        qi as u64,
-                    )
-                });
-            let ged_calls_delta = lan_obs::snapshot()
-                .diff(&before)
-                .counter(lan_obs::names::GED_CALLS);
-            let tiers = (0..ds.queries.len().min(4))
-                .map(|qi| {
-                    let (_, ex) = sharded.search_explain(
-                        &ds.queries[qi],
-                        K,
-                        B,
-                        InitStrategy::LanIs,
-                        RouteStrategy::LanRoute { use_cg: true },
-                        qi as u64,
-                    );
-                    (
-                        ex.tiers.quant_skips,
-                        ex.tiers.lb_prunes,
-                        ex.tiers.tau_aborts,
-                        ex.tiers.full_solves,
-                    )
-                })
-                .collect();
-            BatchFingerprint {
-                results: outs
-                    .iter()
-                    .map(|o| o.results.iter().map(|&(d, id)| (d.to_bits(), id)).collect())
-                    .collect(),
-                ndcs: outs.iter().map(|o| o.ndc).collect(),
-                ged_calls_delta,
-                tiers,
-            }
-        },
-    )
+fn run_batch(threads: &str) -> BatchFingerprint {
+    testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+        let (ds, sharded) = fixture();
+        let before = lan_obs::snapshot();
+        let outs: Vec<lan_core::QueryOutcome> =
+            lan_par::par_map_indices_dyn(ds.queries.len(), lan_par::Grain::Fine, |qi| {
+                sharded.search(
+                    &ds.queries[qi],
+                    K,
+                    B,
+                    InitStrategy::LanIs,
+                    RouteStrategy::LanRoute { use_cg: true },
+                    qi as u64,
+                )
+            });
+        let ged_calls_delta = lan_obs::snapshot()
+            .diff(&before)
+            .counter(lan_obs::names::GED_CALLS);
+        let tiers = (0..ds.queries.len().min(4))
+            .map(|qi| {
+                let (_, ex) = sharded.search_explain(
+                    &ds.queries[qi],
+                    K,
+                    B,
+                    InitStrategy::LanIs,
+                    RouteStrategy::LanRoute { use_cg: true },
+                    qi as u64,
+                );
+                (
+                    ex.tiers.quant_skips,
+                    ex.tiers.lb_prunes,
+                    ex.tiers.tau_aborts,
+                    ex.tiers.full_solves,
+                )
+            })
+            .collect();
+        BatchFingerprint {
+            results: outs
+                .iter()
+                .map(|o| o.results.iter().map(|&(d, id)| (d.to_bits(), id)).collect())
+                .collect(),
+            ndcs: outs.iter().map(|o| o.ndc).collect(),
+            ged_calls_delta,
+            tiers,
+        }
+    })
 }
 
 #[test]
-fn batch_is_bit_identical_across_schedulers_and_threads() {
-    let reference = run_batch("1", "seq");
+fn batch_is_bit_identical_across_thread_counts() {
+    let reference = run_batch("1");
     assert!(
         reference.ged_calls_delta > 0,
         "the batch must actually compute distances for the contract to bite"
     );
     for threads in ["1", "2", "7"] {
-        for sched in ["seq", "static", "ws"] {
-            let got = run_batch(threads, sched);
-            assert_eq!(
-                got, reference,
-                "batch fingerprint diverged (threads={threads}, sched={sched})"
-            );
-        }
+        let got = run_batch(threads);
+        assert_eq!(
+            got, reference,
+            "batch fingerprint diverged (threads={threads})"
+        );
     }
 }
 
 #[test]
-fn ground_truth_scan_is_scheduler_invariant() {
+fn ground_truth_scan_is_thread_count_invariant() {
     let (ds, _) = fixture();
-    let reference = testenv::with_env(
-        &[("LAN_THREADS", Some("1")), ("LAN_SCHED", Some("seq"))],
-        || {
+    let scan = |threads| {
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
             ds.queries
                 .iter()
                 .map(|q| ds.ground_truth_knn(q, K))
                 .collect::<Vec<_>>()
-        },
-    );
+        })
+    };
+    let reference = scan("1");
     for threads in ["2", "7"] {
-        for sched in ["static", "ws"] {
-            let got = testenv::with_env(
-                &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-                || {
-                    ds.queries
-                        .iter()
-                        .map(|q| ds.ground_truth_knn(q, K))
-                        .collect::<Vec<_>>()
-                },
-            );
-            assert_eq!(
-                got, reference,
-                "ground truth diverged (threads={threads}, sched={sched})"
-            );
-        }
+        assert_eq!(
+            scan(threads),
+            reference,
+            "ground truth diverged (threads={threads})"
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! The tiny index every store test binary builds (`store_properties.rs`,
-//! `store_counters.rs`).
+//! `store_counters.rs`), and the one `store_golden.rs` committed here as
+//! `golden.lan` with its probe digests.
 
 use lan_core::{InitStrategy, LanConfig, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};

@@ -118,21 +118,19 @@ impl Dataset {
         }
     }
 
-    /// Parallel, seed-deterministic generation for the scale tiers.
+    /// Parallel, seed-deterministic generation for the larger databases
+    /// (the benchmark workloads, the serving binary).
     ///
     /// Same workload protocol as [`Self::generate`], but every
     /// perturbation family and every query draws from its own
     /// splitmix64-derived RNG stream instead of one serial stream, so
     /// generation parallelizes over families with output **bit-identical
-    /// at any thread count and under any `LAN_SCHED` scheduler** (the
-    /// parallel helpers are order-preserving and each stream is a pure
-    /// function of `(spec.seed, salt, index)`).
+    /// at any thread count** (the parallel helpers are order-preserving
+    /// and each stream is a pure function of `(spec.seed, salt, index)`).
     ///
     /// The per-stream scheme is a *different* deterministic instance than
-    /// the single-stream [`Self::generate`] for the same seed — existing
-    /// fixtures, store cache keys, and committed baselines keyed on
-    /// `generate` are untouched. Scale benchmarks use this scheme
-    /// exclusively.
+    /// the single-stream [`Self::generate`] for the same seed — fixtures
+    /// keyed on `generate` are untouched.
     pub fn generate_par(spec: DatasetSpec) -> Self {
         let fam = spec.family_size.max(1);
         let num_families = spec.num_graphs.div_ceil(fam);

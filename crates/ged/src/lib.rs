@@ -39,7 +39,6 @@ pub mod engine;
 pub mod exact;
 pub mod lower_bounds;
 pub mod mapping;
-pub mod mcs;
 pub mod scratch;
 
 pub use engine::{

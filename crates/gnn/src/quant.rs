@@ -75,7 +75,8 @@ pub struct QuantStore {
     // Pre-resolved kernel-path counters (one increment per surrogate
     // evaluation; resolving them here also guarantees every `quant.*`
     // counter is registered — hence exported with a zero value — in any
-    // run that builds an index, which keeps the obs_check schema stable).
+    // run that builds an index, which keeps the exported schema stable —
+    // `lan-core`'s `obs_export` test checks it).
     m_simd: &'static Counter,
     m_scalar: &'static Counter,
 }

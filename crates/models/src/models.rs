@@ -983,8 +983,8 @@ impl LanModels {
 
     /// The pre-fast-path implementation — per-neighbor autograd tapes for
     /// the pair embedding and one fresh tape per ranker head — kept as the
-    /// bench baseline (`bench/gnn_inference` measures the speedup of
-    /// [`LanModels::rank_batches`] over this).
+    /// reference `benchmark/` times [`LanModels::rank_batches`] against
+    /// (`models.rank_batches_tape.us`).
     pub fn rank_batches_tape(
         &self,
         ctx: &QueryContext,

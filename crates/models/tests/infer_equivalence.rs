@@ -2,7 +2,8 @@
 //! models layer: the batched+cached `LearnedRanker` must route exactly
 //! like the per-neighbor path, the batched `M_nh` sweep must score exactly
 //! like one graph at a time, the tape-free pair embeddings must match
-//! the autograd-tape baseline within 1e-5, and the database inputs and
+//! the autograd-tape baseline within 1e-5 (and rank a hop's neighbours
+//! the same way on a fixed instance), and the database inputs and
 //! prefixes prepared on first use must carry the bits of a direct build.
 
 use lan_datasets::{Dataset, DatasetSpec};
@@ -66,6 +67,26 @@ fn batched_ranking_is_bit_identical_to_per_neighbor() {
             let a = models.rank_batches(&ctx_a, node, neighbors, 0.0, use_cg);
             let b = models.rank_batches_per_neighbor(&ctx_b, node, neighbors, 0.0, use_cg);
             assert_eq!(a, b, "node {node} use_cg={use_cg}: batches diverged");
+        }
+    }
+}
+
+/// The tape baseline ranks a hop's neighbours as the fast path does. Pair
+/// embeddings agree only within 1e-5, so this is not an identity: it
+/// checks, on this fixed instance, that no ulp difference flips the order
+/// of two neighbours.
+#[test]
+fn tape_ranking_agrees_with_the_fast_path() {
+    let (ds, pg, models) = tiny_setup();
+    for (qi, use_cg) in [(0usize, true), (1, false)] {
+        let q = &ds.queries[ds.split.test[qi]];
+        let ctx_fast = models.query_context(q, use_cg);
+        let ctx_tape = models.query_context(q, use_cg);
+        for node in 0..pg.base().len().min(12) as u32 {
+            let neighbors = &pg.base()[node as usize];
+            let fast = models.rank_batches(&ctx_fast, node, neighbors, 0.0, use_cg);
+            let tape = models.rank_batches_tape(&ctx_tape, node, neighbors, 0.0, use_cg);
+            assert_eq!(fast, tape, "node {node} use_cg={use_cg}: rankings diverged");
         }
     }
 }

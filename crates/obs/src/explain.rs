@@ -420,7 +420,7 @@ mod tests {
     }
 
     /// Golden test pinning the EXPLAIN JSON schema (the JSONL consumer
-    /// contract; `obs_check` validates these fields in `--smoke` mode).
+    /// contract; `lan-core`'s `obs_export` test reads these fields back).
     #[test]
     fn explain_json_golden() {
         let json = sample().to_json();

@@ -1,14 +1,13 @@
-//! A minimal recursive-descent JSON parser for the bench artifacts and
-//! the serving protocol.
+//! A minimal recursive-descent JSON parser for the serving protocol and
+//! the exported observability artifacts.
 //!
-//! The workspace is dependency-free by policy, and the regression
-//! sentinel needs more than the `obs_check` key scanner: it diffs whole
-//! documents, so it walks real trees; `lan-serve` reuses the same parser
-//! for its request frames. This parser covers exactly the JSON those
-//! producers emit (objects, arrays, numbers, strings with plain escapes,
-//! booleans, null) — not a general-purpose validator. It lives in
-//! `lan-obs` (the workspace's leaf utility crate) so both the bench
-//! binaries and the server can share it without a dependency cycle.
+//! The workspace is dependency-free by policy. `lan-serve` parses its
+//! request frames with this, and the tests read the exported metrics,
+//! trace and EXPLAIN lines back through it. It covers exactly the JSON
+//! those producers emit (objects, arrays, numbers, strings with plain
+//! escapes, booleans, null) — not a general-purpose validator. It lives
+//! in `lan-obs` (the workspace's leaf utility crate) so every crate can
+//! share it without a dependency cycle.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,8 +17,7 @@ pub enum Value {
     Num(f64),
     Str(String),
     Arr(Vec<Value>),
-    /// Key order preserved — bench artifacts are hand-formatted and the
-    /// sentinel reports drift in document order.
+    /// Key order preserved, as written.
     Obj(Vec<(String, Value)>),
 }
 
@@ -37,36 +35,6 @@ impl Value {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
-        }
-    }
-
-    /// Every numeric leaf as `(dotted.path, value)`, depth-first in
-    /// document order. Array elements get their index as a segment.
-    pub fn flatten_numbers(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        self.walk(String::new(), &mut out);
-        out
-    }
-
-    fn walk(&self, path: String, out: &mut Vec<(String, f64)>) {
-        match self {
-            Value::Num(n) => out.push((path, *n)),
-            Value::Obj(members) => {
-                for (k, v) in members {
-                    let sub = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
-                    v.walk(sub, out);
-                }
-            }
-            Value::Arr(items) => {
-                for (i, v) in items.iter().enumerate() {
-                    v.walk(format!("{path}.{i}"), out);
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -259,9 +227,8 @@ mod tests {
         assert_eq!(v.get("queries").and_then(Value::as_f64), Some(10.0));
         let seq = v.get("sequential").unwrap();
         assert_eq!(seq.get("avg_recall").and_then(Value::as_f64), Some(0.975));
-        let flat = v.flatten_numbers();
-        assert!(flat.contains(&("sequential.avg_ndc".to_string(), 37.2)));
-        assert!(flat.contains(&("speedup".to_string(), 1.5)));
+        assert_eq!(seq.get("avg_ndc").and_then(Value::as_f64), Some(37.2));
+        assert_eq!(v.get("speedup").and_then(Value::as_f64), Some(1.5));
     }
 
     #[test]
@@ -282,12 +249,12 @@ mod tests {
     fn negative_and_scientific_numbers() {
         let v = parse("[-1.5, 2e3, 0.001]").unwrap();
         assert_eq!(
-            v.flatten_numbers(),
-            vec![
-                (".0".to_string(), -1.5),
-                (".1".to_string(), 2000.0),
-                (".2".to_string(), 0.001)
-            ]
+            v,
+            Value::Arr(vec![
+                Value::Num(-1.5),
+                Value::Num(2000.0),
+                Value::Num(0.001)
+            ])
         );
     }
 }

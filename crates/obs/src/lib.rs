@@ -14,8 +14,9 @@
 //!   `DistCache` (callers resolve handles once at construction).
 //! * **Zero-overhead when disabled.** Every record call starts with one
 //!   relaxed atomic load (`enabled()`); when metrics are off nothing else
-//!   happens — no `Instant::now()`, no allocation, no locking. The
-//!   `obs_overhead` criterion microbench in `lan-bench` pins this down.
+//!   happens — no `Instant::now()`, no allocation, no locking.
+//!   `benchmark/` reports what observation costs as
+//!   `core.trace_overhead_frac`, a traced run against an untraced one.
 //! * **Allocation-light when enabled.** Hot-path increments are single
 //!   `fetch_add`s on pre-resolved handles (held by the scope that records,
 //!   or a [`LazyCounter`] static where there is none); only span exit

@@ -11,7 +11,9 @@
 //! [`top_self_time`] / [`format_top`] give the quick textual top-N view.
 //!
 //! When `LAN_PROFILE` is unset the span drop path pays one extra relaxed
-//! atomic load and nothing else (criterion-checked in `obs_overhead`).
+//! atomic load and nothing else (`benchmark/` reports what observation
+//! costs as `core.trace_overhead_frac`, a traced run against an untraced
+//! one).
 
 use crate::names;
 use std::collections::HashMap;

@@ -72,7 +72,7 @@ fn concurrent_records_from_par_workers_all_land() {
     lan_obs::set_enabled(true);
     let h = Histogram::default();
     let items: Vec<u64> = (0..1000).collect();
-    lan_par::par_map(&items, |&v| h.record(v));
+    lan_par::par_map_dyn(&items, lan_par::Grain::Auto, |&v| h.record(v));
     let s = h.snapshot();
     assert_eq!(s.count, 1000);
     assert_eq!(s.sum, items.iter().sum::<u64>());

@@ -10,15 +10,14 @@
 //! * [`join`] — run two closures, the second on a spawned thread, and
 //!   return both results (one `BestOfThree` GED call forks its Hungarian
 //!   solve from its VJ and beam solves this way);
-//! * [`par_map`] — map a function over a slice, preserving input order;
-//! * [`par_map_indices`] — the `0..n` index variant;
-//! * [`par_chunks`] — hand each worker a contiguous sub-slice;
-//! * [`par_map_dyn`] / [`par_map_indices_dyn`] / [`par_chunks_dyn`] — the
-//!   work-stealing variants: workers claim [`Grain`]-sized item ranges
-//!   from a shared atomic cursor, so skewed per-item cost (tau-aborting
-//!   A\* next to instant lower-bound prunes) cannot strand the batch
-//!   behind one unlucky static chunk. `LAN_SCHED` pins the executor
-//!   (`seq` / `static` / `ws`) for equivalence tests and benchmarks.
+//! * [`par_map_dyn`] — map a function over a slice, preserving input order;
+//! * [`par_map_indices_dyn`] — the `0..n` index variant;
+//! * [`par_chunks_dyn`] — hand each claimed contiguous range to one call.
+//!
+//! The three map helpers share one work-stealing executor: workers claim
+//! [`Grain`]-sized item ranges from a shared atomic cursor, so skewed
+//! per-item cost (tau-aborting A\* next to instant lower-bound prunes)
+//! cannot strand the batch behind one unlucky chunk.
 //!
 //! Thread count comes from [`num_threads`]: the `LAN_THREADS` environment
 //! variable when set (any positive integer; `1` forces every helper into
@@ -261,65 +260,6 @@ fn host_threads() -> usize {
     })
 }
 
-/// Execution scheduler used by the dynamic helpers ([`par_map_dyn`],
-/// [`par_chunks_dyn`]), selected by the `LAN_SCHED` environment variable.
-///
-/// GED-heavy fan-outs are *skewed*: one item can cost a tau-aborting A\*
-/// solve while its neighbors are settled by instant lower-bound prunes.
-/// Static one-contiguous-chunk-per-worker scheduling then leaves workers
-/// idle behind whichever chunk drew the hard items; the work-stealing
-/// executor instead hands out small grains from a shared atomic cursor, so
-/// a fast worker immediately claims the next chunk. All three modes are
-/// bit-identical in their outputs (property-tested) — the knob exists so
-/// benchmarks and tests can pin a mode and compare wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sched {
-    /// Serial loop on the calling thread (`LAN_SCHED=seq`).
-    Sequential,
-    /// One contiguous chunk per worker (`LAN_SCHED=static`) — the PR-1
-    /// scheduling, kept as the regression reference.
-    Static,
-    /// Chunked atomic-cursor work stealing (`LAN_SCHED=ws`, the default).
-    WorkStealing,
-}
-
-impl Sched {
-    /// Stable name for bench artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Sched::Sequential => "sequential",
-            Sched::Static => "static",
-            Sched::WorkStealing => "work_stealing",
-        }
-    }
-}
-
-/// The scheduler as a `Result`: `LAN_SCHED` when set and valid (`seq` /
-/// `sequential`, `static`, `ws` / `steal` / `dyn`), work stealing when
-/// unset, and a typed [`env::EnvError`] when set but malformed.
-pub fn try_sched() -> Result<Sched, env::EnvError> {
-    let parsed = env::parse_var("LAN_SCHED", |s| match s.to_ascii_lowercase().as_str() {
-        "seq" | "sequential" => Ok(Sched::Sequential),
-        "static" => Ok(Sched::Static),
-        "ws" | "steal" | "work-stealing" | "dyn" => Ok(Sched::WorkStealing),
-        _ => Err(format!("expected seq|static|ws, got {s:?}")),
-    })?;
-    Ok(parsed.unwrap_or(Sched::WorkStealing))
-}
-
-/// Scheduler used by the dynamic helpers: `LAN_SCHED` override when set
-/// (re-read on every call, like [`num_threads`]), else work stealing. A
-/// malformed value warns once on stderr and falls back to the default.
-pub fn sched() -> Sched {
-    match try_sched() {
-        Ok(s) => s,
-        Err(e) => {
-            env::warn_once(&e);
-            Sched::WorkStealing
-        }
-    }
-}
-
 /// Grain-size policy of the work-stealing executor: how many consecutive
 /// items one cursor claim hands a worker.
 ///
@@ -364,15 +304,6 @@ thread_local! {
     /// fan-out, so it sets the value once; a caller running its own share
     /// sets it for that share and restores it afterwards ([`FanOut::on_caller`]).
     static BUDGET: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// True when a fan-out over `len` items from this thread is the plain
-/// serial loop whatever the environment says: at most one item, or a
-/// worker whose share of the enclosing fan-out is one thread. Every
-/// helper asks this first, so a serial fallback costs one thread-local
-/// read — no environment lookup, no lock, no `String`.
-fn must_run_serial(len: usize) -> bool {
-    len <= 1 || BUDGET.with(|b| b.get()) == 1
 }
 
 /// Threads a fan-out started from this thread may use: the inherited
@@ -420,8 +351,12 @@ impl FanOut {
     /// The division for `len` items: this thread's inherited budget, or
     /// [`num_threads`] outside any worker, spread over `min(budget, len)`
     /// workers. `None` when that is a single worker — run the serial loop.
+    ///
+    /// At most one item, or a worker whose share of the enclosing fan-out
+    /// is one thread, is decided first: a serial fallback there costs one
+    /// thread-local read — no environment lookup, no lock, no `String`.
     fn over(len: usize) -> Option<Self> {
-        if must_run_serial(len) {
+        if len <= 1 || BUDGET.with(|b| b.get()) == 1 {
             return None;
         }
         let budget = budget();
@@ -533,27 +468,17 @@ where
     parts.into_iter().flat_map(|(_, v)| v).collect()
 }
 
-/// Work-stealing, order-preserving map over a slice.
-///
-/// Semantically identical to [`par_map`] — for a pure `f` the output is
-/// bit-identical to the serial `items.iter().map(f)` in input order — but
-/// items are claimed dynamically in `grain`-sized ranges from a shared
-/// cursor, so skewed per-item cost cannot strand work behind one slow
-/// worker. `LAN_SCHED` can force the serial or static path (same output).
+/// Work-stealing, order-preserving map over a slice: for a pure `f` the
+/// output is bit-identical to the serial `items.iter().map(f)`. Items are
+/// claimed in `grain`-sized ranges from a shared cursor, so skewed
+/// per-item cost cannot strand work behind one slow worker; a single
+/// worker runs the plain serial map. Panics in `f` propagate.
 pub fn par_map_dyn<T, R, F>(items: &[T], grain: Grain, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if must_run_serial(items.len()) {
-        return items.iter().map(f).collect();
-    }
-    match sched() {
-        Sched::Sequential => return items.iter().map(f).collect(),
-        Sched::Static => return par_map(items, f),
-        Sched::WorkStealing => {}
-    }
     let Some(fan) = FanOut::over(items.len()) else {
         return items.iter().map(f).collect();
     };
@@ -569,14 +494,6 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if must_run_serial(n) {
-        return (0..n).map(f).collect();
-    }
-    match sched() {
-        Sched::Sequential => return (0..n).map(f).collect(),
-        Sched::Static => return par_map_indices(n, f),
-        Sched::WorkStealing => {}
-    }
     let Some(fan) = FanOut::over(n) else {
         return (0..n).map(f).collect();
     };
@@ -584,14 +501,14 @@ where
     dyn_run(n, fan, g, |start, end| (start..end).map(&f).collect())
 }
 
-/// Work-stealing variant of [`par_chunks`]: each dynamically claimed range
-/// is handed to `f` with its starting offset, and per-range outputs are
-/// concatenated in input order.
+/// Hands each claimed contiguous range of `items` to `f` with its starting
+/// offset, and concatenates the per-range outputs in input order. Use this
+/// instead of [`par_map_dyn`] when a worker can share work across a whole
+/// range (e.g. batch accumulators).
 ///
-/// Like [`par_chunks`], the chunk boundaries depend on the worker count
-/// (and here on the grain), so `f` must be chunk-homomorphic — `f(o, ab)`
-/// must equal `f(o, a) ++ f(o + |a|, b)` — for the output to be identical
-/// across schedulers and thread counts. Per-item maps that only use the
+/// The range boundaries depend on the worker count and the grain, so `f`
+/// must be chunk-homomorphic — `f(o, ab)` must equal `f(o, a) ++ f(o + |a|,
+/// b)` — for the output to be identical across thread counts. Per-item maps that only use the
 /// offset to label items satisfy this trivially.
 pub fn par_chunks_dyn<T, R, F>(items: &[T], grain: Grain, f: F) -> Vec<R>
 where
@@ -599,14 +516,6 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> Vec<R> + Sync,
 {
-    if must_run_serial(items.len()) {
-        return f(0, items);
-    }
-    match sched() {
-        Sched::Sequential => return f(0, items),
-        Sched::Static => return par_chunks(items, f),
-        Sched::WorkStealing => {}
-    }
     let Some(fan) = FanOut::over(items.len()) else {
         return f(0, items);
     };
@@ -616,122 +525,9 @@ where
     })
 }
 
-/// Parallel, order-preserving map over a slice.
-///
-/// Splits `items` into one contiguous chunk per worker (the caller maps
-/// the first); falls back to a plain serial map when a single worker
-/// suffices. Panics in `f` propagate.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_chunks(items, |_, c| c.iter().map(&f).collect())
-}
-
-/// [`par_map`] over the index range `0..n`.
-pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if must_run_serial(n) {
-        return (0..n).map(f).collect();
-    }
-    let idx: Vec<usize> = (0..n).collect();
-    par_map(&idx, |&i| f(i))
-}
-
-/// Hands each worker one contiguous chunk of `items` (with the chunk's
-/// starting offset) and concatenates the per-chunk outputs in order.
-///
-/// Use this instead of [`par_map`] when per-item closures would waste work
-/// that a worker can share across its whole chunk (e.g. batch accumulators).
-pub fn par_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    let Some(fan) = FanOut::over(items.len()) else {
-        return f(0, items);
-    };
-    let chunk = items.len().div_ceil(fan.workers);
-    let (first, rest) = items.split_at(chunk);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = rest
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| {
-                s.spawn(move || {
-                    fan.enter();
-                    f((ci + 1) * chunk, c)
-                })
-            })
-            .collect();
-        let mut out = fan.on_caller(|| f(0, first));
-        for h in handles {
-            out.extend(h.join().expect("par_chunks worker panicked"));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u32> = (0..101).collect();
-        let out = par_map(&items, |&x| x * 2);
-        let serial: Vec<u32> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn par_map_runs_every_item_once() {
-        let calls = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..57).collect();
-        let out = par_map(&items, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x + 1
-        });
-        assert_eq!(out.len(), 57);
-        assert_eq!(calls.load(Ordering::Relaxed), 57);
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |&x: &u32| x).is_empty());
-        assert_eq!(par_map(&[7u32], |&x| x * 3), vec![21]);
-    }
-
-    #[test]
-    fn par_map_indices_matches_range() {
-        let out = par_map_indices(10, |i| i * i);
-        let serial: Vec<usize> = (0..10).map(|i| i * i).collect();
-        assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn par_chunks_concatenates_in_order() {
-        let items: Vec<u32> = (0..37).collect();
-        let out = par_chunks(&items, |offset, c| {
-            c.iter()
-                .enumerate()
-                .map(|(i, &x)| (offset + i, x))
-                .collect()
-        });
-        for (i, &(idx, x)) in out.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(x, i as u32);
-        }
-    }
 
     // The only test that mutates LAN_THREADS — through the serialized
     // testenv helper (raw set_var raced concurrent num_threads readers
@@ -741,7 +537,7 @@ mod tests {
         testenv::with_env(&[("LAN_THREADS", Some("1"))], || {
             assert_eq!(num_threads(), 1);
             let items: Vec<u32> = (0..20).collect();
-            assert_eq!(par_map(&items, |&x| x + 1).len(), 20);
+            assert_eq!(par_map_dyn(&items, Grain::Auto, |&x| x + 1).len(), 20);
         });
         testenv::with_env(&[("LAN_THREADS", Some("4"))], || {
             assert_eq!(num_threads(), 4);

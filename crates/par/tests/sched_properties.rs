@@ -1,14 +1,12 @@
 //! Determinism contract of the work-stealing executor: for any pure `f`,
 //! `par_map_dyn` / `par_map_indices_dyn` / `par_chunks_dyn` return output
-//! bit-identical to the static chunked helpers and to a plain serial map —
-//! across thread counts, grain policies, and forced schedulers, under
-//! empty inputs and panics. The whole workspace's "dynamic == static ==
-//! sequential" guarantee reduces to these properties plus purity of the
-//! per-item closures (which the `lan-core` end-to-end tests pin).
+//! bit-identical to a plain serial map — across thread counts and grain
+//! policies, under empty inputs and panics. The whole workspace's
+//! "parallel == sequential" guarantee reduces to these properties plus
+//! purity of the per-item closures (which the `lan-core` end-to-end tests
+//! pin).
 
-use lan_par::{
-    join, par_chunks_dyn, par_map, par_map_dyn, par_map_indices_dyn, testenv, Grain, Sched,
-};
+use lan_par::{join, par_chunks_dyn, par_map_dyn, par_map_indices_dyn, testenv, Grain};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
@@ -25,9 +23,8 @@ const GRAINS: [Grain; 5] = [
 const THREAD_COUNTS: [&str; 3] = ["1", "2", "7"];
 
 /// A deliberately skewed workload: item cost varies by two orders of
-/// magnitude, so dynamic claims interleave very differently from static
-/// chunks — exactly the regime where a scheduling bug would reorder or
-/// drop results.
+/// magnitude, so claims interleave differently on every run — exactly the
+/// regime where a scheduling bug would reorder or drop results.
 fn skewed(x: &u64) -> u64 {
     let mut acc = *x;
     let spins = if x.is_multiple_of(7) { 2000 } else { 20 };
@@ -38,62 +35,50 @@ fn skewed(x: &u64) -> u64 {
 }
 
 #[test]
-fn dyn_equals_static_equals_sequential_across_threads_and_grains() {
+fn dyn_equals_sequential_across_threads_and_grains() {
     let items: Vec<u64> = (0..257).collect();
     let serial: Vec<u64> = items.iter().map(skewed).collect();
     for threads in THREAD_COUNTS {
-        for sched in ["seq", "static", "ws"] {
-            testenv::with_env(
-                &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-                || {
-                    let st = par_map(&items, skewed);
-                    assert_eq!(st, serial, "static diverged (threads={threads})");
-                    for grain in GRAINS {
-                        let dy = par_map_dyn(&items, grain, skewed);
-                        assert_eq!(
-                            dy, serial,
-                            "par_map_dyn diverged (threads={threads}, sched={sched}, {grain:?})"
-                        );
-                        let di = par_map_indices_dyn(items.len(), grain, |i| skewed(&items[i]));
-                        assert_eq!(
-                            di, serial,
-                            "par_map_indices_dyn diverged (threads={threads}, {grain:?})"
-                        );
-                    }
-                },
-            );
-        }
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            for grain in GRAINS {
+                let dy = par_map_dyn(&items, grain, skewed);
+                assert_eq!(
+                    dy, serial,
+                    "par_map_dyn diverged (threads={threads}, {grain:?})"
+                );
+                let di = par_map_indices_dyn(items.len(), grain, |i| skewed(&items[i]));
+                assert_eq!(
+                    di, serial,
+                    "par_map_indices_dyn diverged (threads={threads}, {grain:?})"
+                );
+            }
+        });
     }
 }
 
 #[test]
 fn par_chunks_dyn_concatenates_in_order() {
     // A chunk-homomorphic f: per-item results labeled with their global
-    // index. Output must be the identity labeling for every scheduler,
-    // thread count, and grain.
+    // index. Output must be the identity labeling for every thread count
+    // and grain.
     let items: Vec<u32> = (0..143).collect();
     for threads in THREAD_COUNTS {
-        for sched in ["seq", "static", "ws"] {
-            testenv::with_env(
-                &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-                || {
-                    for grain in GRAINS {
-                        let out = par_chunks_dyn(&items, grain, |offset, chunk| {
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &x)| (offset + i, x * 2))
-                                .collect()
-                        });
-                        assert_eq!(out.len(), items.len());
-                        for (i, &(idx, x)) in out.iter().enumerate() {
-                            assert_eq!(idx, i, "sched={sched} grain={grain:?}");
-                            assert_eq!(x, 2 * i as u32);
-                        }
-                    }
-                },
-            );
-        }
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            for grain in GRAINS {
+                let out = par_chunks_dyn(&items, grain, |offset, chunk| {
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &x)| (offset + i, x * 2))
+                        .collect()
+                });
+                assert_eq!(out.len(), items.len());
+                for (i, &(idx, x)) in out.iter().enumerate() {
+                    assert_eq!(idx, i, "threads={threads} grain={grain:?}");
+                    assert_eq!(x, 2 * i as u32);
+                }
+            }
+        });
     }
 }
 
@@ -107,34 +92,28 @@ fn dyn_runs_every_item_exactly_once() {
         (97, Grain::Fixed(8)),
         (64, Grain::Fixed(64)),
     ] {
-        testenv::with_env(
-            &[("LAN_THREADS", Some("7")), ("LAN_SCHED", Some("ws"))],
-            || {
-                let calls = AtomicUsize::new(0);
-                let items: Vec<usize> = (0..len).collect();
-                let out = par_map_dyn(&items, grain, |&x| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    x
-                });
-                assert_eq!(out, items, "len={len} grain={grain:?}");
-                assert_eq!(calls.load(Ordering::Relaxed), len);
-            },
-        );
+        testenv::with_env(&[("LAN_THREADS", Some("7"))], || {
+            let calls = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..len).collect();
+            let out = par_map_dyn(&items, grain, |&x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x
+            });
+            assert_eq!(out, items, "len={len} grain={grain:?}");
+            assert_eq!(calls.load(Ordering::Relaxed), len);
+        });
     }
 }
 
 #[test]
 fn empty_inputs_are_fine() {
     let empty: Vec<u32> = Vec::new();
-    for sched in ["seq", "static", "ws"] {
-        testenv::with_env(
-            &[("LAN_SCHED", Some(sched)), ("LAN_THREADS", Some("7"))],
-            || {
-                assert!(par_map_dyn(&empty, Grain::Fine, |&x: &u32| x).is_empty());
-                assert!(par_map_indices_dyn(0, Grain::Auto, |i| i).is_empty());
-                assert!(par_chunks_dyn(&empty, Grain::Coarse, |_, c| c.to_vec()).is_empty());
-            },
-        );
+    for threads in THREAD_COUNTS {
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            assert!(par_map_dyn(&empty, Grain::Fine, |&x: &u32| x).is_empty());
+            assert!(par_map_indices_dyn(0, Grain::Auto, |i| i).is_empty());
+            assert!(par_chunks_dyn(&empty, Grain::Coarse, |_, c| c.to_vec()).is_empty());
+        });
     }
 }
 
@@ -143,24 +122,21 @@ fn panics_propagate_not_deadlock() {
     // A panicking item must abort the whole call with a propagated panic
     // (sibling workers finish draining the cursor first, so the scope
     // joins cleanly) — never a silent partial result or a hang.
-    for sched in ["seq", "static", "ws"] {
-        testenv::with_env(
-            &[("LAN_SCHED", Some(sched)), ("LAN_THREADS", Some("4"))],
-            || {
-                let items: Vec<u32> = (0..100).collect();
-                let r = std::panic::catch_unwind(|| {
-                    par_map_dyn(&items, Grain::Fine, |&x| {
-                        if x == 63 {
-                            panic!("boom at {x}");
-                        }
-                        x
-                    })
-                });
-                assert!(r.is_err(), "sched={sched}: panic must propagate");
-                // The executor is still usable afterwards.
-                assert_eq!(par_map_dyn(&items, Grain::Auto, |&x| x + 1).len(), 100);
-            },
-        );
+    for threads in ["1", "4"] {
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            let items: Vec<u32> = (0..100).collect();
+            let r = std::panic::catch_unwind(|| {
+                par_map_dyn(&items, Grain::Fine, |&x| {
+                    if x == 63 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            });
+            assert!(r.is_err(), "threads={threads}: panic must propagate");
+            // The executor is still usable afterwards.
+            assert_eq!(par_map_dyn(&items, Grain::Auto, |&x| x + 1).len(), 100);
+        });
     }
 }
 
@@ -170,26 +146,23 @@ fn inner_fan_out_of_a_saturated_outer_runs_on_the_worker_itself() {
     // is one thread, so a fan-out it starts never leaves its thread. The
     // caller is one of the workers, and holds to the same rule while it
     // runs its share.
-    for (threads, sched) in [("4", "ws"), ("4", "static"), ("2", "ws")] {
-        testenv::with_env(
-            &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-            || {
-                let outer: Vec<u32> = (0..8).collect();
-                let per_worker: Vec<(ThreadId, Vec<ThreadId>)> =
-                    par_map_dyn(&outer, Grain::Fine, |_| {
-                        let me = std::thread::current().id();
-                        let inner: Vec<u32> = (0..16).collect();
-                        let ids = par_map_dyn(&inner, Grain::Fine, |_| std::thread::current().id());
-                        (me, ids)
-                    });
-                for (me, ids) in per_worker {
-                    assert!(
-                        ids.iter().all(|&id| id == me),
-                        "inner item left its worker (threads={threads}, sched={sched})"
-                    );
-                }
-            },
-        );
+    for threads in ["4", "2"] {
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            let outer: Vec<u32> = (0..8).collect();
+            let per_worker: Vec<(ThreadId, Vec<ThreadId>)> =
+                par_map_dyn(&outer, Grain::Fine, |_| {
+                    let me = std::thread::current().id();
+                    let inner: Vec<u32> = (0..16).collect();
+                    let ids = par_map_dyn(&inner, Grain::Fine, |_| std::thread::current().id());
+                    (me, ids)
+                });
+            for (me, ids) in per_worker {
+                assert!(
+                    ids.iter().all(|&id| id == me),
+                    "inner item left its worker (threads={threads})"
+                );
+            }
+        });
     }
 }
 
@@ -199,28 +172,25 @@ fn inner_fan_out_gets_its_share_of_the_budget() {
     // Inner items 0 and 1 wait for each other, which forces two threads
     // (a serial inner loop would time out here, not hang); the budget
     // caps it at two.
-    testenv::with_env(
-        &[("LAN_THREADS", Some("4")), ("LAN_SCHED", Some("ws"))],
-        || {
-            let outer = [0u32, 1];
-            let distinct: Vec<usize> = par_map_dyn(&outer, Grain::Fine, |_| {
-                let arrived = AtomicUsize::new(0);
-                let ids = par_map_indices_dyn(8, Grain::Fine, |i| {
-                    if i < 2 {
-                        arrived.fetch_add(1, Ordering::SeqCst);
-                        let deadline = Instant::now() + Duration::from_secs(10);
-                        while arrived.load(Ordering::SeqCst) < 2 {
-                            assert!(Instant::now() < deadline, "inner fan-out ran serially");
-                            std::thread::yield_now();
-                        }
+    testenv::with_env(&[("LAN_THREADS", Some("4"))], || {
+        let outer = [0u32, 1];
+        let distinct: Vec<usize> = par_map_dyn(&outer, Grain::Fine, |_| {
+            let arrived = AtomicUsize::new(0);
+            let ids = par_map_indices_dyn(8, Grain::Fine, |i| {
+                if i < 2 {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while arrived.load(Ordering::SeqCst) < 2 {
+                        assert!(Instant::now() < deadline, "inner fan-out ran serially");
+                        std::thread::yield_now();
                     }
-                    std::thread::current().id()
-                });
-                ids.into_iter().collect::<HashSet<ThreadId>>().len()
+                }
+                std::thread::current().id()
             });
-            assert_eq!(distinct, [2, 2]);
-        },
-    );
+            ids.into_iter().collect::<HashSet<ThreadId>>().len()
+        });
+        assert_eq!(distinct, [2, 2]);
+    });
 }
 
 #[test]
@@ -229,24 +199,19 @@ fn nested_output_equals_the_serial_map() {
         .map(|o| (0..33u64).map(|i| skewed(&(o * 100 + i))).collect())
         .collect();
     for threads in ["1", "2", "4", "7"] {
-        for sched in ["seq", "static", "ws"] {
-            testenv::with_env(
-                &[("LAN_THREADS", Some(threads)), ("LAN_SCHED", Some(sched))],
-                || {
-                    let nested: Vec<Vec<u64>> = par_map_indices_dyn(9, Grain::Fine, |o| {
-                        let half = |lo: usize, hi: usize| {
-                            par_map_indices_dyn(hi - lo, Grain::Auto, |i| {
-                                skewed(&(o as u64 * 100 + (lo + i) as u64))
-                            })
-                        };
-                        let (mut lo, hi) = join(|| half(0, 16), || half(16, 33));
-                        lo.extend(hi);
-                        lo
-                    });
-                    assert_eq!(nested, serial, "threads={threads} sched={sched}");
-                },
-            );
-        }
+        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            let nested: Vec<Vec<u64>> = par_map_indices_dyn(9, Grain::Fine, |o| {
+                let half = |lo: usize, hi: usize| {
+                    par_map_indices_dyn(hi - lo, Grain::Auto, |i| {
+                        skewed(&(o as u64 * 100 + (lo + i) as u64))
+                    })
+                };
+                let (mut lo, hi) = join(|| half(0, 16), || half(16, 33));
+                lo.extend(hi);
+                lo
+            });
+            assert_eq!(nested, serial, "threads={threads}");
+        });
     }
 }
 
@@ -282,19 +247,16 @@ fn join_stays_on_the_caller_when_the_budget_is_one() {
         assert_eq!((ia, ib), (main, main), "LAN_THREADS=1 must not spawn");
     });
     // Two workers on two threads: each has a budget of one.
-    testenv::with_env(
-        &[("LAN_THREADS", Some("2")), ("LAN_SCHED", Some("ws"))],
-        || {
-            let per_worker = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
-                let me = std::thread::current().id();
-                let ((ia, _), (ib, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
-                (me, ia, ib)
-            });
-            for (me, ia, ib) in per_worker {
-                assert_eq!((ia, ib), (me, me), "a saturated worker must not spawn");
-            }
-        },
-    );
+    testenv::with_env(&[("LAN_THREADS", Some("2"))], || {
+        let per_worker = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
+            let me = std::thread::current().id();
+            let ((ia, _), (ib, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
+            (me, ia, ib)
+        });
+        for (me, ia, ib) in per_worker {
+            assert_eq!((ia, ib), (me, me), "a saturated worker must not spawn");
+        }
+    });
 }
 
 #[test]
@@ -337,59 +299,25 @@ fn the_callers_budget_survives_fan_outs_and_panics() {
             .map(|_| ())
             .is_err()
     };
-    testenv::with_env(
-        &[("LAN_THREADS", Some("2")), ("LAN_SCHED", Some("ws"))],
-        || {
-            assert!(join_forks());
-            assert_eq!(fan_out(), 8);
-            assert!(join_forks(), "budget not restored after a fan-out");
-            assert!(panicking());
-            assert!(join_forks(), "budget not restored after a panic");
-            assert!(panicking_join());
-            assert!(join_forks(), "budget not restored after a panicking join");
-        },
-    );
-    // Inside a worker with a budget of two (2 workers on 4 threads).
-    testenv::with_env(
-        &[("LAN_THREADS", Some("4")), ("LAN_SCHED", Some("ws"))],
-        || {
-            let ok = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
-                fan_out();
-                let after_fan_out = join_forks();
-                panicking();
-                (after_fan_out, join_forks())
-            });
-            assert_eq!(ok, [(true, true), (true, true)]);
-        },
-    );
-}
-
-#[test]
-fn lan_sched_env_parsing() {
-    for (raw, want) in [
-        ("seq", Sched::Sequential),
-        ("sequential", Sched::Sequential),
-        ("static", Sched::Static),
-        ("ws", Sched::WorkStealing),
-        ("steal", Sched::WorkStealing),
-        ("dyn", Sched::WorkStealing),
-        (" WS ", Sched::WorkStealing),
-    ] {
-        testenv::with_env(&[("LAN_SCHED", Some(raw))], || {
-            assert_eq!(lan_par::try_sched().unwrap(), want, "raw={raw:?}");
-        });
-    }
-    testenv::with_env(&[("LAN_SCHED", None)], || {
-        assert_eq!(lan_par::try_sched().unwrap(), Sched::WorkStealing);
+    testenv::with_env(&[("LAN_THREADS", Some("2"))], || {
+        assert!(join_forks());
+        assert_eq!(fan_out(), 8);
+        assert!(join_forks(), "budget not restored after a fan-out");
+        assert!(panicking());
+        assert!(join_forks(), "budget not restored after a panic");
+        assert!(panicking_join());
+        assert!(join_forks(), "budget not restored after a panicking join");
     });
-    for bad in ["", "fast", "ws2", "0"] {
-        testenv::with_env(&[("LAN_SCHED", Some(bad))], || {
-            let err = lan_par::try_sched().expect_err(bad);
-            assert_eq!(err.key, "LAN_SCHED");
-            // The total path must still run (falls back to work stealing).
-            assert_eq!(lan_par::sched(), Sched::WorkStealing);
+    // Inside a worker with a budget of two (2 workers on 4 threads).
+    testenv::with_env(&[("LAN_THREADS", Some("4"))], || {
+        let ok = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
+            fan_out();
+            let after_fan_out = join_forks();
+            panicking();
+            (after_fan_out, join_forks())
         });
-    }
+        assert_eq!(ok, [(true, true), (true, true)]);
+    });
 }
 
 #[test]

@@ -9,9 +9,8 @@
 //! Faults are **deterministic**: whether the draw for `(query salt, object
 //! id, attempt)` faults is a pure hash of those values and the plan seed,
 //! independent of thread scheduling. Two runs with the same spec and
-//! workload inject exactly the same faults — which is what lets
-//! `budget_curve` plot recall-vs-fault-rate curves that are reproducible,
-//! and lets tests assert on fault counters exactly.
+//! workload inject exactly the same faults, which lets tests assert on
+//! fault counters exactly.
 //!
 //! The policy lives in [`faulted_distance`]: attempt 0 faulting triggers
 //! one retry (`fault.retried`); the retry faulting too triggers the

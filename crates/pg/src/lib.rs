@@ -37,4 +37,4 @@ pub use np_route::{
     np_route, np_route_budgeted, np_route_prefiltered, NeighborRanker, NoPruneRanker, OracleRanker,
 };
 pub use prefilter::{CandidatePrefilter, NeverSkip, OraclePrefilter};
-pub use routing::{beam_search, beam_search_budgeted, range_search, RouteResult};
+pub use routing::{beam_search, beam_search_budgeted, RouteResult};

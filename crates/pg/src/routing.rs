@@ -263,112 +263,3 @@ mod tests {
         assert!(!r.results.is_empty());
     }
 }
-
-/// Approximate range search (the query class of GHashing [9], supported
-/// here on the proximity graph): returns every discovered node within
-/// distance `tau` of the query, ascending.
-///
-/// The router exhaustively explores any discovered node with
-/// `d <= tau + eps` (the `eps` margin lets the walk cross thin gaps just
-/// outside the ball); like all PG searches it is approximate — a cluster
-/// reachable only through far intermediates can be missed.
-pub fn range_search(
-    adj: &[Vec<u32>],
-    cache: &DistCache<'_>,
-    entries: &[u32],
-    tau: f64,
-    eps: f64,
-) -> Vec<(f64, u32)> {
-    use std::collections::HashSet;
-    let mut discovered: HashSet<u32> = HashSet::new();
-    let mut frontier: Vec<u32> = Vec::new();
-    // Stage 1: greedy descent from each entry toward the ball — the entry
-    // itself may start far outside it.
-    for &e in entries {
-        let mut cur = e;
-        let mut cur_d = cache.get(cur);
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for &nb in &adj[cur as usize] {
-                let d = cache.get(nb);
-                if d < best_d || (d == best_d && nb < best) {
-                    best = nb;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                break;
-            }
-            cur = best;
-            cur_d = best_d;
-        }
-        if discovered.insert(cur) {
-            frontier.push(cur);
-        }
-    }
-    // Stage 2: exhaustive expansion within the (eps-padded) ball.
-    let mut explored: HashSet<u32> = HashSet::new();
-    while let Some(&g) = frontier
-        .iter()
-        .filter(|&&g| !explored.contains(&g) && cache.get(g) <= tau + eps)
-        .min_by(|&&a, &&b| cache.get(a).total_cmp(&cache.get(b)).then(a.cmp(&b)))
-    {
-        explored.insert(g);
-        for &nb in &adj[g as usize] {
-            if discovered.insert(nb) {
-                cache.get(nb);
-                frontier.push(nb);
-            }
-        }
-    }
-    let mut hits: Vec<(f64, u32)> = discovered
-        .into_iter()
-        .filter_map(|g| {
-            let d = cache.get(g);
-            (d <= tau).then_some((d, g))
-        })
-        .collect();
-    hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    hits
-}
-
-#[cfg(test)]
-mod range_tests {
-    use super::*;
-    use crate::metric::DistCache;
-
-    #[test]
-    fn range_search_collects_ball() {
-        // Path 0-1-2-3-4 with distances 4,3,2,1,0: tau = 2 collects {2,3,4}.
-        let adj: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![1, 3], vec![2, 4], vec![3]];
-        let f = |id: u32| (4 - id) as f64;
-        let cache = DistCache::new(&f);
-        let hits = range_search(&adj, &cache, &[0], 2.0, 1.0);
-        let ids: Vec<u32> = hits.iter().map(|&(_, id)| id).collect();
-        assert_eq!(ids, vec![4, 3, 2]);
-    }
-
-    #[test]
-    fn range_search_empty_ball() {
-        let adj: Vec<Vec<u32>> = vec![vec![1], vec![0]];
-        let f = |id: u32| 10.0 + id as f64;
-        let cache = DistCache::new(&f);
-        let hits = range_search(&adj, &cache, &[0], 2.0, 1.0);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn eps_bridges_gaps() {
-        // 0(3) - 1(4) - 2(1): tau = 3 needs eps >= 1 to cross node 1.
-        let adj: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![1]];
-        let d = [3.0, 4.0, 1.0];
-        let f = |id: u32| d[id as usize];
-        let c1 = DistCache::new(&f);
-        let no_eps = range_search(&adj, &c1, &[0], 3.0, 0.0);
-        assert_eq!(no_eps.len(), 1, "without eps the walk stops at node 1");
-        let c2 = DistCache::new(&f);
-        let with_eps = range_search(&adj, &c2, &[0], 3.0, 1.0);
-        assert_eq!(with_eps.len(), 2, "eps lets the walk cross node 1");
-    }
-}

@@ -8,11 +8,12 @@
 //!
 //! Knobs: `LAN_SERVE_GRAPHS` (database size, default 1000) and
 //! `LAN_SERVE_SHARDS` (default 4) pick the tier; the serving knobs are
-//! documented on [`lan_serve::ServeConfig`]. The cache key matches the
-//! scale-campaign bench, so a `LAN_STORE` directory primed by
-//! `lan-bench --bin scale` boots in seconds.
+//! documented on [`lan_serve::ServeConfig`]. The first boot with
+//! `LAN_STORE` set saves the built index there, keyed by database size,
+//! seed and shard count, and later boots open it in seconds.
 //!
-//! **Probe mode** (the CI smoke client):
+//! **Probe mode** (the client `tests/binary.rs` runs against a booted
+//! server):
 //!
 //! ```text
 //! lan-serve --probe 127.0.0.1:7470 --clients 8 --requests 32 --shutdown
@@ -29,8 +30,7 @@ use lan_par::env as lenv;
 use lan_serve::{Client, Response, SearchCall, ServeConfig};
 use std::sync::Arc;
 
-/// The scale campaign's index configuration (kept in sync with
-/// `lan-bench --bin scale` so the two share `LAN_STORE` cache entries).
+/// The served index's configuration.
 fn serve_index_config() -> LanConfig {
     LanConfig {
         pg: lan_pg::PgConfig::new(6),
@@ -49,8 +49,8 @@ fn serve_index_config() -> LanConfig {
     }
 }
 
-/// Build or open the index, mirroring the bench cache-key convention
-/// (`sharded_<name>_g<graphs>_q<queries>_seed<seed>_s<shards>.lan`).
+/// Build or open the index, cached under `LAN_STORE` as
+/// `sharded_<name>_g<graphs>_q<queries>_seed<seed>_s<shards>.lan`.
 fn build_or_open(num_graphs: usize, num_shards: usize) -> ShardedLanIndex {
     let spec = DatasetSpec::syn()
         .with_graphs(num_graphs)
@@ -88,7 +88,7 @@ fn build_or_open(num_graphs: usize, num_shards: usize) -> ShardedLanIndex {
 }
 
 /// Drives `clients` concurrent clients against a running server at
-/// `addr` (probe mode — the CI smoke job's client side).
+/// `addr` (probe mode).
 fn probe(addr: std::net::SocketAddr, clients: usize, total: usize, do_shutdown: bool) {
     let num_graphs =
         lenv::parse_var_or_warn("LAN_SERVE_GRAPHS", lenv::positive_usize).unwrap_or(1000);

@@ -84,51 +84,58 @@ fn num(v: &Value, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("explain field {key} missing")) as u64
 }
 
-/// K concurrent clients over TCP, micro-batching enabled: every reply
-/// must match that client's serial run bit for bit.
+/// K concurrent clients over TCP, one request per batch and micro-batches
+/// of up to four: every reply must match that client's serial run bit for
+/// bit, so batching changes no answer.
 #[test]
 fn concurrent_wire_results_match_serial_bitwise() {
-    let handle = boot(4, Duration::from_micros(2000), 64);
-    let addr = handle.addr();
     let serial_runs: Vec<(u64, QueryOutcome)> =
         (0..12u64).map(|seed| (seed, serial(seed, 5, 8))).collect();
-    let threads: Vec<_> = (0..4u64)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let ds = dataset();
-                let mut client = Client::connect(addr).unwrap();
-                (0..3u64)
-                    .map(|i| {
-                        let seed = t * 3 + i;
-                        let q = &ds.queries[(seed % 10) as usize];
-                        let resp = client.search(&SearchCall::new(q, 5, 8, seed)).unwrap();
-                        let Response::Ok(ok) = resp else {
-                            panic!("seed {seed}: expected ok, got {resp:?}")
-                        };
-                        (seed, ok)
-                    })
-                    .collect::<Vec<_>>()
+    for batch in [1, 4] {
+        let handle = boot(batch, Duration::from_micros(2000), 64);
+        let addr = handle.addr();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let ds = dataset();
+                    let mut client = Client::connect(addr).unwrap();
+                    (0..3u64)
+                        .map(|i| {
+                            let seed = t * 3 + i;
+                            let q = &ds.queries[(seed % 10) as usize];
+                            let resp = client.search(&SearchCall::new(q, 5, 8, seed)).unwrap();
+                            let Response::Ok(ok) = resp else {
+                                panic!("seed {seed}: expected ok, got {resp:?}")
+                            };
+                            (seed, ok)
+                        })
+                        .collect::<Vec<_>>()
+                })
             })
-        })
-        .collect();
-    let mut wire: Vec<_> = threads
-        .into_iter()
-        .flat_map(|h| h.join().unwrap())
-        .collect();
-    wire.sort_by_key(|&(seed, _)| seed);
-    for ((seed, want), (wseed, got)) in serial_runs.iter().zip(&wire) {
-        assert_eq!(seed, wseed);
-        assert_eq!(
-            result_bits(&want.results),
-            result_bits(&got.results),
-            "seed {seed}: served results diverged from serial"
-        );
-        assert_eq!(want.ndc as u64, got.ndc, "seed {seed}: NDC diverged");
-        assert_eq!(
-            want.termination.as_str(),
-            got.termination,
-            "seed {seed}: termination diverged"
-        );
+            .collect();
+        let mut wire: Vec<_> = threads
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        wire.sort_by_key(|&(seed, _)| seed);
+        for ((seed, want), (wseed, got)) in serial_runs.iter().zip(&wire) {
+            assert_eq!(seed, wseed);
+            assert_eq!(
+                result_bits(&want.results),
+                result_bits(&got.results),
+                "batch={batch} seed {seed}: served results diverged from serial"
+            );
+            assert_eq!(
+                want.ndc as u64, got.ndc,
+                "batch={batch} seed {seed}: NDC diverged"
+            );
+            assert_eq!(
+                want.termination.as_str(),
+                got.termination,
+                "batch={batch} seed {seed}: termination diverged"
+            );
+        }
+        handle.shutdown();
     }
 }
 

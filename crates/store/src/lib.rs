@@ -393,7 +393,11 @@ impl Archive {
 
         let table_start = 16;
         let mut pos = table_start;
-        let mut sections = Vec::with_capacity(count);
+        // `count` is untrusted: reserve no more entries than the bytes after
+        // the superblock can hold (a 4-byte name length and 24 bytes each),
+        // so a hostile count reaches the `Truncated` check below instead of
+        // asking the allocator for gigabytes.
+        let mut sections = Vec::with_capacity(count.min((b.len() - table_start) / 28));
         for i in 0..count {
             need(pos + 4, "section table entry")?;
             let name_len = u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap()) as usize;
@@ -710,6 +714,20 @@ mod tests {
                 Err(other) => panic!("cut at {cut}: unexpected error {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn hostile_section_count_is_truncated_not_an_abort() {
+        // A bare superblock claiming u32::MAX sections: reserving them up
+        // front would ask for ~206 GB and abort the process.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 16);
+        assert!(matches!(
+            Archive::from_bytes(&bytes),
+            Err(StoreError::Truncated { .. })
+        ));
     }
 
     #[test]
