@@ -210,7 +210,9 @@ fn quant_ordered_scan_cuts_full_evals_below_the_unrefined_scan() {
     let mut index = LanIndex::build(Dataset::generate(spec), cfg);
     assert!(index.models.quant.is_some(), "code books must build");
     let mut exact = index.dataset.clone();
-    exact.spec.metric = GedMethod::Exact { timeout_ms: 5_000 };
+    exact.spec = exact
+        .spec
+        .with_metric(GedMethod::Exact { timeout_ms: 5_000 });
     let (queries, k) = (&exact.queries[..10], 10usize);
 
     let before = lan_obs::snapshot();

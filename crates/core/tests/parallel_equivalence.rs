@@ -7,7 +7,7 @@
 //! every call; all tests in this binary set the same value, so concurrent
 //! setters cannot race to different configurations).
 
-use lan_core::{harness, InitStrategy, LanConfig, LanIndex, RouteStrategy, ShardedLanIndex};
+use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, ShardedLanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
 use lan_pg::PgConfig;
@@ -99,71 +99,6 @@ proptest! {
         prop_assert_eq!(&seq.results, &par.results,
             "parallel sharded results diverged");
         prop_assert_eq!(seq.ndc, par.ndc, "parallel sharded NDC diverged");
-    }
-}
-
-/// A BestOfThree index over graphs big enough that every GED call forks
-/// its Hungarian solve through `lan_par::join` when the thread budget
-/// allows (`FORK_MIN_ROWS` cost-matrix rows) — the fan-out inside a single
-/// `LanIndex` query.
-fn forking_fixture() -> &'static LanIndex {
-    static FIXTURE: OnceLock<LanIndex> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        force_threads();
-        let mut spec = DatasetSpec::syn()
-            .with_graphs(32)
-            .with_queries(8)
-            .with_metric(lan_ged::GedMethod::BestOfThree { beam_width: 2 });
-        spec.avg_nodes = 24;
-        LanIndex::build(Dataset::generate(spec), tiny_cfg())
-    })
-}
-
-/// The harness batch is thread-count invariant: at one thread every GED
-/// call solves its three bounds in turn, at four the Hungarian solve runs
-/// on a second thread, and the per-point recall and average NDC are
-/// identical (each query keeps its seed).
-#[test]
-fn run_point_is_thread_count_invariant() {
-    force_threads();
-    let index = forking_fixture();
-    let queries: Vec<usize> = (0..index.dataset.queries.len()).collect();
-    let forks = |q: &lan_graph::Graph| {
-        index
-            .dataset
-            .graphs
-            .iter()
-            .filter(|g| q.node_count() + g.node_count() >= lan_ged::engine::FORK_MIN_ROWS)
-            .count()
-    };
-    assert!(
-        index.dataset.queries.iter().map(forks).sum::<usize>() * 2
-            > queries.len() * index.dataset.graphs.len(),
-        "most query distances must take the forking path"
-    );
-    let k = 5;
-    let truths = harness::ground_truths(index, &queries, k);
-    for b in [4usize, 12] {
-        let point = |threads| {
-            lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
-                harness::run_point(
-                    index,
-                    &queries,
-                    &truths,
-                    k,
-                    b,
-                    InitStrategy::LanIs,
-                    RouteStrategy::LanRoute { use_cg: true },
-                )
-            })
-        };
-        let ((seq, seq_bd), (par, par_bd)) = (point("1"), point("4"));
-        assert_eq!(seq.recall, par.recall, "b={b}: recall diverged");
-        assert_eq!(seq.avg_ndc, par.avg_ndc, "b={b}: NDC diverged");
-        // Component times are per-query sums of wall-clock measures, which
-        // can never be compared for equality.
-        assert!(par_bd.distance >= std::time::Duration::ZERO);
-        assert!(seq_bd.distance >= std::time::Duration::ZERO);
     }
 }
 

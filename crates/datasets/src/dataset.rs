@@ -184,32 +184,22 @@ impl Dataset {
     /// [`Self::fallback_metric`] (counted in `ged.timeout_fallback`)
     /// instead of panicking mid-query.
     pub fn distance(&self, q: &Graph, id: u32) -> f64 {
-        self.total_ged(q, &self.graphs[id as usize])
+        self.within(q, id, f64::INFINITY, &self.spec.metric)
+            .0
+            .min_value()
     }
 
     /// Symmetric operational distance between two database graphs
     /// (index-construction time). Total, like [`Self::distance`].
     pub fn pair_distance(&self, a: u32, b: u32) -> f64 {
-        self.total_ged(&self.graphs[a as usize], &self.graphs[b as usize])
+        self.distance(&self.graphs[a as usize], b)
     }
 
-    /// The approximate metric a timed-out (or fault-injected) operational
-    /// distance falls back to. BestOfThree is total and, per the paper's
+    /// The approximate metric a timed-out (or fault-injected) distance
+    /// falls back to. BestOfThree is total and, per the paper's
     /// ground-truth protocol, the tightest cheap upper bound available.
     pub fn fallback_metric(&self) -> lan_ged::GedMethod {
         lan_ged::GedMethod::BestOfThree { beam_width: 16 }
-    }
-
-    /// The operational distance, with the approximate fallback applied to
-    /// any `Exact` timeout. Never panics.
-    fn total_ged(&self, a: &Graph, b: &Graph) -> f64 {
-        match ged(a, b, &self.spec.metric) {
-            Some(d) => d,
-            None => {
-                lan_obs::counter(lan_obs::names::GED_TIMEOUT_FALLBACK).inc();
-                ged(a, b, &self.fallback_metric()).expect("BestOfThree is total")
-            }
-        }
     }
 
     /// The distance between a query and database graph `id` under the
@@ -244,19 +234,29 @@ impl Dataset {
         id: u32,
         tau: f64,
     ) -> (lan_ged::GedBound, lan_ged::CascadeOutcome) {
-        match lan_ged::ged_within_outcome(q, &self.graphs[id as usize], tau, &self.spec.metric) {
-            Some(b) => b,
-            None => {
-                lan_obs::counter(lan_obs::names::GED_TIMEOUT_FALLBACK).inc();
-                (
-                    lan_ged::GedBound::Exact(
-                        ged(q, &self.graphs[id as usize], &self.fallback_metric())
-                            .expect("BestOfThree is total"),
-                    ),
-                    lan_ged::CascadeOutcome::FullSolve,
-                )
-            }
-        }
+        self.within(q, id, tau, &self.spec.metric)
+    }
+
+    /// The cascade under `method` — the operational or the ground-truth
+    /// metric — with the approximate fallback applied to any `Exact`
+    /// timeout. A non-finite `tau` is the ungated full solve.
+    fn within(
+        &self,
+        q: &Graph,
+        id: u32,
+        tau: f64,
+        method: &lan_ged::GedMethod,
+    ) -> (lan_ged::GedBound, lan_ged::CascadeOutcome) {
+        let g = &self.graphs[id as usize];
+        lan_ged::ged_within_outcome(q, g, tau, method).unwrap_or_else(|| {
+            lan_obs::counter(lan_obs::names::GED_TIMEOUT_FALLBACK).inc();
+            (
+                lan_ged::GedBound::Exact(
+                    ged(q, g, &self.fallback_metric()).expect("BestOfThree is total"),
+                ),
+                lan_ged::CascadeOutcome::FullSolve,
+            )
+        })
     }
 
     /// Average node count over the database.
@@ -281,9 +281,10 @@ impl Dataset {
         ls.len()
     }
 
-    /// Brute-force k-NN of `q` under the operational distance — the ground
-    /// truth for recall@k. Parallelized over the database (`LAN_THREADS`
-    /// overrides the worker count, see `lan-par`).
+    /// Brute-force k-NN of `q` under the ground-truth distance
+    /// ([`DatasetSpec::truth`]) — the ground truth for recall@k.
+    /// Parallelized over the database (`LAN_THREADS` overrides the worker
+    /// count, see `lan-par`).
     /// The scan runs the GED kernel cascade, filter-verify style:
     /// candidates are visited in ascending signature-lower-bound order (an
     /// `O(n)` pass over precomputed signatures), so the near graphs are
@@ -365,33 +366,29 @@ impl Dataset {
             } else {
                 f64::INFINITY
             };
+            // While `t` is infinite the cascade is the ungated full solve.
+            let within = |i, tau| self.within(q, i, tau, &self.spec.truth).0;
             let chunk: Vec<Option<(f64, u32)>> =
                 lan_par::par_map_indices_dyn(chunk_ids.len(), lan_par::Grain::Fine, |j| {
                     let i = chunk_ids[j];
-                    if t.is_finite() {
-                        match self.distance_within(q, i, t) {
+                    match within(i, t) {
+                        lan_ged::GedBound::Exact(d) => Some((d, i)),
+                        // lb > t: the true distance is strictly beyond the
+                        // frozen k-th and the final k-th is <= t, so `i`
+                        // cannot enter the top-k even through id ties.
+                        lan_ged::GedBound::AtLeast(lb) if lb > t => None,
+                        // lb == t could still tie its way in. Re-resolve
+                        // with the threshold nudged just past t: a genuine
+                        // tie (d == t) comes back Exact and is kept, while
+                        // d > t aborts again with a certificate lb > t —
+                        // far cheaper than the unbounded re-solve, which
+                        // paid a full evaluation for every boundary abort.
+                        // An Exact(d) with t < d < t+1 is harmless: the
+                        // final sort-and-truncate discards it.
+                        lan_ged::GedBound::AtLeast(_) => match within(i, t + 1.0) {
                             lan_ged::GedBound::Exact(d) => Some((d, i)),
-                            // lb > t: the true distance is strictly beyond the
-                            // frozen k-th and the final k-th is <= t, so `i`
-                            // cannot enter the top-k even through id ties.
-                            lan_ged::GedBound::AtLeast(lb) if lb > t => None,
-                            // lb == t could still tie its way in. Re-resolve
-                            // with the threshold nudged just past t: a genuine
-                            // tie (d == t) comes back Exact and is kept, while
-                            // d > t aborts again with a certificate lb > t —
-                            // far cheaper than the unbounded re-solve, which
-                            // paid a full evaluation for every boundary abort.
-                            // An Exact(d) with t < d < t+1 is harmless: the
-                            // final sort-and-truncate discards it.
-                            lan_ged::GedBound::AtLeast(_) => {
-                                match self.distance_within(q, i, t + 1.0) {
-                                    lan_ged::GedBound::Exact(d) => Some((d, i)),
-                                    lan_ged::GedBound::AtLeast(_) => None,
-                                }
-                            }
-                        }
-                    } else {
-                        Some((self.distance(q, i), i))
+                            lan_ged::GedBound::AtLeast(_) => None,
+                        },
                     }
                 });
             best.extend(chunk.into_iter().flatten());
@@ -628,6 +625,11 @@ mod tests {
         // The fallback is the documented approximate metric.
         let fb = d.distance_fallback(&q, 0);
         assert!(fb.is_finite() && fb >= 0.0);
+        // The ground-truth scan recovers the same way under its own metric.
+        d.spec.truth = d.spec.metric.clone();
+        let gt = d.ground_truth_knn(&q, 3);
+        assert_eq!(gt.len(), 3);
+        assert!(gt.iter().all(|&(dist, _)| dist.is_finite() && dist >= 0.0));
     }
 
     #[test]

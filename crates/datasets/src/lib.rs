@@ -4,8 +4,8 @@
 //! * [`spec`] — Table I-matched dataset specifications (AIDS / LINUX /
 //!   PUBCHEM / SYN stand-ins) with the substitution rationale;
 //! * [`dataset`] — deterministic generation, 6:2:2 query splits, the
-//!   operational GED metric, parallel brute-force ground truth, and
-//!   recall@k.
+//!   operational GED metric, parallel brute-force ground truth under the
+//!   ground-truth metric, and recall@k.
 
 pub mod dataset;
 pub mod spec;

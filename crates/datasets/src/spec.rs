@@ -42,20 +42,28 @@ pub struct DatasetSpec {
     pub family_size: usize,
     /// Number of query graphs (the paper samples 4,000; scaled here).
     pub num_queries: usize,
-    /// The operational distance served by the index. Exact GED is NP-hard,
-    /// so the system serves an approximate GED — the paper's own ground
-    /// truth protocol (best of VJ, Hungarian, and Beam); recall is measured
-    /// against a brute-force scan under this same distance. The beam
-    /// component keeps each distance computation genuinely expensive, which
-    /// is the cost regime the whole paper operates in (their 20-ANN queries
-    /// take ~40 s).
+    /// The operational distance: every distance the index computes — PG
+    /// build, the models' training distances, routing, and the distances a
+    /// query returns. Exact GED is NP-hard, so the system serves an
+    /// approximate GED, one solve per candidate as in the paper; it must
+    /// never be below [`Self::truth`] (every approximation upper-bounds
+    /// the exact GED), which tie-aware recall relies on.
     pub metric: GedMethod,
+    /// The ground-truth distance: only the brute-force scan behind recall
+    /// ([`crate::Dataset::ground_truth_knn`]) uses it. The paper's
+    /// protocol falls back to the best of VJ, Hungarian, and Beam for its
+    /// ground truth, so a preset may route on a cheaper single solve than
+    /// it is measured against.
+    pub truth: GedMethod,
     /// Base RNG seed.
     pub seed: u64,
 }
 
 impl DatasetSpec {
-    /// AIDS-like: 51 labels, avg |V| ≈ 25.6, avg |E| ≈ 27.5.
+    /// AIDS-like: 51 labels, avg |V| ≈ 25.6, avg |E| ≈ 27.5. Routes on
+    /// Beam-4, which equals BestOfThree on ≥ 98.7% of these pairs at a
+    /// fraction of its cost (one of its three solves), and is measured
+    /// against BestOfThree.
     pub fn aids() -> Self {
         DatasetSpec {
             name: "AIDS",
@@ -66,7 +74,8 @@ impl DatasetSpec {
             density: 2.0,
             family_size: 8,
             num_queries: 60,
-            metric: GedMethod::BestOfThree { beam_width: 4 },
+            metric: GedMethod::Beam { width: 4 },
+            truth: GedMethod::BestOfThree { beam_width: 4 },
             seed: 0xA1D5,
         }
     }
@@ -83,6 +92,7 @@ impl DatasetSpec {
             family_size: 8,
             num_queries: 60,
             metric: GedMethod::BestOfThree { beam_width: 4 },
+            truth: GedMethod::BestOfThree { beam_width: 4 },
             seed: 0x11AB,
         }
     }
@@ -99,6 +109,7 @@ impl DatasetSpec {
             family_size: 8,
             num_queries: 50,
             metric: GedMethod::BestOfThree { beam_width: 4 },
+            truth: GedMethod::BestOfThree { beam_width: 4 },
             seed: 0x9B1C,
         }
     }
@@ -115,6 +126,7 @@ impl DatasetSpec {
             family_size: 10,
             num_queries: 60,
             metric: GedMethod::BestOfThree { beam_width: 4 },
+            truth: GedMethod::BestOfThree { beam_width: 4 },
             seed: 0x5111,
         }
     }
@@ -142,9 +154,10 @@ impl DatasetSpec {
         self
     }
 
-    /// Overrides the operational metric (tests use the cheap Hungarian-only
-    /// metric; benches keep the paper-faithful expensive ensemble).
+    /// Sets both the operational and the ground-truth metric to `metric`
+    /// (tests use the cheap Hungarian-only metric).
     pub fn with_metric(mut self, metric: GedMethod) -> Self {
+        self.truth = metric.clone();
         self.metric = metric;
         self
     }

@@ -90,6 +90,7 @@ impl DatasetSpec {
         enc.put_u64(self.family_size as u64);
         enc.put_u64(self.num_queries as u64);
         encode_metric(&self.metric, enc);
+        encode_metric(&self.truth, enc);
         enc.put_u64(self.seed);
     }
 
@@ -104,6 +105,7 @@ impl DatasetSpec {
         let family_size = dec.get_u64()? as usize;
         let num_queries = dec.get_u64()? as usize;
         let metric = decode_metric(dec)?;
+        let truth = decode_metric(dec)?;
         let seed = dec.get_u64()?;
         Ok(DatasetSpec {
             name,
@@ -115,6 +117,7 @@ impl DatasetSpec {
             family_size,
             num_queries,
             metric,
+            truth,
             seed,
         })
     }
@@ -200,26 +203,32 @@ mod tests {
 
     #[test]
     fn dataset_round_trips_bit_identically() {
-        let d = Dataset::generate(DatasetSpec::syn().with_graphs(40).with_queries(10));
-        let mut enc = Enc::new();
-        d.store_encode(&mut enc);
-        let a = round_trip_bytes(enc);
-        let mut dec = a.section("ds").unwrap();
-        let back = Dataset::store_decode(&mut dec).unwrap();
-        dec.expect_end().unwrap();
-        assert_eq!(back.graphs, d.graphs);
-        assert_eq!(back.queries, d.queries);
-        assert_eq!(back.split.train, d.split.train);
-        assert_eq!(back.split.val, d.split.val);
-        assert_eq!(back.split.test, d.split.test);
-        assert_eq!(back.spec.name, d.spec.name);
-        assert_eq!(back.spec.num_labels, d.spec.num_labels);
-        assert_eq!(back.spec.seed, d.spec.seed);
-        assert_eq!(back.spec.metric, d.spec.metric);
-        // Signatures survive (the decode path rebuilds them from parts).
-        for (g, h) in back.graphs.iter().zip(&d.graphs) {
-            assert!(g.signature() == h.signature());
+        // SYN has one metric; AIDS routes on another than its ground truth,
+        // and each must come back in its own field.
+        for spec in [DatasetSpec::syn(), DatasetSpec::aids()] {
+            let d = Dataset::generate(spec.with_graphs(40).with_queries(10));
+            let mut enc = Enc::new();
+            d.store_encode(&mut enc);
+            let a = round_trip_bytes(enc);
+            let mut dec = a.section("ds").unwrap();
+            let back = Dataset::store_decode(&mut dec).unwrap();
+            dec.expect_end().unwrap();
+            assert_eq!(back.graphs, d.graphs);
+            assert_eq!(back.queries, d.queries);
+            assert_eq!(back.split.train, d.split.train);
+            assert_eq!(back.split.val, d.split.val);
+            assert_eq!(back.split.test, d.split.test);
+            assert_eq!(back.spec.name, d.spec.name);
+            assert_eq!(back.spec.num_labels, d.spec.num_labels);
+            assert_eq!(back.spec.seed, d.spec.seed);
+            assert_eq!(back.spec.metric, d.spec.metric);
+            assert_eq!(back.spec.truth, d.spec.truth);
+            // Signatures survive (the decode path rebuilds them from parts).
+            for (g, h) in back.graphs.iter().zip(&d.graphs) {
+                assert!(g.signature() == h.signature());
+            }
         }
+        assert_ne!(DatasetSpec::aids().metric, DatasetSpec::aids().truth);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workload and metric properties of the generated datasets.
 
 use lan_datasets::{recall_at_k, recall_at_k_ties, Dataset, DatasetSpec};
-use lan_ged::GedMethod;
+use lan_ged::{ged, GedMethod};
 use proptest::prelude::*;
 
 fn quick(spec: DatasetSpec, n: usize, q: usize) -> Dataset {
@@ -40,8 +40,45 @@ fn every_preset_generates_and_splits() {
 fn metric_override_respected() {
     let d = quick(DatasetSpec::syn(), 20, 4);
     assert_eq!(d.spec.metric, GedMethod::Hungarian);
+    // `with_metric` sets both metrics: one distance for routing and recall.
+    assert_eq!(d.spec.truth, d.spec.metric);
+    let aids = DatasetSpec::aids().with_metric(GedMethod::Vj);
+    assert_eq!((aids.metric, aids.truth), (GedMethod::Vj, GedMethod::Vj));
     let default = DatasetSpec::syn();
     assert!(matches!(default.metric, GedMethod::BestOfThree { .. }));
+    assert_eq!(default.truth, default.metric);
+}
+
+/// The AIDS preset routes on one solve and measures recall against the
+/// best of three: `distance` is the operational metric, the ground-truth
+/// scan is a full scan under the truth metric, and the truth is never
+/// above the operational distance (tie-aware recall relies on it).
+#[test]
+fn aids_preset_routes_and_measures_on_different_metrics() {
+    let d = Dataset::generate(DatasetSpec::aids().with_graphs(40).with_queries(6));
+    assert_eq!(d.spec.metric, GedMethod::Beam { width: 4 });
+    assert_eq!(d.spec.truth, GedMethod::BestOfThree { beam_width: 4 });
+    for q in &d.queries {
+        let mut full: Vec<(f64, u32)> = Vec::with_capacity(d.graphs.len());
+        for (i, g) in d.graphs.iter().enumerate() {
+            let id = i as u32;
+            let operational = d.distance(q, id);
+            assert_eq!(
+                operational.to_bits(),
+                ged(q, g, &d.spec.metric).unwrap().to_bits()
+            );
+            let truth = ged(q, g, &d.spec.truth).unwrap();
+            assert!(
+                truth <= operational,
+                "truth {truth} > operational {operational}"
+            );
+            full.push((truth, id));
+        }
+        full.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for k in [1usize, 5, 10] {
+            assert_eq!(d.ground_truth_knn(q, k), full[..k]);
+        }
+    }
 }
 
 proptest! {

@@ -160,7 +160,7 @@ pub(crate) fn bipartite_ged_scratch(
 /// Solves the Riesen–Bunke matrix `cost` (built for this `g1`, `g2`) in
 /// `assign` and returns the cost of the derived edit path, leaving its
 /// mapping in `out`. `BestOfThree` builds the matrix once and calls this
-/// for both solvers, each with its own `assign` and `out`.
+/// for both solvers.
 pub(crate) fn solve_rb_matrix(
     g1: &Graph,
     g2: &Graph,

@@ -9,26 +9,13 @@
 //! through a `thread_local` (mirroring `lan-gnn`'s `InferScratch`): once a
 //! thread has seen its largest pair, a distance call through
 //! [`crate::engine::ged`] with `Hungarian`, `Vj`, `Beam` or `BestOfThree`
-//! performs no heap allocation of its own — a forked `BestOfThree` call
-//! (below) pays only the spawn's bookkeeping, the same few allocations
-//! whatever the pair size (`tests/zero_alloc.rs` counts them).
+//! performs no heap allocation of its own (`tests/zero_alloc.rs` counts
+//! them).
 //!
 //! Every user reinitializes the buffers it touches, so a scratch carries
 //! capacity between calls and never state: reuse is bit-identical to fresh
 //! allocation (property-tested in [`crate::assignment`],
 //! [`crate::bipartite`] and `tests/kernel_equivalence.rs`).
-//!
-//! # Two slots for one `BestOfThree` call
-//!
-//! From [`crate::engine::FORK_MIN_ROWS`] matrix rows up, and when the
-//! thread budget allows, `BestOfThree` forks its Hungarian solve onto a
-//! second thread while the calling thread runs VJ and then the beam
-//! search. Both halves read the one cost matrix; each writes only its own
-//! [`MappingOut`] and [`AssignScratch`] — `out`/`assign` on the caller,
-//! `fork_out`/`fork_assign` on the helper — so they share no mutable
-//! memory, and the helper thread grows buffers of the caller's scratch
-//! instead of a thread-local of its own: once warmed up it never touches
-//! the allocator.
 
 use crate::assignment::{AssignScratch, CostMatrix};
 use crate::beam::BeamScratch;
@@ -52,10 +39,6 @@ pub struct GedScratch {
     pub(crate) out: MappingOut,
     /// Beam-search candidates and frontier.
     pub(crate) beam: BeamScratch,
-    /// `BestOfThree`'s forked Hungarian solve: its solver arrays and
-    /// mapping.
-    pub(crate) fork_assign: AssignScratch,
-    pub(crate) fork_out: MappingOut,
 }
 
 impl GedScratch {

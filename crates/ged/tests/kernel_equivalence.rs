@@ -9,9 +9,8 @@
 //! Kuhn–Munkres and LAPJV loops, the per-cell Riesen–Bunke matrix — as
 //! references that are never optimized, and compares distance bits,
 //! [`NodeMapping`]s and `row_to_col` assignments. `BestOfThree`, which
-//! forks its Hungarian solve onto a second thread when the thread budget
-//! allows, is held to the serial minimum of those references under every
-//! budget.
+//! shares one Riesen–Bunke matrix between its two LSAP solves, is held to
+//! the minimum of those references.
 
 use lan_ged::assignment::{
     hungarian, hungarian_with, lapjv, lapjv_with, AssignScratch, CostMatrix,
@@ -20,14 +19,13 @@ use lan_ged::beam::{beam_ged, beam_ged_with_mapping};
 use lan_ged::bipartite::{
     bipartite_ged, bipartite_ged_with_mapping, rb_cost_matrix, rb_cost_matrix_into, Solver,
 };
-use lan_ged::engine::{ged, GedMethod, FORK_MIN_ROWS};
+use lan_ged::engine::{ged, GedMethod};
 use lan_ged::lower_bounds::{masked_label_multiset_lb, sorted_label_multiset_lb};
 use lan_ged::mapping::{mapping_cost, NodeMapping, EPS};
 use lan_ged::GedScratch;
 use lan_graph::generators::{erdos_renyi, molecule_like, power_law_like};
 use lan_graph::perturb::perturb;
 use lan_graph::{Graph, Label, NodeId};
-use lan_par::{par_map_dyn, testenv, Grain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -606,12 +604,11 @@ fn empty_and_singleton_graphs_match_references() {
     }
 }
 
-/// Forked and serial `BestOfThree` calls return the frozen serial value on
-/// bits: on molecule and power-law pairs on both sides of
-/// [`FORK_MIN_ROWS`], from the main thread at 1, 2 and 4 threads, and from
-/// inside fan-out workers whose budget is one (serial) or two (forks).
+/// `BestOfThree` returns the minimum of the frozen references on bits, on
+/// molecule and power-law pairs from SYN sizes up to the `aids-ged`
+/// molecules.
 #[test]
-fn best_of_three_forked_equals_the_serial_reference() {
+fn best_of_three_equals_the_serial_reference() {
     let mut rng = StdRng::seed_from_u64(0xb03);
     let mut pairs: Vec<(Graph, Graph)> = Vec::new();
     for n in [6, 10, 14, 17, 20, 26, 32] {
@@ -624,40 +621,11 @@ fn best_of_three_forked_equals_the_serial_reference() {
         let q = power_law_like(&mut rng, n + 2, 2, 1, 5);
         pairs.push((p, q));
     }
-    let rows = |(a, b): &(Graph, Graph)| a.node_count() + b.node_count();
-    assert!(pairs.iter().any(|p| rows(p) < FORK_MIN_ROWS));
-    assert!(pairs.iter().any(|p| rows(p) >= FORK_MIN_ROWS));
-    let want: Vec<Vec<u64>> = pairs
-        .iter()
-        .map(|(a, b)| {
-            WIDTHS
-                .iter()
-                .map(|&w| ref_best_of_three(a, b, w).to_bits())
-                .collect()
-        })
-        .collect();
-    let all = || -> Vec<Vec<u64>> {
-        pairs
-            .iter()
-            .map(|(a, b)| {
-                WIDTHS
-                    .iter()
-                    .map(|&beam_width| {
-                        ged(a, b, &GedMethod::BestOfThree { beam_width })
-                            .unwrap()
-                            .to_bits()
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    for threads in ["1", "2", "4"] {
-        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
-            assert_eq!(all(), want, "main thread, LAN_THREADS={threads}");
-            // Two workers: a budget of one at 2 threads, of two at 4.
-            for got in par_map_dyn(&[0u8, 1], Grain::Fine, |_| all()) {
-                assert_eq!(got, want, "fan-out worker, LAN_THREADS={threads}");
-            }
-        });
+    for (a, b) in &pairs {
+        for &beam_width in &WIDTHS {
+            let got = ged(a, b, &GedMethod::BestOfThree { beam_width }).unwrap();
+            let want = ref_best_of_three(a, b, beam_width);
+            assert_eq!(got.to_bits(), want.to_bits(), "width {beam_width}");
+        }
     }
 }

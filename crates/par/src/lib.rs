@@ -7,9 +7,6 @@
 //! `std::thread::scope` — no external dependencies, no global pool, no
 //! `unsafe`.
 //!
-//! * [`join`] — run two closures, the second on a spawned thread, and
-//!   return both results (one `BestOfThree` GED call forks its Hungarian
-//!   solve from its VJ and beam solves this way);
 //! * [`par_map_dyn`] — map a function over a slice, preserving input order;
 //! * [`par_map_indices_dyn`] — the `0..n` index variant;
 //! * [`par_chunks_dyn`] — hand each claimed contiguous range to one call.
@@ -251,7 +248,7 @@ static HOST_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// [`std::thread::available_parallelism`] (4 when it fails), asked once per
 /// process: on Linux it reads cgroup files, ~15 µs a call, which every
-/// top-level fan-out and every [`join`] would otherwise pay.
+/// top-level fan-out would otherwise pay.
 fn host_threads() -> usize {
     *HOST_THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -387,38 +384,6 @@ impl FanOut {
         let _restore = Restore(BUDGET.with(|b| b.replace(self.inner)));
         f()
     }
-}
-
-/// Runs `a` and `b`, in parallel when the thread budget allows, and returns
-/// `(a(), b())`.
-///
-/// `b` runs on one spawned scoped thread and `a` on the caller; each side
-/// gets half of the caller's budget for the fan-outs (and joins) it starts,
-/// under the nesting rule above. When the budget is one thread — inside a
-/// saturated fan-out, or under `LAN_THREADS=1` — this is the plain
-/// `(a(), b())` on the caller, decided by one thread-local read on a
-/// worker. A spawn and join costs 34–38 µs on a 2-core x86-64 host, so
-/// fork only work well above that. A panic in either closure propagates once both have finished.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    let Some(fan) = FanOut::over(2) else {
-        return (a(), b());
-    };
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || {
-            fan.enter();
-            b()
-        });
-        let ra = fan.on_caller(a);
-        let rb = hb
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (ra, rb)
-    })
 }
 
 /// Shared work-stealing driver: workers claim `[start, start+grain)` item

@@ -6,7 +6,7 @@
 //! purity of the per-item closures (which the `lan-core` end-to-end tests
 //! pin).
 
-use lan_par::{join, par_chunks_dyn, par_map_dyn, par_map_indices_dyn, testenv, Grain};
+use lan_par::{par_chunks_dyn, par_map_dyn, par_map_indices_dyn, testenv, Grain};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
@@ -201,123 +201,11 @@ fn nested_output_equals_the_serial_map() {
     for threads in ["1", "2", "4", "7"] {
         testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
             let nested: Vec<Vec<u64>> = par_map_indices_dyn(9, Grain::Fine, |o| {
-                let half = |lo: usize, hi: usize| {
-                    par_map_indices_dyn(hi - lo, Grain::Auto, |i| {
-                        skewed(&(o as u64 * 100 + (lo + i) as u64))
-                    })
-                };
-                let (mut lo, hi) = join(|| half(0, 16), || half(16, 33));
-                lo.extend(hi);
-                lo
+                par_map_indices_dyn(33, Grain::Auto, |i| skewed(&(o as u64 * 100 + i as u64)))
             });
             assert_eq!(nested, serial, "threads={threads}");
         });
     }
-}
-
-/// The thread `f` ran on, with `f`'s result.
-fn on_thread<R>(f: impl FnOnce() -> R) -> (ThreadId, R) {
-    let r = f();
-    (std::thread::current().id(), r)
-}
-
-#[test]
-fn join_returns_both_results_on_bits() {
-    let a = || (0..97u64).map(|x| skewed(&x)).collect::<Vec<u64>>();
-    let b = || {
-        (1..200)
-            .map(|x| 1.0 / x as f64)
-            .fold(0.0f64, |s, x| s + x.sqrt())
-    };
-    let (want_a, want_b) = (a(), b());
-    for threads in ["1", "2", "4", "7"] {
-        testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
-            let (got_a, got_b) = join(a, b);
-            assert_eq!(got_a, want_a, "threads={threads}");
-            assert_eq!(got_b.to_bits(), want_b.to_bits(), "threads={threads}");
-        });
-    }
-}
-
-#[test]
-fn join_stays_on_the_caller_when_the_budget_is_one() {
-    let main = std::thread::current().id();
-    testenv::with_env(&[("LAN_THREADS", Some("1"))], || {
-        let ((ia, _), (ib, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
-        assert_eq!((ia, ib), (main, main), "LAN_THREADS=1 must not spawn");
-    });
-    // Two workers on two threads: each has a budget of one.
-    testenv::with_env(&[("LAN_THREADS", Some("2"))], || {
-        let per_worker = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
-            let me = std::thread::current().id();
-            let ((ia, _), (ib, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
-            (me, ia, ib)
-        });
-        for (me, ia, ib) in per_worker {
-            assert_eq!((ia, ib), (me, me), "a saturated worker must not spawn");
-        }
-    });
-}
-
-#[test]
-fn join_on_two_threads_uses_the_caller_and_one_helper() {
-    let main = std::thread::current().id();
-    testenv::with_env(&[("LAN_THREADS", Some("2"))], || {
-        // Each side's own joins get half of two threads: one, so serial.
-        let side = || {
-            let ((x, _), (y, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
-            [std::thread::current().id(), x, y]
-        };
-        let (a, b) = join(side, side);
-        assert!(a.iter().all(|&id| id == main), "a runs on the caller");
-        assert!(b.iter().all(|&id| id == b[0]), "b's nested join stays put");
-        assert_ne!(b[0], main, "b runs on a spawned thread");
-        let distinct: HashSet<ThreadId> = a.iter().chain(&b).copied().collect();
-        assert_eq!(distinct.len(), 2);
-    });
-}
-
-/// Whether a `join` started here runs its two sides on two threads.
-fn join_forks() -> bool {
-    let ((ia, _), (ib, _)) = join(|| on_thread(|| ()), || on_thread(|| ()));
-    ia != ib
-}
-
-#[test]
-fn the_callers_budget_survives_fan_outs_and_panics() {
-    // Running its share sets the caller's budget to one (8 items on the
-    // whole budget); if it were not restored, the next join would not fork.
-    let fan_out = || par_map_dyn(&[0u32; 8], Grain::Fine, |&x| x).len();
-    let panicking = || {
-        std::panic::catch_unwind(|| {
-            par_map_dyn(&[0u32; 8], Grain::Fine, |_| -> u32 { panic!("boom") })
-        })
-        .is_err()
-    };
-    let panicking_join = || {
-        std::panic::catch_unwind(|| join(|| panic!("a"), || ()))
-            .map(|_| ())
-            .is_err()
-    };
-    testenv::with_env(&[("LAN_THREADS", Some("2"))], || {
-        assert!(join_forks());
-        assert_eq!(fan_out(), 8);
-        assert!(join_forks(), "budget not restored after a fan-out");
-        assert!(panicking());
-        assert!(join_forks(), "budget not restored after a panic");
-        assert!(panicking_join());
-        assert!(join_forks(), "budget not restored after a panicking join");
-    });
-    // Inside a worker with a budget of two (2 workers on 4 threads).
-    testenv::with_env(&[("LAN_THREADS", Some("4"))], || {
-        let ok = par_map_dyn(&[0u8, 1], Grain::Fine, |_| {
-            fan_out();
-            let after_fan_out = join_forks();
-            panicking();
-            (after_fan_out, join_forks())
-        });
-        assert_eq!(ok, [(true, true), (true, true)]);
-    });
 }
 
 #[test]

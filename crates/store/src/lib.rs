@@ -44,8 +44,9 @@ pub const MAGIC: [u8; 8] = *b"LANSTOR\0";
 
 /// Current container format version. Bump on any layout change; readers
 /// reject other versions with [`StoreError::BadVersion`] (see DESIGN.md's
-/// compat policy: the format is versioned, not self-migrating).
-pub const FORMAT_VERSION: u32 = 1;
+/// compat policy: the format is versioned, not self-migrating). Version 2
+/// added the ground-truth metric to the dataset spec.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section payload alignment within the file (and, because the read
 /// buffer is 8-byte aligned, within memory after a load).
@@ -681,14 +682,17 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = sample_writer().to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match Archive::from_bytes(&bytes) {
-            Err(StoreError::BadVersion { found, expected }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, FORMAT_VERSION);
+        // 1 is the previous format (no ground-truth metric in the spec).
+        for version in [1u32, 99] {
+            let mut bytes = sample_writer().to_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match Archive::from_bytes(&bytes) {
+                Err(StoreError::BadVersion { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, FORMAT_VERSION);
+                }
+                other => panic!("expected BadVersion, got {:?}", other.err()),
             }
-            other => panic!("expected BadVersion, got {:?}", other.err()),
         }
     }
 

@@ -2,10 +2,13 @@
 //! through the public API (proptest drives the instance generation).
 
 use lan_suite::ged::engine::{ged, GedMethod};
-use lan_suite::ged::exact::{brute_force_ged, exact_ged, ExactLimits};
-use lan_suite::ged::lower_bounds::label_size_lb;
+use lan_suite::ged::exact::{
+    brute_force_ged, exact_ged, exact_ged_within, ExactLimits, ExactWithin,
+};
+use lan_suite::ged::lower_bounds::{label_degree_lb, label_size_lb};
 use lan_suite::gnn::gin::GnnConfig;
 use lan_suite::gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput};
+use lan_suite::graph::generators::{control_flow_like, erdos_renyi, molecule_like, power_law_like};
 use lan_suite::graph::{Graph, GraphBuilder};
 use lan_suite::pg::np_route::{np_route, OracleRanker};
 use lan_suite::pg::{beam_search, DistCache};
@@ -14,6 +17,29 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A random tree on `n` nodes labeled from `ls`, plus up to `n` random
+/// extra edges (drawn from `seed`) for connectivity variety.
+fn tree_plus_edges(n: usize, ls: &[u16], seed: u64) -> Graph {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    for i in 0..n {
+        b.add_node(ls[i % ls.len()]);
+    }
+    for i in 1..n {
+        let j = rng.gen_range(0..i);
+        b.add_edge(i as u32, j as u32).unwrap();
+    }
+    for _ in 0..n {
+        let u = rng.gen_range(0..n) as u32;
+        let v = rng.gen_range(0..n) as u32;
+        if u != v && !b.has_edge(u, v) {
+            b.add_edge(u, v).unwrap();
+        }
+    }
+    b.build()
+}
+
 /// Strategy: a small random labeled simple graph.
 fn small_graph(max_n: usize, labels: u16) -> impl Strategy<Value = Graph> {
     (
@@ -21,52 +47,56 @@ fn small_graph(max_n: usize, labels: u16) -> impl Strategy<Value = Graph> {
         proptest::collection::vec(0u16..labels, max_n),
         any::<u64>(),
     )
-        .prop_map(move |(n, ls, seed)| {
+        .prop_map(|(n, ls, seed)| tree_plus_edges(n, &ls, seed))
+}
+
+/// Strategy: a graph of `1..=max_n` nodes from any generator family — the
+/// random tree plus edges, the molecule, control-flow and power-law
+/// families the dataset presets draw from, and Erdős–Rényi.
+fn family_graph(max_n: usize, labels: u16) -> impl Strategy<Value = Graph> {
+    (
+        0usize..5,
+        1..=max_n,
+        proptest::collection::vec(0u16..labels, max_n),
+        any::<u64>(),
+    )
+        .prop_map(move |(family, n, ls, seed)| {
             let mut rng = StdRng::seed_from_u64(seed);
-            use rand::Rng;
-            let mut b = GraphBuilder::new();
-            for i in 0..n {
-                b.add_node(ls[i % ls.len()]);
+            match family {
+                0 => tree_plus_edges(n, &ls, seed),
+                1 => molecule_like(&mut rng, n, 1, 4, labels),
+                2 => control_flow_like(&mut rng, n, 0.3, 0.2, labels),
+                3 => power_law_like(&mut rng, n, 2, 1, labels),
+                _ => erdos_renyi(&mut rng, n, n, labels),
             }
-            // Random tree + extra edges for connectivity variety.
-            for i in 1..n {
-                let j = rng.gen_range(0..i);
-                b.add_edge(i as u32, j as u32).unwrap();
-            }
-            for _ in 0..n {
-                let u = rng.gen_range(0..n) as u32;
-                let v = rng.gen_range(0..n) as u32;
-                if u != v && !b.has_edge(u, v) {
-                    b.add_edge(u, v).unwrap();
-                }
-            }
-            b.build()
         })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Exact A* equals exhaustive brute force on tiny instances.
+    /// Exact A* equals exhaustive brute force on tiny instances of every
+    /// generator family.
     #[test]
     fn exact_ged_matches_brute_force(
-        g1 in small_graph(4, 3),
-        g2 in small_graph(4, 3),
+        g1 in family_graph(6, 3),
+        g2 in family_graph(6, 3),
     ) {
         let a = exact_ged(&g1, &g2, &ExactLimits::default()).distance().unwrap();
         let b = brute_force_ged(&g1, &g2);
         prop_assert_eq!(a, b);
     }
 
-    /// Lower bound <= exact <= every approximation (the ordering every GED
-    /// consumer in the system relies on).
+    /// Both signature lower bounds <= exact <= every approximation (the
+    /// ordering every GED consumer in the system relies on).
     #[test]
     fn ged_sandwich(
-        g1 in small_graph(5, 3),
-        g2 in small_graph(5, 3),
+        g1 in family_graph(6, 3),
+        g2 in family_graph(6, 3),
     ) {
         let exact = exact_ged(&g1, &g2, &ExactLimits::default()).distance().unwrap();
         prop_assert!(label_size_lb(&g1, &g2) <= exact + 1e-9);
+        prop_assert!(label_degree_lb(&g1, &g2) <= exact + 1e-9);
         for m in [
             GedMethod::Hungarian,
             GedMethod::Vj,
@@ -75,6 +105,44 @@ proptest! {
         ] {
             let approx = ged(&g1, &g2, &m).unwrap();
             prop_assert!(approx + 1e-9 >= exact, "{:?} below exact", m);
+        }
+    }
+
+    /// The tau-aborting A* either solves exactly or certifies a bound in
+    /// `[tau, exact]` — never a bound above the true distance, and never
+    /// an abort when the distance is below tau.
+    #[test]
+    fn exact_within_bounds_are_admissible(
+        g1 in family_graph(6, 3),
+        g2 in family_graph(6, 3),
+    ) {
+        let limits = ExactLimits::default();
+        let exact = exact_ged(&g1, &g2, &limits).distance().unwrap();
+        for tau in [0.5, exact * 0.5, exact, exact + 0.5, exact + 3.0] {
+            match exact_ged_within(&g1, &g2, &limits, tau) {
+                ExactWithin::Optimal { distance, .. } => prop_assert_eq!(distance, exact),
+                ExactWithin::AtLeast(lb) => {
+                    prop_assert!(lb >= tau, "bound {} below tau {}", lb, tau);
+                    prop_assert!(lb <= exact + 1e-9, "bound {} above exact {}", lb, exact);
+                }
+                ExactWithin::TimedOut => prop_assert!(false, "6-node pair timed out"),
+            }
+        }
+    }
+
+    /// Truth <= operational, pointwise: BestOfThree{w} is the minimum of
+    /// three solves one of which is Beam{w}, so a preset that routes on
+    /// Beam{w} and measures recall against BestOfThree{w} never reports a
+    /// distance below the true one.
+    #[test]
+    fn beam_never_below_best_of_three(
+        g1 in family_graph(12, 4),
+        g2 in family_graph(12, 4),
+    ) {
+        for w in [1usize, 2, 4, 8] {
+            let truth = ged(&g1, &g2, &GedMethod::BestOfThree { beam_width: w }).unwrap();
+            let operational = ged(&g1, &g2, &GedMethod::Beam { width: w }).unwrap();
+            prop_assert!(truth <= operational, "w={}: {} > {}", w, truth, operational);
         }
     }
 
@@ -121,9 +189,9 @@ proptest! {
         // while preserving the graph-metric structure.
         let n = 24usize;
         let graphs: Vec<Graph> = (0..n)
-            .map(|_| lan_suite::graph::generators::molecule_like(&mut rng, 8, 1, 4, 4))
+            .map(|_| molecule_like(&mut rng, 8, 1, 4, 4))
             .collect();
-        let q = lan_suite::graph::generators::molecule_like(&mut rng, 8, 1, 4, 4);
+        let q = molecule_like(&mut rng, 8, 1, 4, 4);
         let base: Vec<f64> = graphs
             .iter()
             .map(|g| ged(&q, g, &GedMethod::Hungarian).unwrap())
