@@ -1,5 +1,5 @@
 //! Fig. 12: speedup of cross-graph learning itself — CG vs plain forward,
-//! with HAG [45] as the acceleration baseline.
+//! with HAG \[45\] as the acceleration baseline.
 //!
 //! HAG shares redundant partial sums in the neighbor aggregation, but
 //! cannot reduce the matrix multiplications or the cross-graph attention
@@ -11,9 +11,10 @@
 //! cargo run --release -p lan-bench --bin fig12_speedup
 //! ```
 
+use lan_bench::hag::HagPlan;
 use lan_bench::{sized_spec, Scale};
 use lan_datasets::Dataset;
-use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, GnnConfig, HagPlan};
+use lan_gnn::{CompressedGnnGraph, CrossGraphNet, CrossInput, GnnConfig};
 use lan_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,4 +1,4 @@
-//! HAG-style redundancy-free aggregation (Jia et al. [45]) — the GNN
+//! HAG-style redundancy-free aggregation (Jia et al. \[45\]) — the GNN
 //! acceleration baseline of Fig. 12.
 //!
 //! HAG detects partial sums shared by multiple aggregation targets (pairs of
@@ -132,7 +132,7 @@ impl HagPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gin::agg_matrix;
+    use lan_gnn::gin::agg_matrix;
     use lan_graph::generators::{erdos_renyi, molecule_like, power_law_like};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -9,6 +9,11 @@
 //! Absolute numbers cannot match the paper's testbed (V100S + 800 GB
 //! server, 42k–1M graph databases); EXPERIMENTS.md records what transfers:
 //! orderings, approximate speedup factors, and crossover locations.
+//!
+//! [`hag`] holds the HAG aggregation baseline only Fig. 12 compares
+//! against.
+
+pub mod hag;
 
 use lan_core::{LanConfig, LanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
@@ -83,7 +88,7 @@ pub fn bench_lan_config(scale: Scale) -> LanConfig {
         pg: PgConfig::new(6),
         model,
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     }
 }
 

@@ -1,83 +1,19 @@
 //! Offline index construction: proximity graph + trained models + CGs.
 
 use lan_datasets::Dataset;
-use lan_gnn::QuantMode;
 use lan_models::{LanModels, ModelConfig, TrainReport};
 use lan_pg::{PairCache, PgConfig, ProximityGraph};
 
-/// Configuration of the quantized prefilter tier at query time (the code
-/// books themselves are always built at index time; this only selects
-/// what queries do with them).
-#[derive(Debug, Clone, Copy)]
-pub struct QuantConfig {
-    /// Surrogate mode routing prefilters with (`Off` disables the tier).
-    pub mode: QuantMode,
-    /// Safety margin of the routing prefilter: a candidate is skipped
-    /// only when its calibrated prediction exceeds `tau·margin + slack`
-    /// (see `lan_models::QuantPrefilter`). Must be ≥ 1.
-    pub margin: f64,
-}
-
-impl Default for QuantConfig {
-    fn default() -> Self {
-        QuantConfig {
-            mode: QuantMode::Off,
-            margin: 1.5,
-        }
-    }
-}
-
-impl QuantConfig {
-    /// Parses the `LAN_QUANT` environment knob as a `Result`: `off`
-    /// (default), `binary`, `scalar`, with an optional `:margin` suffix
-    /// (e.g. `scalar:2.0`; the margin must be a finite number ≥ 1). A
-    /// malformed value — `binary:abc`, `fast`, `scalar:0.5` — is a typed
-    /// [`lan_par::env::EnvError`] naming the offending value.
-    pub fn try_from_env() -> Result<Self, lan_par::env::EnvError> {
-        let parsed = lan_par::env::parse_var("LAN_QUANT", |s| {
-            Self::parse(s)
-                .ok_or_else(|| format!("expected off|binary|scalar[:margin>=1], got {s:?}"))
-        })?;
-        Ok(parsed.unwrap_or_default())
-    }
-
-    /// Total variant of [`QuantConfig::try_from_env`]: an env typo must
-    /// not flip query semantics silently, so a malformed value prints one
-    /// warning per process to stderr and falls back to the do-nothing
-    /// default (tier off).
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                lan_par::env::warn_once(&e);
-                Self::default()
-            }
-        }
-    }
-
-    /// Parses `mode[:margin]`; `None` on malformed input.
-    pub fn parse(s: &str) -> Option<Self> {
-        let (mode_s, margin_s) = match s.split_once(':') {
-            // An explicit margin needs an explicit mode: ":2.0" is a typo,
-            // not a request for the default tier.
-            Some((m, _)) if m.trim().is_empty() => return None,
-            Some((m, g)) => (m, Some(g)),
-            None => (s, None),
-        };
-        let mode = QuantMode::parse(mode_s.trim())?;
-        let margin = match margin_s {
-            Some(g) => {
-                let m: f64 = g.trim().parse().ok()?;
-                if !m.is_finite() || m < 1.0 {
-                    return None;
-                }
-                m
-            }
-            None => Self::default().margin,
-        };
-        Some(QuantConfig { mode, margin })
-    }
-}
+/// Placeholder left where the quantized prefilter tier's configuration
+/// was: the tier is gone and this carries nothing. It stays only because
+/// `benchmark/src/workload.rs` still writes `quant: QuantConfig::default()`;
+/// the `[benchmark]` change that drops that field and the
+/// `tensor.hamming`/`tensor.dot_u8` probes (ROADMAP item 4(g)) removes it.
+/// `#[non_exhaustive]` keeps `QuantConfig::default()` the one way to write
+/// it outside this crate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct QuantConfig;
 
 /// Configuration of the whole LAN index.
 #[derive(Debug, Clone)]
@@ -86,9 +22,7 @@ pub struct LanConfig {
     pub model: ModelConfig,
     /// γ escalation step `d_s` for np_route (unit-cost GED → 1).
     pub ds: f64,
-    /// Quantized prefilter tier (defaults to `LAN_QUANT`, read once at
-    /// config construction; override programmatically to sweep modes and
-    /// margins without environment races).
+    /// Carries nothing (see [`QuantConfig`]).
     pub quant: QuantConfig,
 }
 
@@ -98,7 +32,7 @@ impl Default for LanConfig {
             pg: PgConfig::new(6),
             model: ModelConfig::default(),
             ds: 1.0,
-            quant: QuantConfig::from_env(),
+            quant: QuantConfig::default(),
         }
     }
 }
@@ -187,45 +121,6 @@ mod tests {
             quant: QuantConfig::default(),
         };
         LanIndex::build(ds, cfg)
-    }
-
-    #[test]
-    fn quant_env_reject_set_is_typed() {
-        for bad in [
-            "binary:abc",
-            "bogus",
-            "scalar:0.5",
-            "binary:",
-            "off:nan",
-            ":2.0",
-        ] {
-            lan_par::testenv::with_env(&[("LAN_QUANT", Some(bad))], || {
-                let err = QuantConfig::try_from_env()
-                    .expect_err(&format!("LAN_QUANT={bad:?} must be rejected"));
-                assert_eq!(err.key, "LAN_QUANT");
-                assert_eq!(err.value, bad);
-                // Total path never flips semantics: falls back to Off.
-                lan_par::env::reset_warnings();
-                let cfg = QuantConfig::from_env();
-                assert_eq!(cfg.mode, QuantMode::Off);
-            });
-        }
-        for (good, mode, margin) in [
-            ("off", QuantMode::Off, 1.5),
-            ("binary", QuantMode::Binary, 1.5),
-            ("scalar:2.0", QuantMode::Scalar, 2.0),
-            ("binary:1", QuantMode::Binary, 1.0),
-        ] {
-            lan_par::testenv::with_env(&[("LAN_QUANT", Some(good))], || {
-                let cfg = QuantConfig::try_from_env().expect("valid LAN_QUANT");
-                assert_eq!(cfg.mode, mode);
-                assert_eq!(cfg.margin, margin);
-            });
-        }
-        lan_par::testenv::with_env(&[("LAN_QUANT", None)], || {
-            let cfg = QuantConfig::try_from_env().expect("unset LAN_QUANT");
-            assert_eq!(cfg.mode, QuantMode::Off);
-        });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The L2route baseline [28], adapted to graph databases exactly as the
+//! The L2route baseline \[28\], adapted to graph databases exactly as the
 //! paper does: "we first convert graphs into embedding vectors and then use
 //! L2route on the embedding vectors for k-ANN search".
 //!

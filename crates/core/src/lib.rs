@@ -6,7 +6,7 @@
 //! * [`query`] — online evaluation: LAN (learned initial selection +
 //!   neighbor-pruned routing with CG acceleration) and every
 //!   ablation/baseline combination the paper measures;
-//! * [`l2route`] — the L2route baseline [28] on GIN embeddings;
+//! * [`l2route`] — the L2route baseline \[28\] on GIN embeddings;
 //! * [`harness`] — recall–QPS curves, time breakdowns, and the
 //!   interpolation helpers used by the figure-regeneration binaries.
 //!
@@ -40,7 +40,6 @@ pub mod store;
 pub use harness::{qps_at_recall, Breakdown, CurvePoint};
 pub use index::{LanConfig, LanIndex, QuantConfig};
 pub use l2route::L2RouteIndex;
-pub use lan_gnn::QuantMode;
 pub use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
 pub use query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
 pub use sharded::ShardedLanIndex;

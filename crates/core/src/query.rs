@@ -7,15 +7,14 @@
 //! cross-graph learning time vs rest).
 
 use crate::index::LanIndex;
-use lan_gnn::QuantMode;
 use lan_graph::Graph;
-use lan_models::{FusedScoreService, LearnedRanker, QuantPrefilter, QueryContext, SlabArena};
+use lan_models::{FusedScoreService, LearnedRanker, SlabArena};
 use lan_obs::explain::{BudgetExplain, QueryExplain, SolveTier, TierCounts, TimelineEvent};
 use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
-use lan_pg::np_route::np_route_prefiltered;
-use lan_pg::{beam_search_budgeted, CandidatePrefilter, DistBound, DistCache, QueryDistance};
+use lan_pg::np_route::np_route_budgeted;
+use lan_pg::{beam_search_budgeted, DistBound, DistCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -492,8 +491,7 @@ impl LanIndex {
                     Some(sh) => LearnedRanker::with_shared(&self.models, qc, use_cg, sh.scorer),
                     None => LearnedRanker::new(&self.models, qc, use_cg),
                 };
-                let prefilter = self.quant_prefilter(qc);
-                np_route_prefiltered(
+                np_route_budgeted(
                     self.pg.base(),
                     &cache,
                     &ranker,
@@ -502,7 +500,6 @@ impl LanIndex {
                     k,
                     self.cfg.ds,
                     ctx,
-                    prefilter.as_ref().map(|p| p as &dyn CandidatePrefilter),
                 )
             }
         };
@@ -550,47 +547,9 @@ impl LanIndex {
         (outcome, stage_trace)
     }
 
-    /// The per-query routing prefilter under the configured quantized
-    /// tier; `None` when the tier is off (or nothing was quantized), in
-    /// which case routing is bit-identical to the pre-quant router.
-    fn quant_prefilter<'a>(&'a self, qc: &QueryContext) -> Option<QuantPrefilter<'a>> {
-        if self.cfg.quant.mode == QuantMode::Off {
-            return None;
-        }
-        let idx = self.models.quant.as_ref()?;
-        Some(QuantPrefilter::new(
-            idx,
-            self.cfg.quant.mode,
-            &qc.gin_embed,
-            self.cfg.quant.margin,
-        ))
-    }
-
-    /// Calibrated quantized-surrogate predictions for every database
-    /// graph — visit-order keys for the reorderable ground-truth scan.
-    /// `None` when the configured mode is `Off` (or nothing quantized).
-    pub fn quant_keys(&self, q: &Graph) -> Option<Vec<f64>> {
-        if self.cfg.quant.mode == QuantMode::Off {
-            return None;
-        }
-        let idx = self.models.quant.as_ref()?;
-        let qq = idx.encode(&self.models.embed(q));
-        Some(idx.keys(self.cfg.quant.mode, &qq))
-    }
-
-    /// Ground-truth k-NN of `q`, visiting candidates in quantized order
-    /// when the tier is enabled. Result-identical to
-    /// [`lan_datasets::Dataset::ground_truth_knn`] in every mode (the
-    /// reordering only moves `ged.full_evals`, proven and property-tested
-    /// in `lan-datasets`).
-    pub fn ground_truth(&self, q: &Graph, k: usize) -> Vec<(f64, u32)> {
-        let keys = self.quant_keys(q);
-        self.dataset.ground_truth_knn_ordered(q, k, keys.as_deref())
-    }
-
     /// Recall@k of a result id list against the brute-force ground truth.
     pub fn recall(&self, q: &Graph, result_ids: &[u32], k: usize) -> f64 {
-        let truth = self.ground_truth(q, k);
+        let truth = self.dataset.ground_truth_knn(q, k);
         let truth_ids: Vec<u32> = truth.iter().map(|&(_, id)| id).collect();
         lan_datasets::recall_at_k(result_ids, &truth_ids, k)
     }

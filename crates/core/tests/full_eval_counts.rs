@@ -4,18 +4,16 @@
 //! * the lb-ordered ground-truth scan at least halves the full evaluations
 //!   of a full scan, and the cascade oracle on the routing path never pays
 //!   an extra one — at bit-identical results, NDC and entry nodes;
-//! * the quantized visit order, together with the scan's threshold-boundary
-//!   refinement, cuts full evaluations at least 1.3x below the same scan
-//!   without that refinement, at bit-identical results.
+//! * the scan's threshold-boundary refinement cuts full evaluations at
+//!   least 1.3x below the same scan without that refinement, at
+//!   bit-identical results.
 //!
 //! The counters are process-global, so this binary holds only these tests
 //! and runs them one at a time under [`LOCK`].
 
-use lan_core::{LanConfig, LanIndex, QuantConfig, QuantMode};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::{GedBound, GedMethod};
 use lan_graph::Graph;
-use lan_models::ModelConfig;
 use lan_obs::names;
 use lan_pg::{
     beam_search, DistBound, DistCache, PairCache, PgConfig, ProximityGraph, QueryDistance,
@@ -134,7 +132,7 @@ fn cascade_at_least_halves_ground_truth_full_evals() {
 /// The lb-ordered scan with every boundary (`lb == t`) candidate re-solved
 /// without a threshold — the form the library scan had before it resolved
 /// boundary candidates with a nudged threshold. Kept frozen here as the
-/// baseline of the quantized-order test.
+/// baseline of the boundary-refinement test.
 fn unrefined_scan(ds: &Dataset, q: &Graph, k: usize) -> Vec<(f64, u32)> {
     const CHUNK: usize = 8;
     let keys: Vec<f64> = ds
@@ -176,43 +174,18 @@ fn unrefined_scan(ds: &Dataset, q: &Graph, k: usize) -> Vec<(f64, u32)> {
 }
 
 #[test]
-fn quant_ordered_scan_cuts_full_evals_below_the_unrefined_scan() {
+fn boundary_refinement_cuts_full_evals_below_the_unrefined_scan() {
     let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     lan_obs::set_enabled(true);
-    // The code books are built under Hungarian GED; the scans run under
-    // exact GED (the tau-aborting solver, where boundary aborts pay off).
+    // Exact GED (the tau-aborting solver, where boundary aborts pay off).
     // `avg_nodes = 7` keeps every ungated exact solve far below the
-    // timeout, so the counts are deterministic. The code books only refine
-    // the visit order, so a small model serves.
+    // timeout, so the counts are deterministic.
     let mut spec = DatasetSpec::syn()
         .with_graphs(120)
         .with_queries(12)
-        .with_metric(GedMethod::Hungarian);
-    spec.avg_nodes = 7;
-    let cfg = LanConfig {
-        pg: PgConfig::new(6),
-        model: ModelConfig {
-            embed_dim: 8,
-            epochs: 1,
-            max_samples_per_epoch: 80,
-            nh_cover_k: 6,
-            clusters: 3,
-            top_clusters: 2,
-            mlp_hidden: 8,
-            ..ModelConfig::default()
-        },
-        ds: 1.0,
-        quant: QuantConfig {
-            mode: QuantMode::Off,
-            margin: 1.5,
-        },
-    };
-    let mut index = LanIndex::build(Dataset::generate(spec), cfg);
-    assert!(index.models.quant.is_some(), "code books must build");
-    let mut exact = index.dataset.clone();
-    exact.spec = exact
-        .spec
         .with_metric(GedMethod::Exact { timeout_ms: 5_000 });
+    spec.avg_nodes = 7;
+    let exact = Dataset::generate(spec);
     let (queries, k) = (&exact.queries[..10], 10usize);
 
     let before = lan_obs::snapshot();
@@ -222,23 +195,17 @@ fn quant_ordered_scan_cuts_full_evals_below_the_unrefined_scan() {
         .collect();
     let baseline_full = full_evals(&before);
 
-    let mut best_ratio = 0.0f64;
-    for mode in [QuantMode::Binary, QuantMode::Scalar] {
-        index.cfg.quant = QuantConfig { mode, margin: 1.5 };
-        let before = lan_obs::snapshot();
-        let ordered: Vec<_> = queries
-            .iter()
-            .map(|q| {
-                let keys = index.quant_keys(q).expect("quantized keys");
-                exact.ground_truth_knn_ordered(q, k, Some(&keys))
-            })
-            .collect();
-        let full = full_evals(&before);
-        assert_eq!(baseline, ordered, "{mode:?}-ordered scan diverged");
-        best_ratio = best_ratio.max(baseline_full as f64 / full.max(1) as f64);
-    }
+    let before = lan_obs::snapshot();
+    let refined: Vec<_> = queries
+        .iter()
+        .map(|q| exact.ground_truth_knn(q, k))
+        .collect();
+    let full = full_evals(&before);
+    assert_eq!(baseline, refined, "boundary-refined scan diverged");
+    let ratio = baseline_full as f64 / full.max(1) as f64;
     assert!(
-        best_ratio >= 1.3,
-        "quantized-ordered scan cut full evals only {best_ratio:.2}x below the unrefined scan"
+        ratio >= 1.3,
+        "boundary refinement cut full evals only {ratio:.2}x below the unrefined scan \
+         ({baseline_full} -> {full})"
     );
 }

@@ -26,11 +26,6 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "gnn.infer.cache.hit",
     "gnn.infer.cache.miss",
     "query.count",
-    "quant.prefilter.evals",
-    "quant.prefilter.pruned",
-    "quant.reorder.used",
-    "quant.kernel.simd",
-    "quant.kernel.scalar",
     "explain.queries",
     "explain.dropped",
     "profile.spans",

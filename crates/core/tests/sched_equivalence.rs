@@ -61,7 +61,7 @@ struct BatchFingerprint {
     results: Vec<Vec<(u64, u32)>>, // distance bits, id
     ndcs: Vec<usize>,
     ged_calls_delta: u64,
-    tiers: Vec<(u64, u64, u64, u64)>,
+    tiers: Vec<(u64, u64, u64)>,
 }
 
 fn run_batch(threads: &str) -> BatchFingerprint {
@@ -93,7 +93,6 @@ fn run_batch(threads: &str) -> BatchFingerprint {
                     qi as u64,
                 );
                 (
-                    ex.tiers.quant_skips,
                     ex.tiers.lb_prunes,
                     ex.tiers.tau_aborts,
                     ex.tiers.full_solves,

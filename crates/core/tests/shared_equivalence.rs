@@ -225,8 +225,8 @@ fn shared_explain_attribution_matches_serial() {
         assert_eq!(serial_ex.hops, shared_ex.hops);
         let (a, b) = (&serial_ex.tiers, &shared_ex.tiers);
         assert_eq!(
-            (a.quant_skips, a.lb_prunes, a.tau_aborts, a.full_solves),
-            (b.quant_skips, b.lb_prunes, b.tau_aborts, b.full_solves),
+            (a.lb_prunes, a.tau_aborts, a.full_solves),
+            (b.lb_prunes, b.tau_aborts, b.full_solves),
             "seed {seed}: tier attribution diverged"
         );
         assert_eq!(serial_ex.shards.len(), shared_ex.shards.len());

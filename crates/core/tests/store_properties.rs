@@ -196,7 +196,7 @@ fn concurrent_first_queries_on_an_opened_index_match_the_built_one() {
     let summary = |index: &ShardedLanIndex, (init, route, qi): (_, _, usize)| {
         let (out, ex) = index.search_explain(&ds.queries[qi], 3, 4, init, route, 0);
         let t = ex.tiers;
-        let tiers = (t.quant_skips, t.lb_prunes, t.tau_aborts, t.full_solves);
+        let tiers = (t.lb_prunes, t.tau_aborts, t.full_solves);
         (out.results, out.ndc, tiers)
     };
     let expect: Vec<_> = cases.iter().map(|&c| summary(&built, c)).collect();

@@ -74,7 +74,7 @@ impl Dataset {
     /// structure of real compound databases that makes both the proximity
     /// graph and the learned neighborhood models meaningful. Queries are
     /// sampled from the database and lightly perturbed, following the
-    /// workload protocol of [9] (paper §VII).
+    /// workload protocol of \[9\] (paper §VII).
     pub fn generate(spec: DatasetSpec) -> Self {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut graphs: Vec<Graph> = Vec::with_capacity(spec.num_graphs);
@@ -295,68 +295,29 @@ impl Dataset {
     /// only be `<= t` and ties at `t` are re-solved exactly, the returned
     /// list is identical to the full scan in any order — only
     /// `ged.full_evals` drops.
-    pub fn ground_truth_knn(&self, q: &Graph, k: usize) -> Vec<(f64, u32)> {
-        self.ground_truth_knn_ordered(q, k, None)
-    }
-
-    /// [`Self::ground_truth_knn`] with an optional per-graph visit-order
-    /// refinement — the ground-truth consumer of the quantized prefilter
-    /// tier.
     ///
-    /// `extra_keys[i]` is any estimate of the distance to graph `i`
-    /// (calibrated quantized surrogates in practice); when present, the
-    /// visit order sorts lexicographically by `(signature lower bound,
-    /// extra_keys[i], id)`. The admissible lower bound stays the primary
-    /// key — it is integer-valued under unit-cost GED, so its tie classes
-    /// are large — and the estimate only refines the order *within* a tie
-    /// class, where the bound carries no signal and the plain scan falls
-    /// back to id order; a noisy estimate therefore cannot degrade the
-    /// lower-bound order itself.
-    ///
-    /// Result identity for **any** `extra_keys` — even adversarial ones —
-    /// holds because skip decisions are made *only* by the admissible
-    /// cascade against the frozen threshold, never by the estimates: a
-    /// candidate is dropped only with a certificate `lb > t >= t_final`,
-    /// and everything else is solved exactly. The property tests pin the
-    /// identity on random and reversed keys.
-    ///
-    /// A note on what visit order can and cannot buy here: for a
-    /// non-aborting solver (Hungarian and friends) the ascending-lb order
-    /// is provably optimal — every candidate whose bound does not exceed
-    /// the final threshold must be solved in *any* order, and the lb order
-    /// solves nothing else — and with the tau-aborting exact solver,
-    /// measurement puts even the oracle ascending-true-distance order at
-    /// cost parity with the lb order, because the threshold converges
+    /// For a non-aborting solver (Hungarian and friends) the ascending-lb
+    /// order is provably optimal — every candidate whose bound does not
+    /// exceed the final threshold must be solved in *any* order, and the
+    /// lb order solves nothing else — and with the tau-aborting exact
+    /// solver, measurement puts even the oracle ascending-true-distance
+    /// order at cost parity with it, because the threshold converges
     /// during the mandatory warm-up (the first `⌈k/CHUNK⌉` chunks run
-    /// ungated). The scan's real full-eval savings over its PR-5 form come
-    /// from the threshold-boundary handling below, which resolves `lb == t`
-    /// candidates with a nudged threshold instead of an unbounded solve.
-    pub fn ground_truth_knn_ordered(
-        &self,
-        q: &Graph,
-        k: usize,
-        extra_keys: Option<&[f64]>,
-    ) -> Vec<(f64, u32)> {
+    /// ungated). The savings come from the threshold-boundary handling
+    /// below, which resolves `lb == t` candidates with a nudged threshold
+    /// instead of an unbounded solve.
+    pub fn ground_truth_knn(&self, q: &Graph, k: usize) -> Vec<(f64, u32)> {
         const CHUNK: usize = 8;
-        let n = self.graphs.len();
-        if let Some(xs) = extra_keys {
-            assert_eq!(xs.len(), n, "extra_keys must cover the database");
-            lan_obs::counter(lan_obs::names::QUANT_REORDER_USED).inc();
-        }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut keys: Vec<(f64, f64)> = Vec::with_capacity(n);
-        keys.extend(self.graphs.iter().enumerate().map(|(i, g)| {
-            let lb = lan_ged::lower_bounds::label_size_lb(q, g)
-                .max(lan_ged::lower_bounds::label_degree_lb(q, g));
-            // total_cmp makes a NaN estimate an ordinary (late) sort key.
-            (lb, extra_keys.map_or(0.0, |xs| xs[i]))
-        }));
-        order.sort_by(|&a, &b| {
-            let (ka, kb) = (keys[a as usize], keys[b as usize]);
-            ka.0.total_cmp(&kb.0)
-                .then(ka.1.total_cmp(&kb.1))
-                .then(a.cmp(&b))
-        });
+        let lbs: Vec<f64> = self
+            .graphs
+            .iter()
+            .map(|g| {
+                lan_ged::lower_bounds::label_size_lb(q, g)
+                    .max(lan_ged::lower_bounds::label_degree_lb(q, g))
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..self.graphs.len() as u32).collect();
+        order.sort_by(|&a, &b| lbs[a as usize].total_cmp(&lbs[b as usize]).then(a.cmp(&b)));
         let mut best: Vec<(f64, u32)> = Vec::with_capacity(k + CHUNK);
         for chunk_ids in order.chunks(CHUNK) {
             // Frozen for the whole chunk: a strict improvement mid-chunk
@@ -520,42 +481,6 @@ mod tests {
             for k in [1usize, 5, 17] {
                 let gt = d.ground_truth_knn(q, k);
                 assert_eq!(gt, serial[..k], "q={qi} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_ground_truth_is_order_independent() {
-        // The quantized reordering contract: the returned list — including
-        // the final k-th distance, i.e. the running threshold at scan end —
-        // is identical for ANY extra-key vector, because skip decisions
-        // come only from the admissible cascade. Random keys model a
-        // plausible surrogate; reversed-lb keys are adversarial (worst
-        // possible visit order); constant keys are a degenerate no-op.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let d = tiny(DatasetSpec::syn());
-        let n = d.graphs.len();
-        let mut rng = StdRng::seed_from_u64(17);
-        for qi in [0usize, 4, 9] {
-            let q = &d.queries[qi];
-            for k in [1usize, 5, 12] {
-                let plain = d.ground_truth_knn(q, k);
-                let random: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..30.0)).collect();
-                // The tie-break key `-d(q, i)` visits the *farthest*
-                // member of every lower-bound tie class first — the worst
-                // possible refinement (the threshold tightens as late as
-                // the composition allows).
-                let reversed: Vec<f64> = (0..n as u32).map(|i| -d.distance(q, i)).collect();
-                let constant = vec![0.0f64; n];
-                for (name, keys) in [
-                    ("random", &random),
-                    ("reversed", &reversed),
-                    ("constant", &constant),
-                ] {
-                    let got = d.ground_truth_knn_ordered(q, k, Some(keys));
-                    assert_eq!(got, plain, "q={qi} k={k} keys={name}");
-                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Beam-search suboptimal GED (the paper's "Beam" [58], Neuhaus, Riesen &
+//! Beam-search suboptimal GED (the paper's "Beam" \[58\], Neuhaus, Riesen &
 //! Bunke).
 //!
 //! The search tree is the same node-mapping tree as exact A\*
@@ -32,7 +32,7 @@
 //! held in `f64`: the sums are exact in any order, which is what makes the
 //! incremental form bit-identical to re-deriving each child from scratch
 //! (`tests/kernel_equivalence.rs` holds that derivation as the reference).
-//! All buffers live in [`BeamScratch`]; a call allocates nothing once the
+//! All buffers live in `BeamScratch`; a call allocates nothing once the
 //! scratch has grown to the pair's size.
 
 use crate::mapping::{mapping_cost_with, NodeMapping, EPS};

@@ -1,4 +1,4 @@
-//! Bipartite approximate GED (the paper's "Hung" [57] and "VJ" [56]).
+//! Bipartite approximate GED (the paper's "Hung" \[57\] and "VJ" \[56\]).
 //!
 //! Riesen & Bunke reduce GED to a linear sum assignment over an
 //! `(n1 + n2) × (n1 + n2)` cost matrix whose quadrants encode substitution,

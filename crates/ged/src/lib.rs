@@ -11,10 +11,10 @@
 //!   Kuhn–Munkres / potentials algorithm ("Hungarian") and a
 //!   Jonker–Volgenant solver with column reduction ("LAPJV");
 //! * [`bipartite`]: the Riesen–Bunke bipartite approximation (paper's
-//!   "Hung" [57]) and the Fankhauser et al. variant ("VJ" [56]), both
+//!   "Hung" \[57\]) and the Fankhauser et al. variant ("VJ" \[56\]), both
 //!   returning the *exact cost of the derived edit path* so results are
 //!   guaranteed upper bounds;
-//! * [`beam`]: beam-search suboptimal GED (paper's "Beam" [58]);
+//! * [`beam`]: beam-search suboptimal GED (paper's "Beam" \[58\]);
 //! * [`lower_bounds`]: cheap admissible lower bounds (label multiset, size);
 //! * [`engine`]: a facade selecting a method, plus the paper's ground-truth
 //!   protocol (exact with timeout, else best of the three approximations).

@@ -1,4 +1,4 @@
-//! The (uncompressed) GNN-graph `H_{G,L}` (paper §III-D, after HAG [45]).
+//! The (uncompressed) GNN-graph `H_{G,L}` (paper §III-D, after HAG \[45\]).
 //!
 //! An `L+1`-level DAG with one node per `(graph node, layer)` pair. Level
 //! `l` node `u` has incoming edges from level `l-1` nodes `{u} ∪ N(u)` —

@@ -11,8 +11,6 @@
 //! * [`gnn_graph`] — the explicit GNN-graph DAG `H_{G,L}` (§III-D);
 //! * [`cg`] — the compressed GNN-graph and Algorithm 5 (WL-based optimum
 //!   construction, Theorem 4);
-//! * [`hag`] — the HAG redundancy-elimination baseline [45] compared in
-//!   Fig. 12;
 //! * [`features`] — one-hot label features;
 //! * [`infer`] — tape-free inference forwards (query-time fast path) with
 //!   reusable per-thread scratch buffers: the cross-graph forward as a
@@ -24,14 +22,10 @@ pub mod cross;
 pub mod features;
 pub mod gin;
 pub mod gnn_graph;
-pub mod hag;
 pub mod infer;
-pub mod quant;
 
 pub use cg::CompressedGnnGraph;
 pub use cross::{CrossGraphNet, CrossInput, PairEmbedding};
 pub use gin::{Gin, GnnConfig};
 pub use gnn_graph::GnnGraph;
-pub use hag::HagPlan;
 pub use infer::{with_scratch, CrossPrefix, InferScratch};
-pub use quant::{QuantMode, QuantQuery, QuantStore};

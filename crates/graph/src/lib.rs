@@ -4,7 +4,7 @@
 //! [`Graph`] type studied by the paper (undirected, node-labeled, simple
 //! graphs), Weisfeiler–Lehman labeling ([`wl`]) used both as a GNN-equivalent
 //! invariant and to build compressed GNN-graphs, random graph
-//! [`generators`], edit [`perturb`]ation used to derive query workloads, and
+//! [`generators`], edit [`perturb`](mod@perturb)ation used to derive query workloads, and
 //! a plain-text [`io`] format.
 //!
 //! # Example

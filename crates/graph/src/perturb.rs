@@ -1,6 +1,6 @@
 //! Random edit perturbation.
 //!
-//! Query workloads in the paper are sampled from the database ([9]'s
+//! Query workloads in the paper are sampled from the database (\[9\]'s
 //! protocol); we additionally perturb sampled graphs with a small number of
 //! random edit operations so queries are near-but-not-in the database —
 //! this is what creates the "neighborhood of Q" structure that LAN exploits,

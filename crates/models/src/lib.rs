@@ -7,11 +7,9 @@ pub mod fused_service;
 pub mod kmeans;
 pub mod learned_ranker;
 pub mod models;
-pub mod quant_index;
 pub mod store;
 
 pub use fused_service::FusedScoreService;
 pub use kmeans::KMeans;
 pub use learned_ranker::LearnedRanker;
 pub use models::{DbInputs, LanModels, ModelConfig, QueryContext, SlabArena, TrainReport};
-pub use quant_index::{QuantCalib, QuantIndex, QuantPrefilter};

@@ -181,7 +181,7 @@ impl PairSlab {
     }
 }
 
-/// A reusable pool of per-query [`PairSlab`]s for the serving path.
+/// A reusable pool of per-query `PairSlab`s for the serving path.
 ///
 /// A cold slab lazily grows to `db_size × pair_dim` floats on its first
 /// `ensure_pairs`; under a serving workload that is a large allocation
@@ -299,10 +299,6 @@ pub struct LanModels {
     pub gamma_star: f64,
     /// GIN embedding of every database graph.
     pub db_embeds: Vec<Vec<f32>>,
-    /// Packed quantized codes of `db_embeds` with per-mode GED calibration
-    /// — the quantized prefilter tier (`None` only for degenerate
-    /// databases with nothing to quantize).
-    pub quant: Option<crate::quant_index::QuantIndex>,
     /// Cross-graph inputs, compressed and plain, of every database graph,
     /// each prepared on first use together with its layer-0 prefix.
     pub db_inputs_cg: DbInputs,
@@ -462,20 +458,6 @@ impl LanModels {
             });
         drop(phase);
 
-        // --- Quantized prefilter tier: pack codes, calibrate to GED. ---
-        // Reuses the train_dists matrix, so calibration costs zero extra
-        // distance computations; the training-query embeddings are one
-        // cheap GIN forward each.
-        let phase = span("build.models.quant");
-        let train_embeds: Vec<Vec<f32>> =
-            lan_par::par_map_indices_dyn(train_dists.len(), lan_par::Grain::Auto, |qi| {
-                gin.embed(&gin_store, &dataset.queries[dataset.split.train[qi]])
-                    .data()
-                    .to_vec()
-            });
-        let quant = crate::quant_index::QuantIndex::build(&db_embeds, &train_embeds, train_dists);
-        drop(phase);
-
         // --- KMeans over embeddings. ---
         let phase = span("build.models.kmeans");
         let kmeans = KMeans::fit(&db_embeds, cfg.clusters, 50, cfg.seed ^ 0x5eed);
@@ -586,7 +568,6 @@ impl LanModels {
             kmeans,
             gamma_star,
             db_embeds,
-            quant,
             db_inputs_cg,
             db_inputs_plain,
         };

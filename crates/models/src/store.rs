@@ -3,8 +3,7 @@
 //! Serialization strategy: persist exactly the artifacts that are
 //! expensive or RNG-dependent to reproduce — the four parameter stores'
 //! trained values, the KMeans clustering, `gamma_star`, the database GIN
-//! embeddings, and the quantized prefilter (codes + calibration). The
-//! cheap deterministic ones (compressed GNN-graphs, cross inputs and their
+//! embeddings. The cheap deterministic ones (compressed GNN-graphs, cross inputs and their
 //! layer-0 prefixes, pure functions of the database graphs, the config and
 //! the loaded weights) are neither stored nor built at load: the decoded
 //! bundle prepares each on first use, as a trained one does (`DbInputs`).
@@ -20,9 +19,8 @@
 
 use crate::kmeans::KMeans;
 use crate::models::{DbInputs, LanModels, ModelConfig, TrainReport};
-use crate::quant_index::{QuantCalib, QuantIndex};
 use lan_datasets::Dataset;
-use lan_gnn::{CrossGraphNet, Gin, GnnConfig, QuantStore};
+use lan_gnn::{CrossGraphNet, Gin, GnnConfig};
 use lan_store::{Dec, Enc, StoreError};
 use lan_tensor::{FusedHeads, Mlp, ParamStore};
 use rand::rngs::StdRng;
@@ -227,9 +225,9 @@ fn build_skeleton(cfg: &ModelConfig, num_labels: usize) -> Skeleton {
 }
 
 impl LanModels {
-    /// Serializes the trained bundle (weights + clustering + embeddings +
-    /// quantized prefilter). The database-derived inputs (`db_inputs_*`)
-    /// are prepared on first use after load.
+    /// Serializes the trained bundle (weights + clustering + embeddings).
+    /// The database-derived inputs (`db_inputs_*`) are prepared on first
+    /// use after load.
     pub fn store_encode(&self, enc: &mut Enc) {
         self.cfg.store_encode(enc);
         enc.put_u64(self.num_labels as u64);
@@ -240,17 +238,6 @@ impl LanModels {
         self.mc_store.store_encode_values(enc);
         encode_kmeans(&self.kmeans, enc);
         encode_embeds(&self.db_embeds, enc);
-        match &self.quant {
-            Some(q) => {
-                enc.put_bool(true);
-                q.store.store_encode(enc);
-                enc.put_f64(q.calib_binary.a);
-                enc.put_f64(q.calib_binary.b);
-                enc.put_f64(q.calib_scalar.a);
-                enc.put_f64(q.calib_scalar.b);
-            }
-            None => enc.put_bool(false),
-        }
     }
 
     /// Decodes a bundle written by [`LanModels::store_encode`] against the
@@ -275,31 +262,6 @@ impl LanModels {
 
         let kmeans = decode_kmeans(dec, dataset.graphs.len())?;
         let db_embeds = decode_embeds(dec, dataset.graphs.len())?;
-        let quant = if dec.get_bool()? {
-            let store = QuantStore::store_decode(dec)?;
-            if store.len() != dataset.graphs.len() {
-                return Err(StoreError::corrupt(format!(
-                    "quant store covers {} of {} graphs",
-                    store.len(),
-                    dataset.graphs.len()
-                )));
-            }
-            let calib_binary = QuantCalib {
-                a: dec.get_f64()?,
-                b: dec.get_f64()?,
-            };
-            let calib_scalar = QuantCalib {
-                a: dec.get_f64()?,
-                b: dec.get_f64()?,
-            };
-            Some(QuantIndex {
-                store,
-                calib_binary,
-                calib_scalar,
-            })
-        } else {
-            None
-        };
 
         // Fused head kernels: built AFTER the value load — they snapshot
         // the head weights at construction.
@@ -325,7 +287,6 @@ impl LanModels {
             kmeans,
             gamma_star,
             db_embeds,
-            quant,
             db_inputs_cg,
             db_inputs_plain,
         })
@@ -404,7 +365,6 @@ mod tests {
         assert_eq!(back.db_embeds, models.db_embeds);
         assert_eq!(back.kmeans.centroids, models.kmeans.centroids);
         assert_eq!(back.kmeans.assignment, models.kmeans.assignment);
-        assert_eq!(back.quant.is_some(), models.quant.is_some());
 
         // Behavioral identity: same neighborhood prediction and same
         // ranker batches for a query neither side has seen in training.

@@ -1,4 +1,4 @@
-//! `LanModels::train` accounts for its own time: eight `build.models.*`
+//! `LanModels::train` accounts for its own time: seven `build.models.*`
 //! sub-phase spans that together cover the `build.models` span `lan-core`
 //! opens around it. A test binary of its own, because the span profiler
 //! is process-global.
@@ -9,9 +9,8 @@ use lan_datasets::DatasetSpec;
 use lan_ged::GedMethod;
 use lan_models::{LanModels, ModelConfig};
 
-const PHASES: [&str; 8] = [
+const PHASES: [&str; 7] = [
     "embedder",
-    "quant",
     "kmeans",
     "nh",
     "rk_features",

@@ -39,12 +39,19 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, and `lan-serve` feeds it untrusted frames of
+/// up to 64 MiB: without a cap, a frame of `[`s overflows the stack and
+/// aborts the process. The producers this parser reads nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document; trailing whitespace allowed, trailing
-/// garbage is an error. Errors carry the byte offset.
+/// garbage is an error, and so is nesting deeper than [`MAX_DEPTH`].
+/// Errors carry the byte offset.
 pub fn parse(doc: &str) -> Result<Value, String> {
     let bytes = doc.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -67,11 +74,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -90,7 +101,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -103,7 +114,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         members.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -117,7 +128,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -126,7 +137,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -159,12 +170,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'u' => {
                         // \uXXXX — the bench artifacts never emit
                         // surrogate pairs, so the BMP decode suffices.
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign (`\u+041`).
+                        let hex = b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {pos}"));
+                        }
+                        let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                        let cp = u32::from_str_radix(hex, 16).expect("four hex digits");
                         *pos += 4;
                         s.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
                     }
@@ -243,6 +256,34 @@ mod tests {
     fn strings_with_escapes_round_trip() {
         let v = parse(r#"{"s": "a\"b\\c\ndA"}"#).unwrap();
         assert_eq!(v.get("s"), Some(&Value::Str("a\"b\\c\ndA".into())));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let v = parse(r#""\u0041\u00e9""#).unwrap();
+        assert_eq!(v, Value::Str("Aé".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u04""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let obj = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&obj).is_err());
+        // A million unclosed levels: an error on the test thread's stack,
+        // never an overflow.
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -130,21 +130,6 @@ pub mod names {
     /// Threshold-gated exact evaluations aborted by branch-and-bound once
     /// every A\* branch reached the threshold.
     pub const GED_EARLY_ABORT: &str = "ged.early_abort";
-    /// Quantized-surrogate evaluations made by the routing prefilter
-    /// (each one is a Hamming/dot kernel call over packed codes).
-    pub const QUANT_PREFILTER_EVALS: &str = "quant.prefilter.evals";
-    /// Routing candidates skipped by the quantized prefilter — each one
-    /// is a distance computation (one NDC) that never ran.
-    pub const QUANT_PREFILTER_PRUNED: &str = "quant.prefilter.pruned";
-    /// Ground-truth scans that visited candidates in quantized-surrogate
-    /// order instead of plain lower-bound order (result-identical; only
-    /// `ged.full_evals` moves).
-    pub const QUANT_REORDER_USED: &str = "quant.reorder.used";
-    /// Quantized-kernel batches served by the accelerated popcnt/AVX2
-    /// path.
-    pub const QUANT_KERNEL_SIMD: &str = "quant.kernel.simd";
-    /// Quantized-kernel batches served by the portable scalar fallback.
-    pub const QUANT_KERNEL_SCALAR: &str = "quant.kernel.scalar";
     /// Routing-trace events dropped because the ring buffer was full.
     pub const TRACE_DROPPED: &str = "trace.dropped";
     /// Per-query EXPLAIN plans collected (`LAN_EXPLAIN=1`).

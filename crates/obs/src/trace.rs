@@ -192,7 +192,7 @@ pub fn emit_gamma(q: u64, gamma: f64) {
     ));
 }
 
-/// Records how a traced query ended: its [`Termination`] name (e.g.
+/// Records how a traced query ended: its `Termination` name (e.g.
 /// `"converged"`, `"ndc_budget"`) and the final NDC.
 pub fn emit_end(q: u64, termination: &str, ndc: u64) {
     push(format!(

@@ -272,7 +272,7 @@ fn host_threads() -> usize {
 ///   overhead would dominate single items;
 /// * [`Grain::Auto`] — ~8 chunks per worker (capped at 256 items), a
 ///   middle ground for mildly skewed work;
-/// * [`Grain::Fixed(n)`] — explicit override for benchmarks.
+/// * [`Grain::Fixed`]`(n)` — explicit override for benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Grain {
     Fine,

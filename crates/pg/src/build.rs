@@ -1,7 +1,7 @@
 //! Proximity-graph (HNSW-style) index construction.
 //!
 //! The paper indexes the graph database with a proximity graph and compares
-//! against HNSW [17]; we build a hierarchical navigable-small-world index:
+//! against HNSW \[17\]; we build a hierarchical navigable-small-world index:
 //! each object draws a geometric level, lives in layers `0..=level`, and is
 //! connected to its `ef_construction`-searched nearest neighbors, capped at
 //! `m` (base layer `2m`). LAN's `np_route` runs on the base layer; the

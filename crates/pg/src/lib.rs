@@ -6,7 +6,7 @@
 //!   the `HNSW_IS` entry selection;
 //! * [`pool`] — the candidate pool `W` with the paper's exact tie-breaking;
 //! * [`routing`] — Algorithm 1, the exhaustive beam-search baseline;
-//! * [`np_route`] — Algorithms 2–4, routing with neighbor pruning, generic
+//! * [`np_route`](mod@np_route) — Algorithms 2–4, routing with neighbor pruning, generic
 //!   over a [`np_route::NeighborRanker`] (oracle here; the learned ranker
 //!   lives in `lan-models`);
 //! * [`budget`] — per-query NDC/deadline/hop budgets with cooperative
@@ -25,7 +25,6 @@ pub mod faults;
 pub mod metric;
 pub mod np_route;
 pub mod pool;
-pub mod prefilter;
 pub mod routing;
 pub mod store;
 
@@ -33,8 +32,5 @@ pub use budget::{budgeted_get, budgeted_get_within, BudgetCtx, QueryBudget, Term
 pub use build::{brute_force_knn, PgConfig, ProximityGraph};
 pub use faults::{FaultMetrics, FaultPlan};
 pub use metric::{DistBound, DistCache, PairCache, PairDistance, QueryDistance};
-pub use np_route::{
-    np_route, np_route_budgeted, np_route_prefiltered, NeighborRanker, NoPruneRanker, OracleRanker,
-};
-pub use prefilter::{CandidatePrefilter, NeverSkip, OraclePrefilter};
+pub use np_route::{np_route, np_route_budgeted, NeighborRanker, NoPruneRanker, OracleRanker};
 pub use routing::{beam_search, beam_search_budgeted, RouteResult};

@@ -7,7 +7,7 @@
 //! performs) and counts unique computations. NDC = cache misses.
 //!
 //! Both caches are **thread-safe**: the map is lock-striped (keys hash to
-//! one of [`STRIPES`] independent `Mutex<HashMap>` shards) and the NDC
+//! one of `STRIPES` independent `Mutex<HashMap>` shards) and the NDC
 //! counter is atomic, so concurrent routing, construction workers, and
 //! parallel shard searches can share one cache. A stripe's lock is held
 //! *while the distance is computed*, which preserves the sequential
@@ -184,17 +184,6 @@ impl<'a> DistCache<'a> {
     pub fn with_explain(mut self, tiers: &'a TierCounts) -> Self {
         self.explain = Some(tiers);
         self
-    }
-
-    /// Notes a routing candidate the quantized prefilter skipped (a
-    /// distance computation that never ran) into the explain sink, if one
-    /// is attached. The router calls this next to the global
-    /// `quant.prefilter.pruned` counter.
-    #[inline]
-    pub fn note_quant_skip(&self) {
-        if let Some(t) = self.explain {
-            t.note_quant_skip();
-        }
     }
 
     fn stripe(&self, id: u32) -> &Mutex<HashMap<u32, DistBound>> {
@@ -626,12 +615,10 @@ mod tests {
         assert_eq!(cache.get_within(0, 5.0, 8.0), DistBound::Exact(9.0));
         // Silent peek refines note nothing either.
         assert_eq!(cache.peek(0), Some(9.0));
-        cache.note_quant_skip();
         let b = tiers.snapshot();
         assert_eq!(b.lb_prunes, 1);
         assert_eq!(b.full_solves, 2);
         assert_eq!(b.tau_aborts, 0);
-        assert_eq!(b.quant_skips, 1);
         assert_eq!(b.attributed(), cache.ndc() as u64);
     }
 

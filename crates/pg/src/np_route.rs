@@ -15,7 +15,6 @@
 use crate::budget::{budgeted_get, budgeted_get_within, BudgetCtx, Termination};
 use crate::metric::{DistBound, DistCache, QueryDistance};
 use crate::pool::{Pool, RouterState};
-use crate::prefilter::CandidatePrefilter;
 use crate::routing::{finish_route, RouteResult};
 use lan_obs::{names, trace, Counter};
 use std::collections::HashMap;
@@ -141,10 +140,6 @@ struct NpRouter<'a, R: NeighborRanker> {
     /// of the un-resized pool, so with `k > b` a candidate beyond the `b`
     /// kept entries could still surface there and gating must stay off.
     gating: bool,
-    /// Optional non-admissible candidate prefilter (the quantized tier) —
-    /// consulted before a distance computation once the pool gate is
-    /// finite; see [`crate::prefilter`] for the recall-safety argument.
-    prefilter: Option<&'a dyn CandidatePrefilter>,
     // Pre-resolved metric handles — increments on the routing hot loop are
     // single relaxed atomics, never registry lookups.
     m_hops: &'static Counter,
@@ -218,30 +213,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
         }
     }
 
-    /// Whether the prefilter tier says to skip computing `nb`'s distance
-    /// this round. Only fires when the skip is provably recoverable:
-    /// `tau = max(γ, gate)` must be finite (the pool is full, so the query
-    /// already has a complete candidate answer to fall back on) and the
-    /// candidate uncached (a cached answer is free and exact). Counted and
-    /// bounded by the prefilter implementation itself.
-    fn prefilter_skips(&self, nb: u32, gamma: f64) -> bool {
-        let Some(pf) = self.prefilter else {
-            return false;
-        };
-        let tau = gamma.max(self.gate);
-        if !tau.is_finite() || self.cache.peek_bound(nb).is_some() {
-            return false;
-        }
-        let skip = pf.predict_beyond(nb, tau);
-        if skip {
-            // Mirror the global `quant.prefilter.pruned` counter into the
-            // query's EXPLAIN tier sink (skip *events*, like the global
-            // counter — escalated-γ rounds may re-skip a candidate).
-            self.cache.note_quant_skip();
-        }
-        skip
-    }
-
     /// Resizes the pool and refreshes the cascade gate — every resize must
     /// go through here so the gate never lags the kept set.
     fn resize_pool(&mut self, b: usize) {
@@ -301,10 +272,8 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
                             farthest = farthest.max(d);
                         }
                     }
-                    // Opened neighbors have cached answers unless the
-                    // prefilter skipped them — an uncached member simply
-                    // contributes nothing to the farthest estimate
-                    // (conservative: scanning continues).
+                    // Every member of an opened batch is cached (see
+                    // `all_quali_neigh`); nothing to add if one were not.
                     None => {}
                 }
             }
@@ -318,13 +287,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                // Quantized tier: a predicted-beyond candidate is treated
-                // like a certified threshold hit, with no computation and
-                // no cache entry (later rounds re-ask at a larger τ).
-                if self.prefilter_skips(nb, gamma) {
-                    hit = true;
-                    continue;
-                }
                 let Some(b) = self.try_get_within(nb, gamma) else {
                     return;
                 };
@@ -379,28 +341,17 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             for i in start..start + len {
                 let nb = self.rescan_scratch[i];
                 if !self.state.is_explored(nb) {
-                    // Members the quantized tier skipped earlier are not
-                    // cached — re-ask it under the escalated γ first.
-                    if self.prefilter_skips(nb, gamma) {
-                        hit = true;
-                        continue;
-                    }
-                    let b = if self.cache.peek_bound(nb).is_none() {
-                        // A previously-skipped member being evaluated for
-                        // the first time: charged to the budget like any
-                        // other miss.
-                        let Some(b) = self.try_get_within(nb, gamma) else {
-                            return;
-                        };
-                        b
-                    } else {
-                        // Cached (the batch was opened): the gated lookup
-                        // keeps a still-valid bound (counting the hit the
-                        // ungated run saw) or refines it to the exact
-                        // distance.
-                        self.cache.get_within(nb, gamma, self.gate)
-                    };
-                    match b {
+                    // Opening a batch computes every member, and a budget
+                    // stop mid-batch ends the route before the next
+                    // re-scan, so the member is cached: the gated lookup
+                    // keeps a still-valid bound (counting the hit the
+                    // ungated run saw) or refines it to the exact
+                    // distance, and never charges the budget.
+                    debug_assert!(
+                        self.cache.peek_bound(nb).is_some(),
+                        "opened batch member {nb} is uncached"
+                    );
+                    match self.cache.get_within(nb, gamma, self.gate) {
                         DistBound::Exact(d) => {
                             self.w.add(nb, d);
                             if d >= gamma {
@@ -423,10 +374,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                if self.prefilter_skips(nb, gamma) {
-                    hit = true;
-                    continue;
-                }
                 let Some(b) = self.try_get_within(nb, gamma) else {
                     return;
                 };
@@ -494,26 +441,6 @@ pub fn np_route_budgeted<R: NeighborRanker>(
     ds: f64,
     ctx: &BudgetCtx,
 ) -> RouteResult {
-    np_route_prefiltered(adj, cache, ranker, entries, b, k, ds, ctx, None)
-}
-
-/// [`np_route_budgeted`] with an optional quantized-tier candidate
-/// prefilter. `None` is bit-identical to the unprefiltered router; with a
-/// prefilter, candidates it predicts beyond `max(γ, pool gate)` are
-/// skipped without a distance computation (see [`crate::prefilter`] for
-/// the recall-safety argument and property tests).
-#[allow(clippy::too_many_arguments)]
-pub fn np_route_prefiltered<R: NeighborRanker>(
-    adj: &[Vec<u32>],
-    cache: &DistCache<'_>,
-    ranker: &R,
-    entries: &[u32],
-    b: usize,
-    k: usize,
-    ds: f64,
-    ctx: &BudgetCtx,
-    prefilter: Option<&dyn CandidatePrefilter>,
-) -> RouteResult {
     assert!(b >= 1, "beam size must be at least 1");
     assert!(ds > 0.0, "gamma step must be positive");
     let mut r = NpRouter {
@@ -530,7 +457,6 @@ pub fn np_route_prefiltered<R: NeighborRanker>(
         state: RouterState::new(),
         gate: f64::INFINITY,
         gating: k <= b,
-        prefilter,
         m_hops: lan_obs::counter(names::ROUTE_HOPS),
         m_opened: lan_obs::counter(names::ROUTE_BATCHES_OPENED),
         m_prunes: lan_obs::counter(names::ROUTE_GAMMA_PRUNES),

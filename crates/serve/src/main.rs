@@ -45,7 +45,7 @@ fn serve_index_config() -> LanConfig {
             ..lan_models::ModelConfig::default()
         },
         ds: 1.0,
-        quant: QuantConfig::from_env(),
+        quant: QuantConfig::default(),
     }
 }
 

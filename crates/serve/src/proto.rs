@@ -424,6 +424,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_requests_are_typed_errors() {
+        // A frame of a million `[` under a valid request prefix: the JSON
+        // depth cap turns it into an error, not a stack overflow that
+        // would abort the server.
+        let payload = format!(
+            "{{\"op\":\"search\",\"k\":5,\"b\":8,\"labels\":{}",
+            "[".repeat(1_000_000)
+        );
+        match parse_request(&payload) {
+            Err(err) => assert!(err.contains("nesting"), "{err}"),
+            Ok(_) => panic!("a million nested arrays were accepted"),
+        }
+    }
+
+    #[test]
     fn shed_response_is_typed() {
         let payload = render_overloaded("inflight cap (64) reached");
         match parse_response(&payload).unwrap() {

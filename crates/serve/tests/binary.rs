@@ -4,10 +4,17 @@
 //! protocol, scrapes `/metrics`, pings, and asks for a shutdown. Both must
 //! exit 0 and the server must report a clean shutdown, within a deadline.
 //!
+//! Before the probe, a hostile frame (a million nested `[`) goes to the
+//! server; it must come back as an error response on a connection that
+//! still answers, not abort the process.
+//!
 //! `equivalence.rs` pins what a served answer is; this test pins that the
 //! shipped binary boots, serves and stops.
 
+use lan_serve::proto::{parse_response, read_frame, write_frame};
+use lan_serve::Response;
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -100,6 +107,24 @@ fn server_boots_serves_a_probe_and_shuts_down_cleanly() {
             break rest.split_whitespace().next().unwrap().to_string();
         }
     };
+
+    let mut hostile = TcpStream::connect(&addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(deadline.saturating_duration_since(Instant::now())))
+        .unwrap();
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut hostile, payload).expect("send frame");
+        let reply = read_frame(&mut hostile)
+            .expect("read reply")
+            .expect("server closed the connection");
+        String::from_utf8(reply).expect("UTF-8 reply")
+    };
+    match parse_response(&exchange("[".repeat(1_000_000).as_bytes())) {
+        Ok(Response::Error { reason }) => assert!(reason.contains("nesting"), "{reason}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    assert_eq!(exchange(br#"{"op":"ping"}"#), r#"{"status":"ok"}"#);
+    drop(hostile);
 
     let mut probe = Reaped(
         lan_serve(&[("LAN_SERVE_GRAPHS", GRAPHS)])

@@ -172,13 +172,11 @@ fn explain_attribution_crosses_the_wire() {
         let tiers = ex.get("tiers").expect("tiers object");
         assert_eq!(
             (
-                serial_ex.tiers.quant_skips,
                 serial_ex.tiers.lb_prunes,
                 serial_ex.tiers.tau_aborts,
                 serial_ex.tiers.full_solves
             ),
             (
-                num(tiers, "quant_skips"),
                 num(tiers, "lb_prunes"),
                 num(tiers, "tau_aborts"),
                 num(tiers, "full_solves")

@@ -179,7 +179,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Size argument of [`vec`]: a fixed length or a length range.
+    /// Size argument of [`vec`](fn@vec): a fixed length or a length range.
     pub trait SizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }

@@ -1,8 +1,8 @@
 //! The on-disk container format for LAN index artifacts.
 //!
 //! Every build artifact the workspace can persist — graph database with
-//! cached signatures, proximity-graph adjacency, trained weight matrices,
-//! quantized code books — is written into one file laid out as:
+//! cached signatures, proximity-graph adjacency, trained weight matrices —
+//! is written into one file laid out as:
 //!
 //! ```text
 //! superblock   magic "LANSTOR\0" · format version · section count
@@ -45,8 +45,10 @@ pub const MAGIC: [u8; 8] = *b"LANSTOR\0";
 /// Current container format version. Bump on any layout change; readers
 /// reject other versions with [`StoreError::BadVersion`] (see DESIGN.md's
 /// compat policy: the format is versioned, not self-migrating). Version 2
-/// added the ground-truth metric to the dataset spec.
-pub const FORMAT_VERSION: u32 = 2;
+/// added the ground-truth metric to the dataset spec; version 3 dropped the
+/// quantized code books from the models section and the quantized-tier
+/// settings from the index config.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section payload alignment within the file (and, because the read
 /// buffer is 8-byte aligned, within memory after a load).
@@ -682,8 +684,9 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        // 1 is the previous format (no ground-truth metric in the spec).
-        for version in [1u32, 99] {
+        // 1 has no ground-truth metric in the spec; 2 still carries the
+        // quantized code books and tier settings.
+        for version in [1u32, 2, 99] {
             let mut bytes = sample_writer().to_bytes();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             match Archive::from_bytes(&bytes) {

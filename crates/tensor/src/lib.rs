@@ -14,8 +14,10 @@
 //! * [`optim`] — Adam plus the paper's step-decay learning-rate schedule
 //!   (0.005, ×0.96 every 5 epochs);
 //! * [`simd`] — runtime-dispatched integer kernels (Hamming over packed
-//!   sign codes, `u8` dot product) for the quantized prefilter tier, with
-//!   bit-identical scalar fallbacks.
+//!   sign codes, `u8` dot product) with bit-identical scalar fallbacks.
+//!   Nothing in the workspace calls them since the quantized prefilter
+//!   tier was removed; they stay only for `benchmark/`'s
+//!   `tensor.hamming.ns`/`tensor.dot_u8.ns` probes and go when those do.
 //!
 //! # Example: one gradient step
 //!

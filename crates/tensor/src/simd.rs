@@ -1,11 +1,14 @@
 //! Runtime-dispatched SIMD kernels for quantized embedding codes.
 //!
-//! Two integer kernels back the quantized prefilter tier: Hamming distance
-//! over packed `u64` sign codes (binary quantization) and the `u8` dot
-//! product (scalar quantization, from which the squared-L2 surrogate is
-//! assembled via precomputed norms). Both come in a portable scalar form
-//! and an x86-64 accelerated form (`popcnt` for Hamming, AVX2 for the dot
-//! product), selected once at first use with `is_x86_feature_detected!`.
+//! Two integer kernels over quantized codes: Hamming distance over packed
+//! `u64` sign codes (binary quantization) and the `u8` dot product (scalar
+//! quantization). Both come in a portable scalar form and an x86-64
+//! accelerated form (`popcnt` for Hamming, AVX2 for the dot product),
+//! selected once at first use with `is_x86_feature_detected!`.
+//!
+//! They backed the quantized prefilter tier, which is gone. They stay only
+//! because `benchmark/`'s `tensor.hamming.ns` and `tensor.dot_u8.ns`
+//! probes call them, and go with those probes.
 //!
 //! All arithmetic is integer, so the accelerated paths are **bit-identical**
 //! to the scalar fallbacks by construction — no reassociation slack, no

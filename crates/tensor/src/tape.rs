@@ -1,6 +1,6 @@
 //! Tape-based reverse-mode automatic differentiation over [`Matrix`] values.
 //!
-//! A [`Tape`] records a forward computation as a DAG of [`Op`] nodes; calling
+//! A [`Tape`] records a forward computation as a DAG of `Op` nodes; calling
 //! [`Tape::backward`] walks the nodes in reverse, accumulating gradients into
 //! a [`ParamStore`]. One tape is built per training sample and discarded
 //! afterwards. At the model sizes here a sample's forward, backward and

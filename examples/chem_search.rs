@@ -39,7 +39,7 @@ fn main() {
             ..ModelConfig::default()
         },
         ds: 1.0,
-        quant: lan_core::QuantConfig::from_env(),
+        quant: lan_core::QuantConfig::default(),
     };
     println!("indexing (this cost is offline and amortized over all queries)...");
     let index = LanIndex::build(dataset, cfg);
