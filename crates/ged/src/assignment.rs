@@ -23,17 +23,51 @@
 //! values on every solve, so scratch reuse is bit-identical to fresh
 //! allocation.
 //!
-//! The inner loops walk the hoisted matrix row and the working arrays as
-//! zipped slices (no per-cell index arithmetic or bounds checks). Their
-//! arithmetic, operation order and strict-`<` tie choices are those of the
-//! classic index-based formulations, which `tests/kernel_equivalence.rs`
+//! Both kernels return the assignment of the classic index-based
+//! formulations, tie choices included, which `tests/kernel_equivalence.rs`
 //! keeps as frozen references and compares on `row_to_col`, not just cost.
+//! LAPJV walks the same cells in the same order as its reference, minus the
+//! per-cell index arithmetic. The Hungarian kernel does less work than its
+//! reference for the same result: it skips the dual update of a step whose
+//! minimum reduced cost `δ` is 0, takes that step's column from a bitset of
+//! zero-cost columns instead of an argmin scan, and on a Riesen–Bunke matrix
+//! relaxes only the finite cells of a row (see [`hungarian`] for why each of
+//! these returns the reference's assignment).
+
+use std::ops::Range;
 
 /// A square cost matrix stored row-major.
 #[derive(Debug, Clone, Default)]
 pub struct CostMatrix {
     n: usize,
     data: Vec<f64>,
+    layout: Layout,
+}
+
+/// Which cells of a [`CostMatrix`] the Hungarian kernel relaxes.
+#[derive(Debug, Clone, Copy, Default)]
+enum Layout {
+    /// Every cell (any square matrix).
+    #[default]
+    Dense,
+    /// The Riesen–Bunke matrix of an `n1`-node and an `n2`-node graph,
+    /// exactly as [`crate::bipartite::rb_cost_matrix_into`] left it: only
+    /// its finite cells.
+    RiesenBunke { n1: usize, n2: usize },
+}
+
+impl Layout {
+    /// The 0-based columns of row `r`'s cells to relax, as two ranges.
+    #[inline]
+    fn cols(self, r: usize, n: usize) -> [Range<usize>; 2] {
+        match self {
+            Layout::Dense => [0..n, n..n],
+            // Substitutions, then the row's own deletion cell.
+            Layout::RiesenBunke { n1, n2 } if r < n1 => [0..n2, n2 + r..n2 + r + 1],
+            // An ε-row: its insertion cell, then the zero ε/ε block.
+            Layout::RiesenBunke { n1, n2 } => [r - n1..r - n1 + 1, n2..n],
+        }
+    }
 }
 
 impl CostMatrix {
@@ -42,18 +76,24 @@ impl CostMatrix {
         CostMatrix {
             n,
             data: vec![0.0; n * n],
+            layout: Layout::Dense,
         }
     }
 
     /// Creates from a row-major vector. Panics if `data.len() != n * n`.
     pub fn from_vec(n: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), n * n);
-        CostMatrix { n, data }
+        CostMatrix {
+            n,
+            data,
+            layout: Layout::Dense,
+        }
     }
 
     /// Resets to an `n × n` zero matrix, reusing the existing allocation.
     pub fn reset(&mut self, n: usize) {
         self.n = n;
+        self.layout = Layout::Dense;
         self.data.clear();
         self.data.resize(n * n, 0.0);
     }
@@ -73,6 +113,7 @@ impl CostMatrix {
     /// Sets the cost of assigning row `i` to column `j`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
+        self.layout = Layout::Dense;
         self.data[i * self.n + j] = v;
     }
 
@@ -85,7 +126,16 @@ impl CostMatrix {
     /// Row `i` as a mutable slice.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        self.layout = Layout::Dense;
         &mut self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Declares this matrix the Riesen–Bunke matrix of an `n1`-node and an
+    /// `n2`-node graph. Only the builder calls it, after its last write;
+    /// any later `set` or `row_mut` withdraws the claim.
+    pub(crate) fn mark_riesen_bunke(&mut self, n1: usize, n2: usize) {
+        debug_assert_eq!(self.n, n1 + n2);
+        self.layout = Layout::RiesenBunke { n1, n2 };
     }
 }
 
@@ -111,6 +161,7 @@ pub struct AssignScratch {
     way: Vec<usize>,
     minv: Vec<f64>,
     used: Vec<bool>,
+    zeros: ColumnBits,
     // LAPJV.
     y: Vec<usize>,
     vv: Vec<f64>,
@@ -146,6 +197,38 @@ impl AssignScratch {
     }
 }
 
+/// A set of 1-based Hungarian columns `0..=n`, one bit each.
+#[derive(Debug, Default)]
+struct ColumnBits(Vec<u64>);
+
+impl ColumnBits {
+    /// Empties the set and sizes it for columns `0..=n`.
+    fn reset(&mut self, n: usize) {
+        refill(&mut self.0, n / 64 + 1, 0);
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    #[inline]
+    fn insert(&mut self, j: usize) {
+        self.0[j / 64] |= 1 << (j % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, j: usize) {
+        self.0[j / 64] &= !(1 << (j % 64));
+    }
+
+    /// The lowest column in the set.
+    #[inline]
+    fn first(&self) -> Option<usize> {
+        let (w, &bits) = self.0.iter().enumerate().find(|(_, &b)| b != 0)?;
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// Clears and refills `buf` with `len` copies of `val` (the scratch
 /// equivalent of `vec![val; len]`).
 #[inline]
@@ -157,7 +240,44 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, val: T) {
 /// Kuhn–Munkres with potentials (the classic O(n³) "Hungarian algorithm").
 ///
 /// Follows the standard formulation with row potentials `u`, column
-/// potentials `v`, and one Dijkstra-like augmentation per row.
+/// potentials `v`, and one Dijkstra-like augmentation per row: each step
+/// relaxes the reduced costs `c[i0][j] − u[i0] − v[j]` of the row `i0` that
+/// entered the tree into `minv`, takes the first unused column `j1` of least
+/// `minv` (`δ`), and shifts the tree's potentials and the other columns'
+/// `minv` by `δ`. The returned assignment is that formulation's, tie
+/// choices included, although three kinds of work are skipped:
+///
+/// * **A step with `δ = 0` updates nothing.** Adding or subtracting zero
+///   changes at most the sign of a zero, which no comparison reads and which
+///   cannot make any nonzero result differ.
+/// * **Its column comes from a bitset.** The kernel keeps the set of unused
+///   columns whose `minv` is exactly 0, and a flag that is raised when a
+///   relaxation stores a negative `minv`. While the flag is down, every
+///   unused `minv` is ≥ 0, so a nonempty set means `δ = 0` and its lowest
+///   member is the first column the argmin would pick. Otherwise the kernel
+///   runs the full argmin and update, after which every unused `minv` is
+///   ≥ 0 (IEEE rounding is monotone, so `m − δ` rounds to ≥ 0 when
+///   `m ≥ δ`), and
+///   rebuilds the set. This holds for any matrix, negative and fractional
+///   entries included.
+/// * **On a Riesen–Bunke matrix only finite cells are relaxed.** That is a
+///   matrix [`crate::bipartite::rb_cost_matrix`] built and no `set` or
+///   `row_mut` changed since. Its finite cells are a real row's
+///   substitution cells and its own deletion cell, and an ε-row's
+///   insertion cell and the ε/ε block. The
+///   others hold `forbid`, and a value derived from one never wins an
+///   argmin before the augmenting path ends. The matrix is nonnegative and
+///   integer-valued, so the solver's arithmetic is exact. Rows enter in
+///   order, and taking the first `k` rows to their own deletion or
+///   insertion cells is a feasible partial assignment of cost at most
+///   `S = Σ(1 + deg)` over both graphs. So the optimal partial cost, which
+///   is the sum of every `δ` so far, never exceeds `S`. Hence `0 ≤ u ≤ S`
+///   and `−S ≤ v ≤ 0` throughout, and every column a step picks lies at
+///   distance ≤ `S` from the row being added. A `forbid` cell relaxes to a
+///   distance ≥ `forbid − S`, and `forbid > 2S` by construction. So such a
+///   column is never picked while its smallest value comes from a `forbid`
+///   cell. Skipping those cells only raises the `minv` of columns that are
+///   not picked; the columns that are picked keep their value and `way`.
 pub fn hungarian(c: &CostMatrix) -> Assignment {
     hungarian_with(c, &mut AssignScratch::new())
 }
@@ -190,6 +310,7 @@ pub(crate) fn hungarian_solve(c: &CostMatrix, s: &mut AssignScratch) {
         way,
         minv,
         used,
+        zeros,
         ..
     } = s;
 
@@ -198,47 +319,77 @@ pub(crate) fn hungarian_solve(c: &CostMatrix, s: &mut AssignScratch) {
         let mut j0 = 0usize;
         refill(minv, n + 1, INF);
         refill(used, n + 1, false);
+        // The unused columns whose `minv` is 0, valid while no negative
+        // `minv` has been stored since it was last rebuilt.
+        zeros.reset(n);
+        let mut negative = false;
         loop {
             used[j0] = true;
+            zeros.remove(j0);
             let i0 = p[j0];
             let ui0 = u[i0];
-            let mut delta = INF;
-            let mut j1 = 0usize;
-            // Columns 1..=n against row i0 (0-based in the matrix).
-            let cols = c
-                .row(i0 - 1)
-                .iter()
-                .zip(&v[1..])
-                .zip(&mut minv[1..])
-                .zip(&mut way[1..])
-                .zip(&used[1..]);
-            for (k, ((((&cij, &vj), minv_j), way_j), &used_j)) in cols.enumerate() {
-                if !used_j {
+            let row = c.row(i0 - 1);
+            for cols in c.layout.cols(i0 - 1, n) {
+                let (lo, hi) = (cols.start + 1, cols.end + 1);
+                let cells = row[cols]
+                    .iter()
+                    .zip(&v[lo..hi])
+                    .zip(&mut minv[lo..hi])
+                    .zip(&mut way[lo..hi])
+                    .zip(&used[lo..hi]);
+                for (k, ((((&cij, &vj), minv_j), way_j), &used_j)) in cells.enumerate() {
+                    // One branch on both conditions: cheaper than two on
+                    // the unpredictable mix of used and improvable columns.
                     let cur = cij - ui0 - vj;
-                    if cur < *minv_j {
+                    if !used_j & (cur < *minv_j) {
                         *minv_j = cur;
                         *way_j = j0;
-                    }
-                    if *minv_j < delta {
-                        delta = *minv_j;
-                        j1 = k + 1;
+                        if cur == 0.0 {
+                            zeros.insert(lo + k);
+                        } else if cur < 0.0 {
+                            negative = true;
+                        }
                     }
                 }
             }
-            let cols = used
-                .iter()
-                .zip(p.iter())
-                .zip(v.iter_mut())
-                .zip(minv.iter_mut());
-            for (((&used_j, &pj), vj), minv_j) in cols {
-                if used_j {
-                    u[pj] += delta;
-                    *vj -= delta;
-                } else {
-                    *minv_j -= delta;
+            j0 = match zeros.first() {
+                // δ = 0: the potentials and `minv` stay as they are.
+                Some(j1) if !negative => j1,
+                // Here δ ≠ 0: a raised flag means an unused column holds a
+                // negative `minv`; an empty set under a lowered one, that
+                // none holds 0.
+                _ => {
+                    let mut delta = INF;
+                    let mut j1 = 0usize;
+                    for (j, (&minv_j, &used_j)) in minv.iter().zip(used.iter()).enumerate() {
+                        if !used_j && minv_j < delta {
+                            delta = minv_j;
+                            j1 = j;
+                        }
+                    }
+                    zeros.clear();
+                    negative = false;
+                    let cols = used
+                        .iter()
+                        .zip(p.iter())
+                        .zip(v.iter_mut())
+                        .zip(minv.iter_mut());
+                    for (j, (((&used_j, &pj), vj), minv_j)) in cols.enumerate() {
+                        if used_j {
+                            u[pj] += delta;
+                            *vj -= delta;
+                        } else {
+                            *minv_j -= delta;
+                            if *minv_j == 0.0 {
+                                zeros.insert(j);
+                            } else if *minv_j < 0.0 {
+                                negative = true;
+                            }
+                        }
+                    }
+                    j1
                 }
-            }
-            j0 = j1;
+            };
             if p[j0] == 0 {
                 break;
             }

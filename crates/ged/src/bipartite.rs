@@ -75,7 +75,10 @@ impl NeighborLabels {
 ///   edge reassignment cost like Riesen–Bunke's `|deg(u) − deg(v)|` does,
 ///   and is far more discriminative on uniform-degree chains;
 /// * `del(u)` = 1 + deg(u), `ins(v)` = 1 + deg(v);
-/// * "∞" is a large finite value, so solver arithmetic stays finite.
+/// * "∞" is a large finite value, so solver arithmetic stays finite. It
+///   exceeds twice the cost of every node's own deletion and insertion
+///   cell summed, which is what lets the Hungarian kernel skip these cells
+///   ([`crate::assignment::hungarian`]).
 pub fn rb_cost_matrix(g1: &Graph, g2: &Graph) -> CostMatrix {
     let mut s = GedScratch::new();
     rb_cost_matrix_into(g1, g2, &mut s);
@@ -112,6 +115,7 @@ pub fn rb_cost_matrix_into(g1: &Graph, g2: &Graph, s: &mut GedScratch) {
         ins.fill(forbid);
         ins[j] = 1.0 + g2.degree(j as NodeId) as f64;
     }
+    s.cost.mark_riesen_bunke(n1, n2);
 }
 
 /// Bipartite approximate GED: returns the exact cost of the edit path

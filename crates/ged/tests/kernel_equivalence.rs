@@ -11,6 +11,14 @@
 //! [`NodeMapping`]s and `row_to_col` assignments. `BestOfThree`, which
 //! shares one Riesen–Bunke matrix between its two LSAP solves, is held to
 //! the minimum of those references.
+//!
+//! The Hungarian kernel relaxes only the finite cells of a Riesen–Bunke
+//! matrix and resolves zero-cost steps from a bitset, so it is held to
+//! `ref_hungarian` on tie-heavy Riesen–Bunke matrices with an empty side,
+//! across the bitset's 64-column word boundaries, and on dense matrices
+//! with negative and fractional entries (its fallback path). An ignored
+//! stress test runs 24 000 Riesen–Bunke matrices in release mode:
+//! `cargo test --release -p lan-ged --test kernel_equivalence -- --include-ignored`.
 
 use lan_ged::assignment::{
     hungarian, hungarian_with, lapjv, lapjv_with, AssignScratch, CostMatrix,
@@ -23,7 +31,7 @@ use lan_ged::engine::{ged, GedMethod};
 use lan_ged::lower_bounds::{masked_label_multiset_lb, sorted_label_multiset_lb};
 use lan_ged::mapping::{mapping_cost, NodeMapping, EPS};
 use lan_ged::GedScratch;
-use lan_graph::generators::{erdos_renyi, molecule_like, power_law_like};
+use lan_graph::generators::{control_flow_like, erdos_renyi, molecule_like, power_law_like};
 use lan_graph::perturb::perturb;
 use lan_graph::{Graph, Label, NodeId};
 use proptest::prelude::*;
@@ -473,6 +481,63 @@ fn pair_of(family: u8, near: bool, s1: u64, s2: u64) -> (Graph, Graph) {
     (a, b)
 }
 
+/// One graph of `0..=max_n` nodes over `labels` labels from one of five
+/// families: molecules, control-flow graphs, power-law graphs, uniform
+/// random graphs, and 1–4-edit perturbations of a molecule.
+fn stress_graph(rng: &mut StdRng, family: u8, labels: u16, max_n: usize) -> Graph {
+    let n = rng.gen_range(0..=max_n);
+    if n == 0 {
+        return Graph::empty();
+    }
+    let extra = rng.gen_range(0..=3);
+    match family % 5 {
+        0 => molecule_like(rng, n, extra, 4, labels),
+        1 => control_flow_like(rng, n, 0.3, 0.2, labels),
+        2 => power_law_like(rng, n, 2, extra, labels),
+        3 => erdos_renyi(rng, n, extra * n / 2, labels),
+        _ => {
+            let g = molecule_like(rng, n, 1, 4, labels);
+            let t = rng.gen_range(1..=4);
+            perturb(rng, &g, t, labels).0
+        }
+    }
+}
+
+/// The Hungarian kernel on the Riesen–Bunke matrix of `(g1, g2)` against
+/// the reference solver on the reference matrix: the whole `row_to_col`
+/// (ε-rows included), the cost bits, and the distance derived from it.
+fn assert_rb_hungarian_matches(g1: &Graph, g2: &Graph) {
+    let (want_rows, want_cost) = ref_hungarian(&ref_rb_cost_matrix(g1, g2));
+    let got = hungarian(&rb_cost_matrix(g1, g2));
+    assert_eq!(
+        got.row_to_col,
+        want_rows,
+        "{}+{}-node pair",
+        g1.node_count(),
+        g2.node_count()
+    );
+    assert_eq!(got.cost.to_bits(), want_cost.to_bits());
+    let (want_d, want_m) = ref_bipartite(g1, g2, Solver::Hungarian);
+    let (got_d, got_m) = bipartite_ged_with_mapping(g1, g2, Solver::Hungarian);
+    assert_eq!(got_d.to_bits(), want_d.to_bits());
+    assert_eq!(got_m, want_m);
+}
+
+/// A dense `n × n` matrix whose entries are drawn from `values`.
+fn matrix_from(rng: &mut StdRng, n: usize, values: &[f64]) -> CostMatrix {
+    let data = (0..n * n)
+        .map(|_| values[rng.gen_range(0..values.len())])
+        .collect();
+    CostMatrix::from_vec(n, data)
+}
+
+fn assert_hungarian_matches(c: &CostMatrix, scratch: &mut AssignScratch) {
+    let (want_rows, want_cost) = ref_hungarian(c);
+    let got = hungarian_with(c, scratch);
+    assert_eq!(got.row_to_col, want_rows, "n = {}", c.n());
+    assert_eq!(got.cost.to_bits(), want_cost.to_bits());
+}
+
 fn assert_kernels_match(g1: &Graph, g2: &Graph) {
     // The shared matrix.
     let want_c = ref_rb_cost_matrix(g1, g2);
@@ -561,6 +626,81 @@ proptest! {
             prop_assert_eq!(&got.row_to_col, &want_rows);
             prop_assert_eq!(got.cost.to_bits(), want_cost.to_bits());
         }
+    }
+
+    /// Riesen–Bunke matrices at their most tied: one or two labels, and an
+    /// empty graph on one side (`n1 = 0` or `n2 = 0`) in a sixth of the
+    /// cases, in both argument orders.
+    #[test]
+    fn rb_hungarian_matches_reference_on_tied_pairs(
+        family in 0u8..5, labels in 1u16..=2, empty in 0u8..6, seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = stress_graph(&mut rng, family, labels, 24);
+        let b = match empty {
+            0 => Graph::empty(),
+            _ => stress_graph(&mut rng, family + empty, labels, 24),
+        };
+        assert_rb_hungarian_matches(&a, &b);
+        assert_rb_hungarian_matches(&b, &a);
+    }
+
+    /// Dense matrices with negative and fractional entries, where a
+    /// relaxation can store a negative reduced cost and the zero set falls
+    /// back to the full argmin; one scratch across sizes.
+    #[test]
+    fn hungarian_matches_reference_on_signed_fractional_matrices(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = AssignScratch::new();
+        let tied = [-2.0, -1.5, -0.25, 0.0, 0.0, 0.5, 1.0, 3.0];
+        for _ in 0..6 {
+            let n = rng.gen_range(0..=20);
+            assert_hungarian_matches(&matrix_from(&mut rng, n, &tied), &mut scratch);
+            let data = (0..n * n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+            assert_hungarian_matches(&CostMatrix::from_vec(n, data), &mut scratch);
+        }
+    }
+}
+
+/// Sizes on both sides of the zero set's 64-bit word boundaries (its
+/// columns are `0..=n`): Riesen–Bunke matrices of `n1 + n2` = 63 to 129
+/// nodes and tied dense matrices of the same sizes.
+#[test]
+fn hungarian_matches_reference_across_bitset_words() {
+    let mut rng = StdRng::seed_from_u64(0x64_128);
+    let mut scratch = AssignScratch::new();
+    for n in [62, 63, 64, 65, 126, 127, 128, 129] {
+        for labels in [1, 2, 51] {
+            let n1 = rng.gen_range(n / 3..=n / 2);
+            let a = molecule_like(&mut rng, n1, 2, 4, labels);
+            let b = power_law_like(&mut rng, n - n1, 2, 1, labels);
+            assert_eq!(rb_cost_matrix(&a, &b).n(), n);
+            assert_rb_hungarian_matches(&a, &b);
+            assert_rb_hungarian_matches(&b, &a);
+        }
+        assert_hungarian_matches(&matrix_from(&mut rng, n, &[0.0, 1.0, 2.0]), &mut scratch);
+        assert_hungarian_matches(&matrix_from(&mut rng, n, &[-1.0, 0.0, 0.5]), &mut scratch);
+    }
+}
+
+/// 24 000 Riesen–Bunke matrices (12 000 pairs in both orders) over the five
+/// `stress_graph` families, 1–51 labels and 0–30 nodes a side. Too slow for
+/// a debug build, so it runs in release mode with `--include-ignored`.
+#[test]
+#[ignore = "release-mode stress run"]
+fn rb_hungarian_stress() {
+    let mut rng = StdRng::seed_from_u64(0x57e55);
+    for round in 0..12_000u64 {
+        let family = (round % 5) as u8;
+        let labels = rng.gen_range(1..=51);
+        let a = stress_graph(&mut rng, family, labels, 30);
+        let b = if round % 2 == 0 {
+            stress_graph(&mut rng, family, labels, 30)
+        } else {
+            stress_graph(&mut rng, family + 1 + (round / 5 % 4) as u8, labels, 30)
+        };
+        assert_rb_hungarian_matches(&a, &b);
+        assert_rb_hungarian_matches(&b, &a);
     }
 }
 

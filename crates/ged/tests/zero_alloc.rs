@@ -71,7 +71,9 @@ const METHODS: [GedMethod; 4] = [
 /// Pairs to warm the scratch with, and one never seen before the measured
 /// calls but no larger than a warmed pair (the scratch keeps capacity, not
 /// a size): AIDS-sized molecules and SYN-sized power-law graphs, in both
-/// argument orders (the beam search swaps to the smaller side).
+/// argument orders (the beam search swaps to the smaller side), and one
+/// molecule pair whose 136-column Riesen–Bunke matrix spans three words of
+/// the Hungarian kernel's zero-column bitset.
 fn pairs() -> (Vec<(Graph, Graph)>, (Graph, Graph)) {
     let mut rng = StdRng::seed_from_u64(0x0a11);
     let mut warmed: Vec<(Graph, Graph)> = Vec::new();
@@ -86,6 +88,10 @@ fn pairs() -> (Vec<(Graph, Graph)>, (Graph, Graph)) {
         let b = power_law_like(&mut rng, n2, 2, 1, 5);
         warmed.push((a, b));
     }
+    let a = molecule_like(&mut rng, 70, 3, 4, 51);
+    let b = molecule_like(&mut rng, 66, 2, 4, 51);
+    assert!(a.node_count() + b.node_count() > 128);
+    warmed.push((a, b));
     let unseen = (
         molecule_like(&mut rng, 27, 3, 4, 51),
         molecule_like(&mut rng, 29, 0, 4, 51),

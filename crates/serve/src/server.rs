@@ -285,7 +285,9 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
                         .name("lan-serve-conn".into())
                         .spawn(move || handle_conn(&inner, stream))
                         .expect("spawn connection handler");
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).push(h);
+                    let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                    reap_finished(&mut conns);
+                    conns.push(h);
                 }
             })
             .expect("spawn acceptor")
@@ -298,6 +300,20 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
         workers,
         conns,
     })
+}
+
+/// Joins the connection handlers that have returned, so the acceptor holds
+/// one handle per open connection rather than one per connection it ever
+/// accepted.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// One shard's micro-batching loop: pop → wait for co-batchable arrivals
@@ -413,6 +429,27 @@ fn read_full(inner: &ServerInner, stream: &mut TcpStream, buf: &mut [u8]) -> std
     Ok(true)
 }
 
+/// Reads an `n`-byte frame payload, growing the buffer as the bytes arrive:
+/// a length prefix alone commits at most one `CHUNK`, however large a frame
+/// it announces. `Ok(None)` = the peer closed or the server is shutting
+/// down.
+fn read_payload(
+    inner: &ServerInner,
+    stream: &mut TcpStream,
+    n: usize,
+) -> std::io::Result<Option<Vec<u8>>> {
+    const CHUNK: usize = 64 << 10;
+    let mut payload = Vec::new();
+    while payload.len() < n {
+        let filled = payload.len();
+        payload.resize(filled + (n - filled).min(CHUNK), 0);
+        if !read_full(inner, stream, &mut payload[filled..])? {
+            return Ok(None);
+        }
+    }
+    Ok(Some(payload))
+}
+
 /// Serves `GET /metrics`: drains the request head, writes one HTTP
 /// response with the Prometheus rendering, and closes.
 fn handle_metrics_scrape(inner: &ServerInner, stream: &mut TcpStream) -> std::io::Result<()> {
@@ -458,11 +495,10 @@ fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
             let _ = write_frame(&mut stream, render_error("frame too large").as_bytes());
             return;
         }
-        let mut payload = vec![0u8; n];
-        match read_full(inner, &mut stream, &mut payload) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
+        let payload = match read_payload(inner, &mut stream, n) {
+            Ok(Some(payload)) => payload,
+            Ok(None) | Err(_) => return,
+        };
         let payload = match String::from_utf8(payload) {
             Ok(s) => s,
             Err(_) => {
@@ -554,4 +590,84 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
         merged.termination.as_str(),
         explain_json.as_deref(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::proto::MAX_FRAME;
+    use lan_core::LanConfig;
+    use lan_datasets::{Dataset, DatasetSpec};
+
+    /// Boots a server on an ephemeral port over a 16-graph, one-shard index.
+    fn boot() -> ServerHandle {
+        let cfg = LanConfig {
+            pg: lan_pg::PgConfig::new(4),
+            model: lan_models::ModelConfig {
+                embed_dim: 8,
+                epochs: 1,
+                max_samples_per_epoch: 40,
+                nh_cover_k: 4,
+                clusters: 2,
+                top_clusters: 1,
+                mlp_hidden: 8,
+                ..lan_models::ModelConfig::default()
+            },
+            ..LanConfig::default()
+        };
+        let spec = DatasetSpec::syn()
+            .with_graphs(16)
+            .with_queries(4)
+            .with_metric(lan_ged::GedMethod::Hungarian);
+        let index = ShardedLanIndex::build(&Dataset::generate(spec), &cfg, 1);
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            ..ServeConfig::default()
+        };
+        serve(Arc::new(index), cfg).expect("bind ephemeral port")
+    }
+
+    fn held(server: &ServerHandle) -> usize {
+        server.conns.lock().unwrap().len()
+    }
+
+    #[test]
+    fn closed_connections_do_not_accumulate_handles() {
+        let server = boot();
+        for _ in 0..200 {
+            Client::connect(server.addr()).unwrap().ping().unwrap();
+        }
+        // A handler's handle goes at the first accept after it returned, so
+        // keep connecting until the stragglers of the loop are gone: at
+        // most this connection's handle and one other may remain.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            Client::connect(server.addr()).unwrap().ping().unwrap();
+            let n = held(&server);
+            if n <= 2 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{n} handles held after 200 closed connections"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_that_never_arrives_does_not_stop_the_server() {
+        let server = boot();
+        let mut liar = TcpStream::connect(server.addr()).unwrap();
+        liar.write_all(&(MAX_FRAME as u32).to_be_bytes()).unwrap();
+        liar.write_all(&[b' '; 8]).unwrap();
+        // Others are served while the frame is pending, and after its
+        // sender gives up.
+        Client::connect(server.addr()).unwrap().ping().unwrap();
+        drop(liar);
+        Client::connect(server.addr()).unwrap().ping().unwrap();
+        server.shutdown();
+    }
 }
