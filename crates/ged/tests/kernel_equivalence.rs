@@ -16,8 +16,11 @@
 //! matrix and resolves zero-cost steps from a bitset, so it is held to
 //! `ref_hungarian` on tie-heavy Riesen–Bunke matrices with an empty side,
 //! across the bitset's 64-column word boundaries, and on dense matrices
-//! with negative and fractional entries (its fallback path). An ignored
-//! stress test runs 24 000 Riesen–Bunke matrices in release mode:
+//! with negative and fractional entries (its fallback path). The beam
+//! search keeps a bounded top-w set and stops scoring parents and children
+//! that cannot enter it, so it is held to `ref_beam` at widths 1, 2, 4, 8
+//! and 16. Two ignored stress tests, 24 000 Riesen–Bunke matrices and
+//! 20 000 beam searches at widths 1–16 and 64, run in release mode:
 //! `cargo test --release -p lan-ged --test kernel_equivalence -- --include-ignored`.
 
 use lan_ged::assignment::{
@@ -420,7 +423,7 @@ fn ref_best_of_three(g1: &Graph, g2: &Graph, width: usize) -> f64 {
 // Inputs.
 // ---------------------------------------------------------------------
 
-const WIDTHS: [usize; 3] = [1, 4, 16];
+const WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One graph of the given family, deterministic in `seed`.
 fn graph_of(family: u8, seed: u64) -> Graph {
@@ -521,6 +524,22 @@ fn assert_rb_hungarian_matches(g1: &Graph, g2: &Graph) {
     let (got_d, got_m) = bipartite_ged_with_mapping(g1, g2, Solver::Hungarian);
     assert_eq!(got_d.to_bits(), want_d.to_bits());
     assert_eq!(got_m, want_m);
+}
+
+/// The beam kernel against `ref_beam` on `(g1, g2)` and `(g2, g1)`: distance
+/// bits and the whole mapping.
+fn assert_beam_matches(g1: &Graph, g2: &Graph, width: usize) {
+    for (a, b) in [(g1, g2), (g2, g1)] {
+        let (want_d, want_m) = ref_beam(a, b, width);
+        let (got_d, got_m) = beam_ged_with_mapping(a, b, width);
+        let pair = format!(
+            "beam({width}) on a {}+{}-node pair",
+            a.node_count(),
+            b.node_count()
+        );
+        assert_eq!(got_d.to_bits(), want_d.to_bits(), "{pair}: distance");
+        assert_eq!(got_m, want_m, "{pair}: mapping");
+    }
 }
 
 /// A dense `n × n` matrix whose entries are drawn from `values`.
@@ -701,6 +720,37 @@ fn rb_hungarian_stress() {
         };
         assert_rb_hungarian_matches(&a, &b);
         assert_rb_hungarian_matches(&b, &a);
+    }
+}
+
+/// 20 000 beam searches (10 000 pairs in both orders) over the five
+/// `stress_graph` families, 1–51 labels and 0–30 nodes a side, a third of
+/// them a graph and a 1–4-edit perturbation of it, at every width from 1
+/// to 16 and at 64. The kernel cuts parents and children once its top-w set
+/// is full, so a frontier of several entries and ties at the worst survivor
+/// are where it could part from the reference. Release mode, with
+/// `--include-ignored`.
+#[test]
+#[ignore = "release-mode stress run"]
+fn beam_stress() {
+    let mut rng = StdRng::seed_from_u64(0xbea4);
+    for round in 0..10_000u64 {
+        let family = (round % 5) as u8;
+        let labels = rng.gen_range(1..=51);
+        let a = stress_graph(&mut rng, family, labels, 30);
+        let b = match round % 3 {
+            0 if a.node_count() > 0 => {
+                let t = rng.gen_range(1..=4);
+                perturb(&mut rng, &a, t, labels).0
+            }
+            1 => stress_graph(&mut rng, family, labels, 30),
+            _ => stress_graph(&mut rng, family + 1 + (round / 5 % 4) as u8, labels, 30),
+        };
+        let width = match round % 17 {
+            16 => 64,
+            w => w as usize + 1,
+        };
+        assert_beam_matches(&a, &b, width);
     }
 }
 

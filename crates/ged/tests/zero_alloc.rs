@@ -61,11 +61,16 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-const METHODS: [GedMethod; 4] = [
+/// The workload methods, and width 16 (`Dataset::fallback_metric`'s
+/// `BestOfThree`), where the beam's top-w set and frontier rows outgrow
+/// their width-4 sizes.
+const METHODS: [GedMethod; 6] = [
     GedMethod::BestOfThree { beam_width: 4 },
     GedMethod::Hungarian,
     GedMethod::Vj,
     GedMethod::Beam { width: 4 },
+    GedMethod::Beam { width: 16 },
+    GedMethod::BestOfThree { beam_width: 16 },
 ];
 
 /// Pairs to warm the scratch with, and one never seen before the measured

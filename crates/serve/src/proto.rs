@@ -33,6 +33,13 @@ use std::time::Duration;
 /// as a protocol error rather than an allocation request.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Most nodes a query graph may have. Every distance the search computes
+/// is at least linear in the query's size and the Riesen–Bunke matrix is
+/// quadratic, so a frame-sized label array (millions of nodes) must be a
+/// request error, not a multi-gigabyte allocation inside a shard worker.
+/// The dataset presets average 10–48 nodes a graph.
+pub const MAX_QUERY_NODES: usize = 1 << 10;
+
 /// Reads one length-prefixed frame. `Ok(None)` is a clean EOF at a frame
 /// boundary (peer closed the connection between requests).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
@@ -127,6 +134,12 @@ fn field_bool(obj: &Value, key: &str) -> Result<bool, String> {
 
 fn parse_graph(obj: &Value) -> Result<Graph, String> {
     let labels = match obj.get("labels") {
+        Some(Value::Arr(items)) if items.len() > MAX_QUERY_NODES => {
+            return Err(format!(
+                "query graph of {} nodes exceeds the {MAX_QUERY_NODES}-node cap",
+                items.len()
+            ))
+        }
         Some(Value::Arr(items)) => items
             .iter()
             .map(|v| {
@@ -147,8 +160,9 @@ fn parse_graph(obj: &Value) -> Result<Graph, String> {
                 Value::Arr(uv) if uv.len() == 2 => {
                     let u = uv[0].as_f64().ok_or("edge endpoints must be numbers")?;
                     let v = uv[1].as_f64().ok_or("edge endpoints must be numbers")?;
-                    if u < 0.0 || u.fract() != 0.0 || v < 0.0 || v.fract() != 0.0 {
-                        return Err("edge endpoints must be non-negative integers".into());
+                    let endpoint = |x: f64| x >= 0.0 && x.fract() == 0.0 && x <= u32::MAX as f64;
+                    if !endpoint(u) || !endpoint(v) {
+                        return Err(format!("edge endpoints must be node ids, got [{u}, {v}]"));
                     }
                     Ok((u as u32, v as u32))
                 }
