@@ -9,12 +9,12 @@
 use crate::index::LanIndex;
 use lan_graph::Graph;
 use lan_models::{FusedScoreService, LearnedRanker, SlabArena};
-use lan_obs::explain::{BudgetExplain, QueryExplain, SolveTier, TierCounts, TimelineEvent};
+use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
 use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
 use lan_pg::np_route::np_route_budgeted;
-use lan_pg::{beam_search_budgeted, DistBound, DistCache, QueryDistance};
+use lan_pg::{beam_search_budgeted, DistCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ static QUERY_COUNT: LazyCounter = LazyCounter::new(names::QUERY_COUNT);
 /// the arena pooling per-query pair slabs. Passing one `SearchShared` to
 /// the `*_shared` entry points changes *how* work executes (fused
 /// matmuls, recycled allocations) but never *what* is computed — results,
-/// NDC, and EXPLAIN tier attribution stay bit-identical to the serial
+/// NDC, and the EXPLAIN plan's counts stay bit-identical to the serial
 /// entry points (property-tested in `tests/shared_equivalence.rs`).
 pub struct SearchShared<'a> {
     /// The shard's combining funnel (all users share one `FusedHeads`).
@@ -115,13 +115,7 @@ struct StageTrace {
 }
 
 /// The per-query distance oracle: dataset GED behind the timing and
-/// fault-injection layers. `distance_within` runs the threshold-gated GED
-/// kernel cascade — routing results, NDC, and exploration stay
-/// bit-identical to the plain oracle (the routers only prune bounds that
-/// are provably invisible), while `ged.full_evals` drops. An active fault
-/// plan pins every probe to the exact fault path: faults are keyed per
-/// object, and a bound answered without running the primary computation
-/// would dodge its scheduled fault.
+/// fault-injection layers.
 struct DatasetOracle<'a> {
     dataset: &'a lan_datasets::Dataset,
     q: &'a Graph,
@@ -142,38 +136,6 @@ impl QueryDistance for DatasetOracle<'_> {
                 || self.dataset.distance_fallback(self.q, id),
             ),
             None => self.dataset.distance(self.q, id),
-        })
-    }
-
-    fn distance_within(&self, id: u32, tau: f64) -> DistBound {
-        if self.fault_plan.is_some() {
-            return DistBound::Exact(self.distance(id));
-        }
-        self.dist_timer
-            .time(|| match self.dataset.distance_within(self.q, id, tau) {
-                lan_ged::GedBound::Exact(d) => DistBound::Exact(d),
-                lan_ged::GedBound::AtLeast(lb) => DistBound::AtLeast(lb),
-            })
-    }
-
-    fn distance_within_tiered(&self, id: u32, tau: f64) -> (DistBound, SolveTier) {
-        if self.fault_plan.is_some() {
-            // Faulted probes always run the primary computation end to end,
-            // so they are full solves by construction.
-            return (DistBound::Exact(self.distance(id)), SolveTier::FullSolve);
-        }
-        self.dist_timer.time(|| {
-            let (bound, outcome) = self.dataset.distance_within_outcome(self.q, id, tau);
-            let bound = match bound {
-                lan_ged::GedBound::Exact(d) => DistBound::Exact(d),
-                lan_ged::GedBound::AtLeast(lb) => DistBound::AtLeast(lb),
-            };
-            let tier = match outcome {
-                lan_ged::CascadeOutcome::LbPrune => SolveTier::LbPrune,
-                lan_ged::CascadeOutcome::TauAbort => SolveTier::TauAbort,
-                lan_ged::CascadeOutcome::FullSolve => SolveTier::FullSolve,
-            };
-            (bound, tier)
         })
     }
 }
@@ -240,7 +202,7 @@ impl LanIndex {
             lan_obs::explain::emit(&ex);
             return out;
         }
-        self.search_core(q, k, b, init, route, seed, ctx, None, None)
+        self.search_core(q, k, b, init, route, seed, ctx, false, None)
             .0
     }
 
@@ -265,15 +227,15 @@ impl LanIndex {
             lan_obs::explain::emit(&ex);
             return out;
         }
-        self.search_core(q, k, b, init, route, seed, ctx, None, Some(shared))
+        self.search_core(q, k, b, init, route, seed, ctx, false, Some(shared))
             .0
     }
 
     /// [`Self::search_with`] that additionally returns the query's EXPLAIN
-    /// plan: per-stage wall-clock, NDC decomposed by cascade tier, cache
-    /// hit counts, hops, and budget consumption. The plan is collected
-    /// unconditionally (no env gate) and nothing is emitted to the global
-    /// EXPLAIN ring — callers own the plan.
+    /// plan: per-stage wall-clock, NDC, cache hit counts, hops, and budget
+    /// consumption. The plan is collected unconditionally (no env gate)
+    /// and nothing is emitted to the global EXPLAIN ring — callers own the
+    /// plan.
     ///
     /// Collection never perturbs the search: results, NDC, and exploration
     /// are bit-identical to [`Self::search_with`].
@@ -306,7 +268,7 @@ impl LanIndex {
     }
 
     /// [`Self::search_explain_budgeted`] through shard-shared serving
-    /// resources — the plan's tier attribution, NDC, and results are
+    /// resources — the plan's counts, NDC, and results are
     /// bit-identical to the serial variant.
     #[allow(clippy::too_many_arguments)]
     pub fn search_explain_budgeted_shared(
@@ -335,8 +297,7 @@ impl LanIndex {
         ctx: &BudgetCtx,
         shared: Option<&SearchShared>,
     ) -> (QueryOutcome, QueryExplain) {
-        let tiers = TierCounts::default();
-        let (out, trace) = self.search_core(q, k, b, init, route, seed, ctx, Some(&tiers), shared);
+        let (out, trace) = self.search_core(q, k, b, init, route, seed, ctx, true, shared);
         let trace = trace.expect("collecting search always produces a stage trace");
         let limits = ctx.limits();
         let ex = QueryExplain {
@@ -354,7 +315,13 @@ impl LanIndex {
             ndc: out.ndc as u64,
             cache_hits: trace.cache_hits,
             hops: trace.hops,
-            tiers: tiers.snapshot(),
+            // Every distance computation is a full solve: the routers ask
+            // for exact distances only.
+            tiers: TierBreakdown {
+                lb_prunes: 0,
+                tau_aborts: 0,
+                full_solves: out.ndc as u64,
+            },
             budget: BudgetExplain {
                 max_ndc: limits.max_ndc.map(|v| v as u64),
                 deadline_ms: limits.deadline.map(|d| d.as_millis() as u64),
@@ -368,9 +335,9 @@ impl LanIndex {
     }
 
     /// The one search implementation behind every public entry point.
-    /// `tiers` switches EXPLAIN collection on: the distance cache routes
-    /// misses through the tier-attributing oracle path and per-stage
-    /// timings are kept. `None` is the plain search — zero collection.
+    /// `explain` switches EXPLAIN collection on: per-stage timings, cache
+    /// hits and hops are kept. `false` is the plain search — zero
+    /// collection.
     #[allow(clippy::too_many_arguments)]
     fn search_core(
         &self,
@@ -381,7 +348,7 @@ impl LanIndex {
         route: RouteStrategy,
         seed: u64,
         ctx: &BudgetCtx,
-        tiers: Option<&TierCounts>,
+        explain: bool,
         shared: Option<&SearchShared>,
     ) -> (QueryOutcome, Option<StageTrace>) {
         let t_start = Instant::now();
@@ -403,11 +370,8 @@ impl LanIndex {
             dist_timer: &dist_timer,
             fault_plan: &fault_plan,
         };
-        let cache = match tiers {
-            Some(t) => DistCache::new(&qd).with_explain(t),
-            None => DistCache::new(&qd),
-        };
-        let mut stage_trace = tiers.map(|_| StageTrace::default());
+        let cache = DistCache::new(&qd);
+        let mut stage_trace = explain.then(StageTrace::default);
 
         let use_cg = match route {
             RouteStrategy::LanRoute { use_cg } => use_cg,

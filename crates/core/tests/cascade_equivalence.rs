@@ -1,8 +1,7 @@
-//! End-to-end cascade equivalence: a full `search_with` query (whose
-//! oracle runs the threshold-gated GED kernel cascade) must be
+//! End-to-end routing equivalence: a full `search_with` query (its oracle
+//! wraps the dataset GED in timing and fault-injection layers) must be
 //! bit-identical — results, NDC, termination — to driving the same router
-//! by hand over a plain exact-distance closure, which cannot produce
-//! bounds and therefore follows the seed code path.
+//! by hand over a plain exact-distance closure.
 
 use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};

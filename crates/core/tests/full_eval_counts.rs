@@ -1,9 +1,10 @@
 //! Work-count contracts of the GED kernel cascade, read from the engine's
 //! own `ged.full_evals` counter (full solver runs):
 //!
+//! * routing asks for exact distances only: the full evaluations of
+//!   served queries equal their summed NDC, for both routers;
 //! * the lb-ordered ground-truth scan at least halves the full evaluations
-//!   of a full scan, and the cascade oracle on the routing path never pays
-//!   an extra one — at bit-identical results, NDC and entry nodes;
+//!   of a full scan, at bit-identical results;
 //! * the scan's threshold-boundary refinement cuts full evaluations at
 //!   least 1.3x below the same scan without that refinement, at
 //!   bit-identical results.
@@ -11,13 +12,13 @@
 //! The counters are process-global, so this binary holds only these tests
 //! and runs them one at a time under [`LOCK`].
 
+use lan_core::{InitStrategy, LanConfig, LanIndex, QuantConfig, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::{GedBound, GedMethod};
 use lan_graph::Graph;
+use lan_models::ModelConfig;
 use lan_obs::names;
-use lan_pg::{
-    beam_search, DistBound, DistCache, PairCache, PgConfig, ProximityGraph, QueryDistance,
-};
+use lan_pg::PgConfig;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -27,26 +28,6 @@ fn full_evals(before: &lan_obs::Snapshot) -> u64 {
     lan_obs::snapshot()
         .diff(before)
         .counter(names::GED_FULL_EVALS)
-}
-
-/// The cascade oracle: the plain distance plus the threshold-gated path
-/// (mirrors lan-core's per-query oracle).
-struct CascadeOracle<'a> {
-    ds: &'a Dataset,
-    q: &'a Graph,
-}
-
-impl QueryDistance for CascadeOracle<'_> {
-    fn distance(&self, id: u32) -> f64 {
-        self.ds.distance(self.q, id)
-    }
-
-    fn distance_within(&self, id: u32, tau: f64) -> DistBound {
-        match self.ds.distance_within(self.q, id, tau) {
-            GedBound::Exact(d) => DistBound::Exact(d),
-            GedBound::AtLeast(lb) => DistBound::AtLeast(lb),
-        }
-    }
 }
 
 #[test]
@@ -59,42 +40,45 @@ fn cascade_at_least_halves_ground_truth_full_evals() {
             .with_queries(16)
             .with_metric(GedMethod::Hungarian),
     );
-    let pair_fn = |a: u32, b: u32| ds.pair_distance(a, b);
-    let pg = ProximityGraph::build(
-        ds.graphs.len(),
-        &PairCache::new(&pair_fn),
-        &PgConfig::new(6),
-    );
+    let cfg = LanConfig {
+        pg: PgConfig::new(6),
+        model: ModelConfig {
+            embed_dim: 8,
+            epochs: 1,
+            max_samples_per_epoch: 80,
+            nh_cover_k: 6,
+            clusters: 3,
+            top_clusters: 2,
+            mlp_hidden: 8,
+            ..ModelConfig::default()
+        },
+        ds: 1.0,
+        quant: QuantConfig::default(),
+    };
+    let index = LanIndex::build(ds, cfg);
+    let ds = &index.dataset;
     let queries = &ds.queries[..12];
     let (b, k) = (4usize, 3usize);
 
-    // Routing: HNSW entry descent + Algorithm 1, plain closure oracle (no
-    // bounds) vs the cascade oracle.
-    let route = |oracle: &dyn QueryDistance| {
-        let cache = DistCache::new(oracle);
-        let entry = pg.hnsw_entry(&cache);
-        let rr = beam_search(pg.base(), &cache, &[entry], b, k);
-        (entry, rr.results, rr.ndc)
-    };
+    // Routing: both routers behind the served search path, whose every
+    // distance computation is one full solve.
     let before = lan_obs::snapshot();
-    let plain: Vec<_> = queries
-        .iter()
-        .map(|q| route(&|id: u32| ds.distance(q, id)))
-        .collect();
-    let routing_plain = full_evals(&before);
-    let before = lan_obs::snapshot();
-    let gated: Vec<_> = queries
-        .iter()
-        .map(|q| route(&CascadeOracle { ds: &ds, q }))
-        .collect();
-    let routing_gated = full_evals(&before);
+    let mut routing_ndc = 0u64;
+    for (qi, q) in queries.iter().enumerate() {
+        for (init, route) in [
+            (InitStrategy::HnswIs, RouteStrategy::HnswRoute),
+            (
+                InitStrategy::LanIs,
+                RouteStrategy::LanRoute { use_cg: true },
+            ),
+        ] {
+            routing_ndc += index.search_with(q, k, b, init, route, qi as u64).ndc as u64;
+        }
+    }
+    let routing = full_evals(&before);
     assert_eq!(
-        plain, gated,
-        "cascade routing diverged from the plain oracle"
-    );
-    assert!(
-        routing_gated <= routing_plain,
-        "cascade routing paid extra full evals: {routing_gated} > {routing_plain}"
+        routing, routing_ndc,
+        "routing full evals {routing} != summed routing NDC {routing_ndc}"
     );
 
     // Ground truth: full scan vs the lb-ordered cascade scan.
@@ -118,7 +102,7 @@ fn cascade_at_least_halves_ground_truth_full_evals() {
     assert_eq!(full_scan, cascade_scan, "cascade ground truth diverged");
 
     let gt_ratio = gt_full as f64 / gt_cascade.max(1) as f64;
-    let overall = (routing_plain + gt_full) as f64 / (routing_gated + gt_cascade).max(1) as f64;
+    let overall = (routing + gt_full) as f64 / (routing + gt_cascade).max(1) as f64;
     assert!(
         gt_ratio >= 2.0,
         "ground-truth full evals {gt_full} -> {gt_cascade}: {gt_ratio:.2}x, below 2x"
@@ -161,7 +145,8 @@ fn unrefined_scan(ds: &Dataset, q: &Graph, k: usize) -> Vec<(f64, u32)> {
                 best.push((ds.distance(q, i), i));
                 continue;
             }
-            match ds.distance_within(q, i, t) {
+            let within = lan_ged::ged_within(q, &ds.graphs[i as usize], t, &ds.spec.truth);
+            match within.expect("no exact solve times out at this size") {
                 GedBound::Exact(d) => best.push((d, i)),
                 GedBound::AtLeast(lb) if lb > t => {}
                 GedBound::AtLeast(_) => best.push((ds.distance(q, i), i)),

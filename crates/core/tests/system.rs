@@ -182,3 +182,42 @@ fn breakdown_is_consistent() {
         "LAN query must spend time in the GNN"
     );
 }
+
+#[test]
+fn one_query_workload_builds_and_searches_a_sharded_index() {
+    // A one-query workload must train on its single query: an empty
+    // training split leaves the models nothing to fit.
+    let ds = Dataset::generate(
+        DatasetSpec::syn()
+            .with_graphs(16)
+            .with_queries(1)
+            .with_metric(GedMethod::Hungarian),
+    );
+    let cfg = LanConfig {
+        pg: PgConfig::new(4),
+        model: ModelConfig {
+            embed_dim: 8,
+            epochs: 1,
+            max_samples_per_epoch: 40,
+            nh_cover_k: 3,
+            clusters: 2,
+            top_clusters: 1,
+            mlp_hidden: 8,
+            ..ModelConfig::default()
+        },
+        ds: 1.0,
+        quant: lan_core::QuantConfig::default(),
+    };
+    let index = lan_core::ShardedLanIndex::build(&ds, &cfg, 2);
+    let out = index.search(
+        &ds.queries[0],
+        3,
+        4,
+        InitStrategy::LanIs,
+        RouteStrategy::LanRoute { use_cg: true },
+        0,
+    );
+    assert_eq!(out.results.len(), 3);
+    assert!(out.results.windows(2).all(|w| w[0].0 <= w[1].0));
+    assert!(!out.termination.is_degraded());
+}

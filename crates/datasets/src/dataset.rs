@@ -62,6 +62,22 @@ fn stream_rng(seed: u64, salt: u64, i: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(splitmix64(seed ^ salt).wrapping_add(i)))
 }
 
+/// The 6:2:2 train/validation/test split of the shuffled query ids `idx`.
+/// A non-empty workload keeps at least one training query (the models
+/// have nothing to fit on an empty training split); from two queries on
+/// the floor already holds, so only the one-query split differs from a
+/// plain 6:2:2 cut.
+fn split_6_2_2(idx: &[usize]) -> WorkloadSplit {
+    let n = idx.len();
+    let n_train = (n * 6 / 10).max(n.min(1));
+    let n_val = n * 2 / 10;
+    WorkloadSplit {
+        train: idx[..n_train].to_vec(),
+        val: idx[n_train..n_train + n_val].to_vec(),
+        test: idx[n_train + n_val..].to_vec(),
+    }
+}
+
 const SALT_DB: u64 = 0x4C41_4E00_6462; // "LAN\0db"
 const SALT_QUERY: u64 = 0x4C41_4E00_7175; // "LAN\0qu"
 const SALT_SPLIT: u64 = 0x4C41_4E00_7370; // "LAN\0sp"
@@ -98,17 +114,10 @@ impl Dataset {
             queries.push(q);
         }
 
-        // 6:2:2 split over a shuffled index list.
         let mut idx: Vec<usize> = (0..queries.len()).collect();
         use rand::seq::SliceRandom;
         idx.shuffle(&mut rng);
-        let n_train = queries.len() * 6 / 10;
-        let n_val = queries.len() * 2 / 10;
-        let split = WorkloadSplit {
-            train: idx[..n_train].to_vec(),
-            val: idx[n_train..n_train + n_val].to_vec(),
-            test: idx[n_train + n_val..].to_vec(),
-        };
+        let split = split_6_2_2(&idx);
 
         Dataset {
             spec,
@@ -162,13 +171,7 @@ impl Dataset {
         let mut idx: Vec<usize> = (0..queries.len()).collect();
         use rand::seq::SliceRandom;
         idx.shuffle(&mut stream_rng(spec.seed, SALT_SPLIT, 0));
-        let n_train = queries.len() * 6 / 10;
-        let n_val = queries.len() * 2 / 10;
-        let split = WorkloadSplit {
-            train: idx[..n_train].to_vec(),
-            val: idx[n_train..n_train + n_val].to_vec(),
-            test: idx[n_train + n_val..].to_vec(),
-        };
+        let split = split_6_2_2(&idx);
 
         Dataset {
             spec,
@@ -185,7 +188,6 @@ impl Dataset {
     /// instead of panicking mid-query.
     pub fn distance(&self, q: &Graph, id: u32) -> f64 {
         self.within(q, id, f64::INFINITY, &self.spec.metric)
-            .0
             .min_value()
     }
 
@@ -209,34 +211,6 @@ impl Dataset {
         ged(q, &self.graphs[id as usize], &self.fallback_metric()).expect("BestOfThree is total")
     }
 
-    /// Threshold-gated operational distance: the GED kernel cascade
-    /// ([`lan_ged::ged_within`]) may answer with an admissible lower bound
-    /// `GedBound::AtLeast(lb)` (`tau <= lb <=` true distance) instead of a
-    /// full solve. An `Exact` answer is bit-identical to
-    /// [`Self::distance`], including the timeout fallback, so callers can
-    /// mix the two freely. Total, never panics.
-    ///
-    /// The signature bounds are lower bounds on the *true* GED while the
-    /// operational metric may be an upper-bounding approximation; since
-    /// `lb <= true <= approx`, a bound that clears `tau` clears it for the
-    /// operational distance too, so the cascade stays admissible for every
-    /// [`lan_ged::GedMethod`].
-    pub fn distance_within(&self, q: &Graph, id: u32, tau: f64) -> lan_ged::GedBound {
-        self.distance_within_outcome(q, id, tau).0
-    }
-
-    /// [`Self::distance_within`] plus the [`lan_ged::CascadeOutcome`] that
-    /// settled the call (per-query EXPLAIN attribution). A timeout
-    /// fallback ran a full approximate solve, so it reports `FullSolve`.
-    pub fn distance_within_outcome(
-        &self,
-        q: &Graph,
-        id: u32,
-        tau: f64,
-    ) -> (lan_ged::GedBound, lan_ged::CascadeOutcome) {
-        self.within(q, id, tau, &self.spec.metric)
-    }
-
     /// The cascade under `method` — the operational or the ground-truth
     /// metric — with the approximate fallback applied to any `Exact`
     /// timeout. A non-finite `tau` is the ungated full solve.
@@ -246,15 +220,12 @@ impl Dataset {
         id: u32,
         tau: f64,
         method: &lan_ged::GedMethod,
-    ) -> (lan_ged::GedBound, lan_ged::CascadeOutcome) {
+    ) -> lan_ged::GedBound {
         let g = &self.graphs[id as usize];
-        lan_ged::ged_within_outcome(q, g, tau, method).unwrap_or_else(|| {
+        lan_ged::ged_within(q, g, tau, method).unwrap_or_else(|| {
             lan_obs::counter(lan_obs::names::GED_TIMEOUT_FALLBACK).inc();
-            (
-                lan_ged::GedBound::Exact(
-                    ged(q, g, &self.fallback_metric()).expect("BestOfThree is total"),
-                ),
-                lan_ged::CascadeOutcome::FullSolve,
+            lan_ged::GedBound::Exact(
+                ged(q, g, &self.fallback_metric()).expect("BestOfThree is total"),
             )
         })
     }
@@ -328,7 +299,7 @@ impl Dataset {
                 f64::INFINITY
             };
             // While `t` is infinite the cascade is the ungated full solve.
-            let within = |i, tau| self.within(q, i, tau, &self.spec.truth).0;
+            let within = |i, tau| self.within(q, i, tau, &self.spec.truth);
             let chunk: Vec<Option<(f64, u32)>> =
                 lan_par::par_map_indices_dyn(chunk_ids.len(), lan_par::Grain::Fine, |j| {
                     let i = chunk_ids[j];
@@ -413,6 +384,19 @@ mod tests {
     }
 
     #[test]
+    fn one_query_workload_trains_on_it() {
+        for d in [
+            Dataset::generate(DatasetSpec::syn().with_graphs(16).with_queries(1)),
+            Dataset::generate_par(DatasetSpec::syn().with_graphs(16).with_queries(1)),
+        ] {
+            assert_eq!(d.split.train, vec![0]);
+            assert!(d.split.val.is_empty() && d.split.test.is_empty());
+        }
+        let none = Dataset::generate(DatasetSpec::syn().with_graphs(16).with_queries(0));
+        assert!(none.split.train.is_empty());
+    }
+
+    #[test]
     fn deterministic() {
         let d1 = tiny(DatasetSpec::syn());
         let d2 = tiny(DatasetSpec::syn());
@@ -486,13 +470,17 @@ mod tests {
     }
 
     #[test]
-    fn distance_within_is_admissible_and_exact_compatible() {
+    fn cascade_bounds_are_admissible_and_exact_compatible() {
         let d = tiny(DatasetSpec::syn());
         let q = &d.queries[1];
+        let within = |id: u32, tau| {
+            lan_ged::ged_within(q, &d.graphs[id as usize], tau, &d.spec.metric)
+                .expect("approximate metrics are total")
+        };
         for id in 0..20u32 {
             let exact = d.distance(q, id);
             for tau in [0.0, 1.0, exact, exact + 1.0] {
-                match d.distance_within(q, id, tau) {
+                match within(id, tau) {
                     // An exact answer must be the operational distance,
                     // bit for bit.
                     lan_ged::GedBound::Exact(e) => assert_eq!(e.to_bits(), exact.to_bits()),
@@ -508,7 +496,7 @@ mod tests {
             // tau beyond the operational distance can never be cleared by
             // an admissible bound: the cascade must solve fully.
             assert!(matches!(
-                d.distance_within(q, id, exact + 1.0),
+                within(id, exact + 1.0),
                 lan_ged::GedBound::Exact(_)
             ));
         }

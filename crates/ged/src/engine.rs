@@ -108,21 +108,6 @@ impl GedBound {
     }
 }
 
-/// Which cascade tier settled a threshold-gated evaluation
-/// ([`ged_within_outcome`]) — the per-call form of the global
-/// `ged.lb_prune` / `ged.early_abort` / `ged.full_evals` counters, used
-/// by the per-query EXPLAIN attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CascadeOutcome {
-    /// A signature lower bound (label/size or degree-sequence) reached
-    /// `tau`; no solver ran.
-    LbPrune,
-    /// The branch-and-bound A\* aborted once every branch reached `tau`.
-    TauAbort,
-    /// A solver ran to completion (including the ungated `tau = ∞` path).
-    FullSolve,
-}
-
 /// Threshold-gated GED: resolves whether `d(g1, g2) < tau` without always
 /// paying for a full evaluation.
 ///
@@ -144,32 +129,24 @@ pub enum CascadeOutcome {
 /// Counters: `ged.lb_prune` (tiers 1–2 settled it), `ged.early_abort`
 /// (A\* aborted on the threshold), `ged.full_evals` (a solver ran to
 /// completion).
+///
+/// Its caller on the query path is the filter-verify ground-truth scan
+/// (`lan_datasets::Dataset::ground_truth_knn`); routing asks for exact
+/// distances only.
 pub fn ged_within(g1: &Graph, g2: &Graph, tau: f64, method: &GedMethod) -> Option<GedBound> {
-    ged_within_outcome(g1, g2, tau, method).map(|(b, _)| b)
-}
-
-/// [`ged_within`] plus the [`CascadeOutcome`] that settled the call —
-/// the hook per-query EXPLAIN attribution builds on. Identical gating,
-/// bounds, and counter behavior.
-pub fn ged_within_outcome(
-    g1: &Graph,
-    g2: &Graph,
-    tau: f64,
-    method: &GedMethod,
-) -> Option<(GedBound, CascadeOutcome)> {
     if !tau.is_finite() {
-        return ged(g1, g2, method).map(|d| (GedBound::Exact(d), CascadeOutcome::FullSolve));
+        return ged(g1, g2, method).map(GedBound::Exact);
     }
     let (full, lb_prune, early_abort) = *counters();
     let lb1 = label_size_lb(g1, g2);
     if lb1 >= tau {
         lb_prune.inc();
-        return Some((GedBound::AtLeast(lb1), CascadeOutcome::LbPrune));
+        return Some(GedBound::AtLeast(lb1));
     }
     let lb2 = label_degree_lb(g1, g2);
     if lb2 >= tau {
         lb_prune.inc();
-        return Some((GedBound::AtLeast(lb2), CascadeOutcome::LbPrune));
+        return Some(GedBound::AtLeast(lb2));
     }
     match method {
         GedMethod::Exact { timeout_ms } => {
@@ -180,16 +157,16 @@ pub fn ged_within_outcome(
             match exact_ged_within(g1, g2, &limits, tau) {
                 ExactWithin::Optimal { distance, .. } => {
                     full.inc();
-                    Some((GedBound::Exact(distance), CascadeOutcome::FullSolve))
+                    Some(GedBound::Exact(distance))
                 }
                 ExactWithin::AtLeast(lb) => {
                     early_abort.inc();
-                    Some((GedBound::AtLeast(lb.max(lb2)), CascadeOutcome::TauAbort))
+                    Some(GedBound::AtLeast(lb.max(lb2)))
                 }
                 ExactWithin::TimedOut => None,
             }
         }
-        m => ged(g1, g2, m).map(|d| (GedBound::Exact(d), CascadeOutcome::FullSolve)),
+        m => ged(g1, g2, m).map(GedBound::Exact),
     }
 }
 

@@ -41,10 +41,7 @@ pub mod lower_bounds;
 pub mod mapping;
 pub mod scratch;
 
-pub use engine::{
-    ged, ged_within, ged_within_outcome, ground_truth_ged, CascadeOutcome, GedBound, GedMethod,
-    GroundTruthConfig,
-};
+pub use engine::{ged, ged_within, ground_truth_ged, GedBound, GedMethod, GroundTruthConfig};
 pub use exact::{set_default_poll_stride, ExactLimits};
 pub use mapping::{mapping_cost, NodeMapping};
 pub use scratch::GedScratch;

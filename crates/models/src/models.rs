@@ -426,6 +426,10 @@ impl LanModels {
         cfg: ModelConfig,
     ) -> (Self, TrainReport) {
         assert_eq!(train_dists.len(), dataset.split.train.len());
+        assert!(
+            !train_dists.is_empty(),
+            "LanModels::train needs at least one training query"
+        );
         let num_labels = dataset.spec.num_labels as usize;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let gcfg = GnnConfig::uniform(num_labels, cfg.embed_dim, cfg.layers);

@@ -3,18 +3,19 @@
 //!
 //! A [`QueryExplain`] is assembled by `lan-core`'s `search_explain` path
 //! and carries per-stage wall-clock (init / route / distance / GNN), the
-//! query's NDC broken down by cascade tier (signature lower-bound prunes,
-//! tau-aborted A\* runs, full solves), cache hit/miss counts, the budget
-//! consumption timeline, per-shard sub-plans, and the termination cause.
+//! query's NDC with its [`TierBreakdown`], cache hit/miss counts, the
+//! budget consumption timeline, per-shard sub-plans, and the termination
+//! cause.
 //!
 //! # The reconciliation contract
 //!
-//! Tier attribution is noted exactly once per `DistCache` **miss** (the
-//! definition of NDC), never on hits or on cached-bound refinements, so
-//! for every query:
+//! The routers ask for exact distances only, so every `DistCache`
+//! **miss** (the definition of NDC) is one full solve and, for every
+//! query:
 //!
 //! ```text
 //! lb_prunes + tau_aborts + full_solves == ndc == per-query ged.calls delta
+//! lb_prunes == tau_aborts == 0
 //! lookups == ndc + cache_hits
 //! ```
 //!
@@ -33,7 +34,7 @@ use crate::names;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -70,62 +71,18 @@ pub fn set_enabled(on: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Cascade tier attribution.
+// Tier breakdown.
 // ---------------------------------------------------------------------------
 
-/// How one distance computation (one `DistCache` miss) was settled by the
-/// GED kernel cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveTier {
-    /// Settled by a precomputed-signature lower bound alone (label/size
-    /// or degree-sequence); no solver ran.
-    LbPrune,
-    /// The tau-gated exact solver aborted once every A\* branch reached
-    /// the threshold.
-    TauAbort,
-    /// A full solver ran to completion (ungated calls, cascade survivors,
-    /// and timeout fallbacks).
-    FullSolve,
-}
-
-/// Per-query tier tallies, written by `DistCache` while a query runs.
-/// Plain relaxed atomics — *not* gated on the metrics switch, because an
-/// instance only exists when explain collection is active for the query.
-#[derive(Debug, Default)]
-pub struct TierCounts {
-    lb_prunes: AtomicU64,
-    tau_aborts: AtomicU64,
-    full_solves: AtomicU64,
-}
-
-impl TierCounts {
-    /// Attributes one `DistCache` miss to the tier that settled it.
-    #[inline]
-    pub fn note_solve(&self, tier: SolveTier) {
-        let cell = match tier {
-            SolveTier::LbPrune => &self.lb_prunes,
-            SolveTier::TauAbort => &self.tau_aborts,
-            SolveTier::FullSolve => &self.full_solves,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the tallies.
-    pub fn snapshot(&self) -> TierBreakdown {
-        TierBreakdown {
-            lb_prunes: self.lb_prunes.load(Ordering::Relaxed),
-            tau_aborts: self.tau_aborts.load(Ordering::Relaxed),
-            full_solves: self.full_solves.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A query's NDC decomposed by cascade tier.
+/// A query's NDC decomposed by how each distance computation was
+/// settled. The routers ask for exact distances only, so a plan always
+/// reads `{lb_prunes: 0, tau_aborts: 0, full_solves: ndc}`; the three
+/// fields keep the plan's JSON shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierBreakdown {
-    /// Misses settled by a signature lower bound.
+    /// Misses settled by a signature lower bound (always 0).
     pub lb_prunes: u64,
-    /// Misses settled by a tau-aborted exact solve.
+    /// Misses settled by a tau-aborted exact solve (always 0).
     pub tau_aborts: u64,
     /// Misses that ran a full solver to completion.
     pub full_solves: u64,
@@ -430,17 +387,20 @@ mod tests {
     }
 
     #[test]
-    fn tier_counts_reconcile() {
-        let t = TierCounts::default();
-        t.note_solve(SolveTier::LbPrune);
-        t.note_solve(SolveTier::LbPrune);
-        t.note_solve(SolveTier::TauAbort);
-        t.note_solve(SolveTier::FullSolve);
-        let b = t.snapshot();
-        assert_eq!(b.lb_prunes, 2);
-        assert_eq!(b.tau_aborts, 1);
-        assert_eq!(b.full_solves, 1);
+    fn tier_breakdown_attributes_and_accumulates() {
+        let mut b = TierBreakdown {
+            lb_prunes: 2,
+            tau_aborts: 1,
+            full_solves: 1,
+        };
         assert_eq!(b.attributed(), 4);
+        b.accumulate(&TierBreakdown {
+            lb_prunes: 0,
+            tau_aborts: 0,
+            full_solves: 5,
+        });
+        assert_eq!((b.lb_prunes, b.tau_aborts, b.full_solves), (2, 1, 6));
+        assert_eq!(b.attributed(), 9);
     }
 
     #[test]

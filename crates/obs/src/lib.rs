@@ -121,8 +121,9 @@ pub mod names {
     /// fallback metric instead of panicking.
     pub const GED_TIMEOUT_FALLBACK: &str = "ged.timeout_fallback";
     /// GED evaluations that ran a full solver to completion (ungated calls
-    /// and cascade survivors). The gap between [`GED_CALLS`] (= NDC) and
-    /// this is the work the threshold cascade saved.
+    /// and cascade survivors). Routing asks for exact distances only, so
+    /// its share equals [`GED_CALLS`] (= NDC); the rest of the count, and
+    /// the work the threshold cascade saved, is the ground-truth scan's.
     pub const GED_FULL_EVALS: &str = "ged.full_evals";
     /// Threshold-gated evaluations settled by the label/size or
     /// degree-sequence lower bound alone (no solver ran).

@@ -22,7 +22,7 @@
 //! unbudgeted execution (property-tested in
 //! `crates/core/tests/budget_properties.rs`).
 
-use crate::metric::{DistBound, DistCache};
+use crate::metric::DistCache;
 use lan_obs::names;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -325,37 +325,6 @@ pub fn budgeted_get(cache: &DistCache<'_>, ctx: &BudgetCtx, id: u32) -> Result<f
     Ok(cache.get(id))
 }
 
-/// The threshold-gated counterpart of [`budgeted_get`]: same budget
-/// protocol (cached answers are free and never charged, a miss passes the
-/// cancellation/deadline check and reserves one NDC unit), but the lookup
-/// flows through the gated cache paths so the metric may settle a
-/// provably-dead candidate with a lower bound instead of a full solve.
-/// With an ungated metric this is exactly [`budgeted_get`].
-#[inline]
-pub fn budgeted_get_within(
-    cache: &DistCache<'_>,
-    ctx: &BudgetCtx,
-    id: u32,
-    gamma: f64,
-    gate: f64,
-) -> Result<DistBound, Termination> {
-    if ctx.is_unlimited() {
-        return Ok(cache.get_within(id, gamma, gate));
-    }
-    if let Some(b) = cache.peek_within(id, gamma, gate) {
-        return Ok(b);
-    }
-    if let Some(t) = ctx.check() {
-        ctx.note_exhausted(t);
-        return Err(t);
-    }
-    if !ctx.try_charge() {
-        ctx.note_exhausted(Termination::NdcBudget);
-        return Err(Termination::NdcBudget);
-    }
-    Ok(cache.get_within(id, gamma, gate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,28 +396,6 @@ mod tests {
         assert_eq!(ctx.termination(), Termination::NdcBudget);
         // Cached ids keep answering after exhaustion.
         assert_eq!(budgeted_get(&cache, &ctx, 1), Ok(1.0));
-    }
-
-    #[test]
-    fn budgeted_get_within_follows_the_same_protocol() {
-        let f = |id: u32| id as f64;
-        let cache = DistCache::new(&f);
-        let ctx = BudgetCtx::new(&QueryBudget::default().with_max_ndc(1));
-        let g = (f64::NEG_INFINITY, f64::INFINITY);
-        assert_eq!(
-            budgeted_get_within(&cache, &ctx, 1, g.0, g.1),
-            Ok(DistBound::Exact(1.0))
-        );
-        assert_eq!(
-            budgeted_get_within(&cache, &ctx, 2, g.0, g.1),
-            Err(Termination::NdcBudget)
-        );
-        // Cached ids keep answering for free after exhaustion.
-        assert_eq!(
-            budgeted_get_within(&cache, &ctx, 1, g.0, g.1),
-            Ok(DistBound::Exact(1.0))
-        );
-        assert_eq!(cache.ndc(), 1);
     }
 
     #[test]

@@ -212,20 +212,12 @@ impl ProximityGraph {
     /// answering distances the descent sees `+inf` for every further
     /// candidate, stops improving, and returns the best node reached so
     /// far — graceful degradation, never a panic.
-    ///
-    /// Distances flow through the threshold-gated cache path with the
-    /// current best descent distance as the gate: a candidate whose lower
-    /// bound strictly exceeds `best_d` can never win the `<` move test (nor
-    /// the equal-distance tie-break), so the bound itself stands in for the
-    /// full solve. With an ungated metric this is the seed descent bit for
-    /// bit — same moves, same NDC, same hits.
     pub fn hnsw_entry_budgeted(
         &self,
         cache: &DistCache<'_>,
         ctx: &crate::budget::BudgetCtx,
     ) -> u32 {
-        use crate::budget::{budgeted_get, budgeted_get_within};
-        use crate::metric::DistBound;
+        use crate::budget::budgeted_get;
         let mut cur = self.entry;
         for l in (1..self.layers.len()).rev() {
             // Mirrors `greedy_step_to_min`, including its per-layer lookup
@@ -235,13 +227,7 @@ impl ProximityGraph {
                 let mut best = cur;
                 let mut best_d = cur_d;
                 for &nb in &self.layers[l][cur as usize] {
-                    let d = match budgeted_get_within(cache, ctx, nb, f64::NEG_INFINITY, best_d) {
-                        Ok(DistBound::Exact(d)) => d,
-                        // lb > best_d strictly: loses both move tests below,
-                        // exactly as the true distance would.
-                        Ok(DistBound::AtLeast(lb)) => lb,
-                        Err(_) => f64::INFINITY,
-                    };
+                    let d = budgeted_get(cache, ctx, nb).unwrap_or(f64::INFINITY);
                     if d < best_d || (d == best_d && nb < best) {
                         best = nb;
                         best_d = d;

@@ -28,9 +28,9 @@ pub mod pool;
 pub mod routing;
 pub mod store;
 
-pub use budget::{budgeted_get, budgeted_get_within, BudgetCtx, QueryBudget, Termination};
+pub use budget::{budgeted_get, BudgetCtx, QueryBudget, Termination};
 pub use build::{brute_force_knn, PgConfig, ProximityGraph};
 pub use faults::{FaultMetrics, FaultPlan};
-pub use metric::{DistBound, DistCache, PairCache, PairDistance, QueryDistance};
+pub use metric::{DistCache, PairCache, PairDistance, QueryDistance};
 pub use np_route::{np_route, np_route_budgeted, NeighborRanker, NoPruneRanker, OracleRanker};
 pub use routing::{beam_search, beam_search_budgeted, RouteResult};

@@ -16,7 +16,6 @@
 //! winner's cached value. Distinct keys almost always land on distinct
 //! stripes and compute truly concurrently.
 
-use lan_obs::explain::{SolveTier, TierCounts};
 use lan_obs::{names, Counter};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -29,44 +28,6 @@ use std::sync::Mutex;
 /// parallel construction evaluates at once.
 const STRIPES: usize = 64;
 
-/// A distance answer from a threshold-gated metric: the exact value, or an
-/// admissible lower bound that already proves the object is too far to
-/// matter (the GED kernel cascade returns `AtLeast` when a cheap signature
-/// bound or an aborted branch-and-bound reaches the caller's threshold).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DistBound {
-    /// The true distance.
-    Exact(f64),
-    /// The true distance is `>= lb`; the full solver never ran.
-    AtLeast(f64),
-}
-
-impl DistBound {
-    /// The smallest distance consistent with this answer.
-    pub fn min_value(&self) -> f64 {
-        match *self {
-            DistBound::Exact(d) => d,
-            DistBound::AtLeast(lb) => lb,
-        }
-    }
-
-    /// True for [`DistBound::Exact`].
-    pub fn is_exact(&self) -> bool {
-        matches!(self, DistBound::Exact(_))
-    }
-}
-
-/// The cascade prune predicate: a lower bound settles a candidate only
-/// when it reaches the routing threshold `gamma` AND strictly exceeds the
-/// pool gate (the worst distance a full pool kept at its last resize).
-/// Strict `> gate` preserves the pool's `(dist, id)` tie-breaking: a
-/// candidate tied with the gate could still displace a kept entry, so it
-/// must be computed exactly. NaN gates compare false and disable pruning.
-#[inline]
-fn prunes(lb: f64, gamma: f64, gate: f64) -> bool {
-    lb >= gamma && lb > gate
-}
-
 /// Distance from the current query to database object `id`.
 ///
 /// `Sync` is a supertrait: oracles are shared across the scoped worker
@@ -74,34 +35,6 @@ fn prunes(lb: f64, gamma: f64, gate: f64) -> bool {
 /// thread-safe (use atomics, not `RefCell`, for counters and timers).
 pub trait QueryDistance: Sync {
     fn distance(&self, id: u32) -> f64;
-
-    /// Threshold-gated distance: may answer with an admissible lower bound
-    /// instead of the exact value, provided the bound reaches `tau`. The
-    /// default runs the full metric — closures and wrappers that do not
-    /// override this stay bit-identical to ungated execution. Overrides
-    /// must guarantee `AtLeast(lb)` implies `lb <= d(id)` and `lb >= tau`,
-    /// and that `Exact` answers equal [`Self::distance`] bit for bit.
-    fn distance_within(&self, id: u32, tau: f64) -> DistBound {
-        let _ = tau;
-        DistBound::Exact(self.distance(id))
-    }
-
-    /// [`Self::distance_within`] plus the cascade tier that settled the
-    /// call, for per-query EXPLAIN attribution. Only consulted when the
-    /// wrapping [`DistCache`] carries an explain sink; the returned bound
-    /// **must** equal [`Self::distance_within`] bit for bit so explain
-    /// collection never perturbs results. The default classifies by
-    /// shape — `Exact` means a full metric ran, `AtLeast` means a lower
-    /// bound settled it — which is correct for the default
-    /// `distance_within` and a sound approximation for custom oracles;
-    /// `lan-core`'s `DatasetOracle` overrides it with the kernel
-    /// cascade's precise per-call outcome.
-    fn distance_within_tiered(&self, id: u32, tau: f64) -> (DistBound, SolveTier) {
-        match self.distance_within(id, tau) {
-            b @ DistBound::Exact(_) => (b, SolveTier::FullSolve),
-            b @ DistBound::AtLeast(_) => (b, SolveTier::LbPrune),
-        }
-    }
 }
 
 impl<F: Fn(u32) -> f64 + Sync> QueryDistance for F {
@@ -120,29 +53,12 @@ struct CacheMetrics {
 }
 
 /// Memoizing, counting wrapper around a [`QueryDistance`]. One per query.
-///
-/// Entries may hold a threshold-gated [`DistBound::AtLeast`] bound instead
-/// of an exact distance. The counter contract keeps NDC and hit counts
-/// bit-identical to an ungated run: a gated miss counts one NDC (the
-/// ungated run computed that object exactly once there too); every later
-/// touch through [`DistCache::get`]/[`DistCache::get_within`] counts one
-/// hit whether the bound survives or must be refined (the ungated run saw
-/// a hit there); [`DistCache::peek`]/[`DistCache::peek_within`] refine
-/// silently, counting nothing (ungated `peek` counted nothing). What the
-/// cascade actually saves is full solver runs — visible in the gap between
-/// `ged.calls` (= NDC) and `ged.full_evals`, never in NDC itself.
 pub struct DistCache<'a> {
     inner: &'a dyn QueryDistance,
-    stripes: Vec<Mutex<HashMap<u32, DistBound>>>,
+    stripes: Vec<Mutex<HashMap<u32, f64>>>,
     ndc: AtomicUsize,
     hits: AtomicUsize,
     metrics: Option<CacheMetrics>,
-    /// Per-query EXPLAIN tier sink. When set, every miss — and only a
-    /// miss — notes the cascade tier that settled it, so the sink's
-    /// attributed total equals `ndc()` by construction (hits and silent
-    /// bound refinements note nothing; the reconciliation contract in
-    /// `lan_obs::explain`).
-    explain: Option<&'a TierCounts>,
 }
 
 impl<'a> DistCache<'a> {
@@ -174,159 +90,42 @@ impl<'a> DistCache<'a> {
             ndc: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             metrics,
-            explain: None,
         }
     }
 
-    /// Attaches a per-query EXPLAIN tier sink (see the `explain` field).
-    /// Attribution is observation-only: results, NDC, and hit counts stay
-    /// bit-identical with or without a sink.
-    pub fn with_explain(mut self, tiers: &'a TierCounts) -> Self {
-        self.explain = Some(tiers);
-        self
-    }
-
-    fn stripe(&self, id: u32) -> &Mutex<HashMap<u32, DistBound>> {
+    fn stripe(&self, id: u32) -> &Mutex<HashMap<u32, f64>> {
         &self.stripes[id as usize % STRIPES]
-    }
-
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.hit.inc();
-        }
-    }
-
-    fn count_miss(&self, tier: SolveTier) {
-        self.ndc.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.explain {
-            t.note_solve(tier);
-        }
-        if let Some(m) = &self.metrics {
-            m.miss.inc();
-            m.calls.inc();
-        }
     }
 
     /// The distance from the query to `id`, counted as a miss at most once —
     /// even under concurrent access (the stripe lock covers the
-    /// computation). A cached threshold bound is refined to the exact value
-    /// here; the touch still counts as the single hit the ungated run saw.
+    /// computation).
     pub fn get(&self, id: u32) -> f64 {
         let mut map = self.stripe(id).lock().expect("stripe poisoned");
         match map.entry(id) {
-            Entry::Occupied(mut e) => {
-                self.count_hit();
-                match *e.get() {
-                    DistBound::Exact(d) => d,
-                    DistBound::AtLeast(_) => {
-                        let d = self.inner.distance(id);
-                        e.insert(DistBound::Exact(d));
-                        d
-                    }
+            Entry::Occupied(e) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(m) = &self.metrics {
+                    m.hit.inc();
                 }
+                *e.get()
             }
             Entry::Vacant(e) => {
                 let d = self.inner.distance(id);
-                e.insert(DistBound::Exact(d));
-                self.count_miss(SolveTier::FullSolve);
+                e.insert(d);
+                self.ndc.fetch_add(1, Ordering::Relaxed);
+                if let Some(m) = &self.metrics {
+                    m.miss.inc();
+                    m.calls.inc();
+                }
                 d
             }
         }
     }
 
-    /// The threshold-gated distance under the routing threshold `gamma` and
-    /// pool gate `gate` (see [`crate::pool::Pool::prune_gate`]). A cached or
-    /// freshly computed bound is kept only while the prune predicate holds
-    /// for the *current* thresholds; otherwise it is refined to the exact
-    /// value. Counters follow the [`DistCache::get`] contract exactly.
-    pub fn get_within(&self, id: u32, gamma: f64, gate: f64) -> DistBound {
-        let mut map = self.stripe(id).lock().expect("stripe poisoned");
-        match map.entry(id) {
-            Entry::Occupied(mut e) => {
-                self.count_hit();
-                match *e.get() {
-                    DistBound::Exact(d) => DistBound::Exact(d),
-                    DistBound::AtLeast(lb) if prunes(lb, gamma, gate) => DistBound::AtLeast(lb),
-                    DistBound::AtLeast(_) => {
-                        let d = self.inner.distance(id);
-                        e.insert(DistBound::Exact(d));
-                        DistBound::Exact(d)
-                    }
-                }
-            }
-            Entry::Vacant(e) => {
-                // Ask for the per-call tier only when a sink will consume
-                // it; both arms produce bit-identical bounds.
-                let (b, tier) = match self.explain {
-                    Some(_) => self.inner.distance_within_tiered(id, gamma.max(gate)),
-                    None => (
-                        self.inner.distance_within(id, gamma.max(gate)),
-                        SolveTier::FullSolve,
-                    ),
-                };
-                let (b, tier) = match b {
-                    // A bound that only *ties* the gate cannot settle the
-                    // candidate (the pool breaks distance ties by id);
-                    // refine it on the spot. The miss's final state is a
-                    // full solve, so that's its attribution.
-                    DistBound::AtLeast(lb) if !prunes(lb, gamma, gate) => (
-                        DistBound::Exact(self.inner.distance(id)),
-                        SolveTier::FullSolve,
-                    ),
-                    b => (b, tier),
-                };
-                e.insert(b);
-                self.count_miss(tier);
-                b
-            }
-        }
-    }
-
-    /// The cached distance, if this object was ever computed. A cached
-    /// threshold bound is silently refined to the exact value — no hit or
-    /// miss is counted, matching the ungated `peek` (which counted nothing
-    /// and would have found the exact value already cached).
+    /// The cached distance, if this object was ever computed. Counts
+    /// nothing.
     pub fn peek(&self, id: u32) -> Option<f64> {
-        let mut map = self.stripe(id).lock().expect("stripe poisoned");
-        match map.get_mut(&id) {
-            None => None,
-            Some(DistBound::Exact(d)) => Some(*d),
-            Some(slot) => {
-                let d = self.inner.distance(id);
-                *slot = DistBound::Exact(d);
-                Some(d)
-            }
-        }
-    }
-
-    /// The cached answer under the current thresholds, if this object was
-    /// ever computed: exact values and still-valid bounds come back as-is;
-    /// a bound the thresholds no longer justify is silently refined.
-    /// Counts nothing, like [`DistCache::peek`].
-    pub fn peek_within(&self, id: u32, gamma: f64, gate: f64) -> Option<DistBound> {
-        let mut map = self.stripe(id).lock().expect("stripe poisoned");
-        match map.get_mut(&id) {
-            None => None,
-            Some(DistBound::Exact(d)) => Some(DistBound::Exact(*d)),
-            Some(slot) => {
-                let DistBound::AtLeast(lb) = *slot else {
-                    unreachable!("non-exact slot is AtLeast")
-                };
-                if prunes(lb, gamma, gate) {
-                    Some(DistBound::AtLeast(lb))
-                } else {
-                    let d = self.inner.distance(id);
-                    *slot = DistBound::Exact(d);
-                    Some(DistBound::Exact(d))
-                }
-            }
-        }
-    }
-
-    /// The raw cached entry — exact or bound — without refining, computing,
-    /// or counting anything.
-    pub fn peek_bound(&self, id: u32) -> Option<DistBound> {
         self.stripe(id)
             .lock()
             .expect("stripe poisoned")
@@ -472,197 +271,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 2);
         assert_eq!(cache.peek(3), Some(6.0));
         assert_eq!(cache.peek(9), None);
-    }
-
-    /// A gated oracle with per-object exact distances and admissible lower
-    /// bounds, counting how often each path runs.
-    struct GatedOracle {
-        d: Vec<f64>,
-        lb: Vec<f64>,
-        full: AtomicUsize,
-        gated: AtomicUsize,
-    }
-
-    impl GatedOracle {
-        fn new(d: Vec<f64>, lb: Vec<f64>) -> Self {
-            assert!(
-                d.iter().zip(&lb).all(|(d, lb)| lb <= d),
-                "bounds admissible"
-            );
-            GatedOracle {
-                d,
-                lb,
-                full: AtomicUsize::new(0),
-                gated: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    impl QueryDistance for GatedOracle {
-        fn distance(&self, id: u32) -> f64 {
-            self.full.fetch_add(1, Ordering::Relaxed);
-            self.d[id as usize]
-        }
-
-        fn distance_within(&self, id: u32, tau: f64) -> DistBound {
-            let lb = self.lb[id as usize];
-            if tau.is_finite() && lb >= tau {
-                self.gated.fetch_add(1, Ordering::Relaxed);
-                DistBound::AtLeast(lb)
-            } else {
-                DistBound::Exact(self.distance(id))
-            }
-        }
-    }
-
-    #[test]
-    fn get_within_prunes_and_counts_like_get() {
-        let o = GatedOracle::new(vec![9.0, 2.0], vec![7.0, 1.0]);
-        let cache = DistCache::new(&o);
-        // Object 0: lb 7 reaches gamma 5 and beats gate 6 -> bound kept,
-        // still one NDC (the ungated run computed it here too).
-        assert_eq!(cache.get_within(0, 5.0, 6.0), DistBound::AtLeast(7.0));
-        assert_eq!(cache.ndc(), 1);
-        assert_eq!(o.full.load(Ordering::Relaxed), 0, "no full eval ran");
-        // Object 1: lb 1 misses gamma -> exact, one more NDC.
-        assert_eq!(cache.get_within(1, 5.0, 6.0), DistBound::Exact(2.0));
-        assert_eq!(cache.ndc(), 2);
-        // Re-touch under the same thresholds: hit, bound survives.
-        assert_eq!(cache.get_within(0, 5.0, 6.0), DistBound::AtLeast(7.0));
-        assert_eq!(cache.hits(), 1);
-        // Re-touch under a stricter gate: hit plus an on-the-spot refine —
-        // a full eval but no new NDC.
-        assert_eq!(cache.get_within(0, 5.0, 8.0), DistBound::Exact(9.0));
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.ndc(), 2);
-        assert_eq!(o.full.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn get_refines_cached_bound_with_one_hit() {
-        let o = GatedOracle::new(vec![9.0], vec![7.0]);
-        let cache = DistCache::new(&o);
-        assert_eq!(cache.get_within(0, 5.0, 6.0), DistBound::AtLeast(7.0));
-        assert_eq!(cache.get(0), 9.0);
-        assert_eq!((cache.ndc(), cache.hits()), (1, 1));
-        // The refined value is cached exactly from then on.
-        assert_eq!(cache.peek_bound(0), Some(DistBound::Exact(9.0)));
-        assert_eq!(cache.get(0), 9.0);
-        assert_eq!(o.full.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn peek_refines_silently() {
-        let o = GatedOracle::new(vec![9.0], vec![7.0]);
-        let cache = DistCache::new(&o);
-        assert_eq!(cache.get_within(0, 5.0, 6.0), DistBound::AtLeast(7.0));
-        let (ndc, hits) = (cache.ndc(), cache.hits());
-        assert_eq!(cache.peek_bound(0), Some(DistBound::AtLeast(7.0)));
-        assert_eq!(
-            cache.peek(0),
-            Some(9.0),
-            "peek must surface the exact value"
-        );
-        assert_eq!(
-            (cache.ndc(), cache.hits()),
-            (ndc, hits),
-            "peek counts nothing"
-        );
-        assert_eq!(cache.peek(1), None);
-        assert_eq!(cache.peek_bound(1), None);
-    }
-
-    #[test]
-    fn peek_within_keeps_valid_bounds_and_refines_stale_ones() {
-        let o = GatedOracle::new(vec![9.0, 9.0], vec![7.0, 7.0]);
-        let cache = DistCache::new(&o);
-        cache.get_within(0, 5.0, 6.0);
-        cache.get_within(1, 5.0, 6.0);
-        let (ndc, hits) = (cache.ndc(), cache.hits());
-        assert_eq!(
-            cache.peek_within(0, 5.0, 6.0),
-            Some(DistBound::AtLeast(7.0))
-        );
-        assert_eq!(cache.peek_within(1, 8.0, 6.0), Some(DistBound::Exact(9.0)));
-        assert_eq!((cache.ndc(), cache.hits()), (ndc, hits));
-        assert_eq!(cache.peek_within(2, 5.0, 6.0), None);
-    }
-
-    #[test]
-    fn bound_tying_the_gate_is_refined_immediately() {
-        // lb == gate cannot settle a candidate (pool ties break by id), so
-        // the vacant path must refine before caching.
-        let o = GatedOracle::new(vec![7.5], vec![7.0]);
-        let cache = DistCache::new(&o);
-        assert_eq!(cache.get_within(0, 5.0, 7.0), DistBound::Exact(7.5));
-        assert_eq!(cache.ndc(), 1);
-    }
-
-    #[test]
-    fn explain_sink_attributes_each_miss_exactly_once() {
-        let o = GatedOracle::new(vec![9.0, 2.0, 5.0], vec![7.0, 1.0, 4.0]);
-        let tiers = TierCounts::default();
-        let cache = DistCache::new(&o).with_explain(&tiers);
-        // Miss settled by a bound -> LbPrune (the default tiered
-        // classifier maps AtLeast answers there).
-        assert_eq!(cache.get_within(0, 5.0, 6.0), DistBound::AtLeast(7.0));
-        // Miss solved fully.
-        assert_eq!(cache.get_within(1, 5.0, 6.0), DistBound::Exact(2.0));
-        // Plain get miss -> FullSolve.
-        assert_eq!(cache.get(2), 5.0);
-        // Hit + stale-bound refine notes nothing (first-touch
-        // attribution keeps the sum equal to NDC).
-        assert_eq!(cache.get_within(0, 5.0, 8.0), DistBound::Exact(9.0));
-        // Silent peek refines note nothing either.
-        assert_eq!(cache.peek(0), Some(9.0));
-        let b = tiers.snapshot();
-        assert_eq!(b.lb_prunes, 1);
-        assert_eq!(b.full_solves, 2);
-        assert_eq!(b.tau_aborts, 0);
-        assert_eq!(b.attributed(), cache.ndc() as u64);
-    }
-
-    #[test]
-    fn gate_tying_refine_attributes_as_full_solve() {
-        let o = GatedOracle::new(vec![7.5], vec![7.0]);
-        let tiers = TierCounts::default();
-        let cache = DistCache::new(&o).with_explain(&tiers);
-        // lb ties the gate -> refined on the spot; the miss's final state
-        // is a full solve.
-        assert_eq!(cache.get_within(0, 5.0, 7.0), DistBound::Exact(7.5));
-        let b = tiers.snapshot();
-        assert_eq!((b.lb_prunes, b.full_solves), (0, 1));
-        assert_eq!(b.attributed(), cache.ndc() as u64);
-    }
-
-    #[test]
-    fn explain_sink_never_perturbs_results_or_counts() {
-        let o1 = GatedOracle::new(vec![9.0, 2.0, 7.5], vec![7.0, 1.0, 7.0]);
-        let o2 = GatedOracle::new(vec![9.0, 2.0, 7.5], vec![7.0, 1.0, 7.0]);
-        let tiers = TierCounts::default();
-        let plain = DistCache::new(&o1);
-        let explained = DistCache::new(&o2).with_explain(&tiers);
-        for (gamma, gate) in [(5.0, 6.0), (5.0, 7.0), (8.0, 6.0)] {
-            for id in 0..3u32 {
-                assert_eq!(
-                    plain.get_within(id, gamma, gate),
-                    explained.get_within(id, gamma, gate)
-                );
-            }
-        }
-        assert_eq!(plain.ndc(), explained.ndc());
-        assert_eq!(plain.hits(), explained.hits());
-        assert_eq!(tiers.snapshot().attributed(), explained.ndc() as u64);
-    }
-
-    #[test]
-    fn closures_never_produce_bounds() {
-        // The default distance_within keeps plain closures on the exact
-        // path no matter the thresholds.
-        let f = |id: u32| id as f64;
-        let cache = DistCache::new(&f);
-        assert_eq!(cache.get_within(3, 0.0, 1.0), DistBound::Exact(3.0));
-        assert_eq!(cache.peek_bound(3), Some(DistBound::Exact(3.0)));
     }
 
     #[test]

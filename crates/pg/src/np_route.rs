@@ -12,8 +12,8 @@
 //! results with no more distance computations (Lemma 1 / Theorem 1) — the
 //! property tests in this module and `tests/` check both.
 
-use crate::budget::{budgeted_get, budgeted_get_within, BudgetCtx, Termination};
-use crate::metric::{DistBound, DistCache, QueryDistance};
+use crate::budget::{budgeted_get, BudgetCtx, Termination};
+use crate::metric::{DistCache, QueryDistance};
 use crate::pool::{Pool, RouterState};
 use crate::routing::{finish_route, RouteResult};
 use lan_obs::{names, trace, Counter};
@@ -128,18 +128,6 @@ struct NpRouter<'a, R: NeighborRanker> {
     rescan_lens: Vec<usize>,
     w: Pool,
     state: RouterState,
-    /// Pool gate for the threshold-gated metric cascade (see
-    /// [`Pool::prune_gate`]): refreshed after every resize; a candidate
-    /// whose lower bound reaches γ *and* strictly exceeds this gate is
-    /// provably dropped by the next resize, so it is never pooled and its
-    /// full distance is never solved. `+inf` (no pruning) until the pool
-    /// first fills.
-    gate: f64,
-    /// Whether the gate may ever move off `+inf`. The truncation argument
-    /// only holds for `k <= b`: an early (budget) exit harvests the top-k
-    /// of the un-resized pool, so with `k > b` a candidate beyond the `b`
-    /// kept entries could still surface there and gating must stay off.
-    gating: bool,
     // Pre-resolved metric handles — increments on the routing hot loop are
     // single relaxed atomics, never registry lookups.
     m_hops: &'static Counter,
@@ -189,6 +177,7 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             }
         }
     }
+
     /// Budget-aware distance; `None` means the budget stopped the query
     /// (the cause is recorded in `self.stopped` and the loops unwind).
     fn try_get(&mut self, id: u32) -> Option<f64> {
@@ -198,27 +187,6 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
                 self.stopped = Some(t);
                 None
             }
-        }
-    }
-
-    /// Budget-aware threshold-gated distance under the current γ and pool
-    /// gate; `None` means the budget stopped the query.
-    fn try_get_within(&mut self, id: u32, gamma: f64) -> Option<DistBound> {
-        match budgeted_get_within(self.cache, self.ctx, id, gamma, self.gate) {
-            Ok(b) => Some(b),
-            Err(t) => {
-                self.stopped = Some(t);
-                None
-            }
-        }
-    }
-
-    /// Resizes the pool and refreshes the cascade gate — every resize must
-    /// go through here so the gate never lags the kept set.
-    fn resize_pool(&mut self, b: usize) {
-        self.w.resize(b, &self.state);
-        if self.gating {
-            self.gate = self.w.prune_gate(b);
         }
     }
 
@@ -252,32 +220,14 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
         {
             let st = ensure_batches(&mut self.batches, self.ranker, self.adj, self.cache, g);
             let opened = st.opened;
-            let members: &[Vec<u32>] = &st.batches[..opened];
-            // A cached lower bound that reaches γ already certifies the
-            // farthest opened neighbor is >= γ — same stop decision as the
-            // ungated run, with no refinement. Bounds below γ say nothing
-            // about the true maximum and are refined through `peek` (which
-            // the ungated run would have answered from cache, silently).
-            let mut certified = false;
-            let mut farthest = f64::NEG_INFINITY;
-            'scan: for &nb in members.iter().flatten() {
-                match self.cache.peek_bound(nb) {
-                    Some(DistBound::Exact(d)) => farthest = farthest.max(d),
-                    Some(DistBound::AtLeast(lb)) if lb >= gamma => {
-                        certified = true;
-                        break 'scan;
-                    }
-                    Some(DistBound::AtLeast(_)) => {
-                        if let Some(d) = self.cache.peek(nb) {
-                            farthest = farthest.max(d);
-                        }
-                    }
-                    // Every member of an opened batch is cached (see
-                    // `all_quali_neigh`); nothing to add if one were not.
-                    None => {}
-                }
-            }
-            if opened > 0 && (certified || farthest >= gamma) {
+            // Every member of an opened batch is cached (see
+            // `all_quali_neigh`), so `peek` finds each one without a count.
+            let farthest = st.batches[..opened]
+                .iter()
+                .flatten()
+                .filter_map(|&nb| self.cache.peek(nb))
+                .fold(f64::NEG_INFINITY, f64::max);
+            if opened > 0 && farthest >= gamma {
                 self.note_prune(g);
                 return;
             }
@@ -287,20 +237,12 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                let Some(b) = self.try_get_within(nb, gamma) else {
+                let Some(d) = self.try_get(nb) else {
                     return;
                 };
-                match b {
-                    DistBound::Exact(d) => {
-                        self.w.add(nb, d);
-                        if d >= gamma {
-                            hit = true;
-                        }
-                    }
-                    // lb >= γ implies d >= γ: the threshold is hit without
-                    // pooling the candidate (the gate proves the next
-                    // resize would truncate it anyway).
-                    DistBound::AtLeast(_) => hit = true,
+                self.w.add(nb, d);
+                if d >= gamma {
+                    hit = true;
                 }
             }
             if hit {
@@ -343,22 +285,16 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
                 if !self.state.is_explored(nb) {
                     // Opening a batch computes every member, and a budget
                     // stop mid-batch ends the route before the next
-                    // re-scan, so the member is cached: the gated lookup
-                    // keeps a still-valid bound (counting the hit the
-                    // ungated run saw) or refines it to the exact
-                    // distance, and never charges the budget.
+                    // re-scan, so the member is cached: this lookup is a
+                    // hit and never charges the budget.
                     debug_assert!(
-                        self.cache.peek_bound(nb).is_some(),
+                        self.cache.peek(nb).is_some(),
                         "opened batch member {nb} is uncached"
                     );
-                    match self.cache.get_within(nb, gamma, self.gate) {
-                        DistBound::Exact(d) => {
-                            self.w.add(nb, d);
-                            if d >= gamma {
-                                hit = true;
-                            }
-                        }
-                        DistBound::AtLeast(_) => hit = true,
+                    let d = self.cache.get(nb);
+                    self.w.add(nb, d);
+                    if d >= gamma {
+                        hit = true;
                     }
                 }
             }
@@ -374,17 +310,12 @@ impl<'a, R: NeighborRanker> NpRouter<'a, R> {
             let mut hit = false;
             for i in 0..self.batch_scratch.len() {
                 let nb = self.batch_scratch[i];
-                let Some(b) = self.try_get_within(nb, gamma) else {
+                let Some(d) = self.try_get(nb) else {
                     return;
                 };
-                match b {
-                    DistBound::Exact(d) => {
-                        self.w.add(nb, d);
-                        if d >= gamma {
-                            hit = true;
-                        }
-                    }
-                    DistBound::AtLeast(_) => hit = true,
+                self.w.add(nb, d);
+                if d >= gamma {
+                    hit = true;
                 }
             }
             if hit {
@@ -455,8 +386,6 @@ pub fn np_route_budgeted<R: NeighborRanker>(
         rescan_lens: Vec::new(),
         w: Pool::new(),
         state: RouterState::new(),
-        gate: f64::INFINITY,
-        gating: k <= b,
         m_hops: lan_obs::counter(names::ROUTE_HOPS),
         m_opened: lan_obs::counter(names::ROUTE_BATCHES_OPENED),
         m_prunes: lan_obs::counter(names::ROUTE_GAMMA_PRUNES),
@@ -477,7 +406,7 @@ pub fn np_route_budgeted<R: NeighborRanker>(
         r.rank_expl(g.id, g.dist);
         r.state.mark_explored(g.id);
         r.note_hop(1, g.id, g.dist, g.dist);
-        r.resize_pool(b);
+        r.w.resize(b, &r.state);
     }
 
     // --- Stage 2: backtracking with escalating gamma (lines 12-29).
@@ -501,7 +430,7 @@ pub fn np_route_budgeted<R: NeighborRanker>(
                         break 'escalate;
                     }
                 }
-                r.resize_pool(b);
+                r.w.resize(b, &r.state);
                 if r.w.all_explored(&r.state) {
                     break;
                 }
@@ -512,7 +441,7 @@ pub fn np_route_budgeted<R: NeighborRanker>(
                     r.rank_expl(g.id, gamma);
                     r.state.mark_explored(g.id);
                     r.note_hop(2, g.id, g.dist, gamma);
-                    r.resize_pool(b);
+                    r.w.resize(b, &r.state);
                     if r.stopped.is_some() {
                         break 'escalate;
                     }

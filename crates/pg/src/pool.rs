@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 
 /// Global per-query exploration bookkeeping shared by pool ordering and the
-//  routers.
+/// routers.
 #[derive(Debug, Default)]
 pub struct RouterState {
     explored: HashSet<u32>,
@@ -143,30 +143,6 @@ impl Pool {
         self.entries.iter().all(|e| state.is_explored(e.id))
     }
 
-    /// The threshold above which a later `add` is provably dead: once a
-    /// pool resized to capacity `b` keeps `b` entries, any candidate whose
-    /// distance is *strictly* greater than every kept distance sorts after
-    /// all of them (distance is the comparator's first key) and is
-    /// truncated by the next `resize(b, ..)` before any pool query runs —
-    /// the routers only consult the pool post-resize. Candidates merely
-    /// tying the gate may still win on the tie-break, so the gate is an
-    /// exclusive threshold. Returns `+inf` while the pool holds fewer than
-    /// `b` entries (every add can survive). Call right after `resize`.
-    ///
-    /// `total_cmp` keeps a NaN distance (a buggy or faulted metric) as the
-    /// maximum, which makes the gate NaN and disables pruning — NaN
-    /// entries sort last but are still displaceable by any finite add.
-    pub fn prune_gate(&self, b: usize) -> f64 {
-        if self.entries.len() < b {
-            return f64::INFINITY;
-        }
-        self.entries
-            .iter()
-            .map(|e| e.dist)
-            .max_by(|x, y| x.total_cmp(y))
-            .unwrap_or(f64::INFINITY)
-    }
-
     /// The `k` best entries by `(dist, id)`.
     pub fn top_k(&self, k: usize) -> Vec<PoolEntry> {
         let mut v = self.entries.clone();
@@ -271,29 +247,6 @@ mod tests {
         w.resize(3, &s);
         let kept: Vec<u32> = w.top_k(5).iter().map(|e| e.id).collect();
         assert_eq!(kept, vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn prune_gate_tracks_worst_kept_distance() {
-        let mut w = Pool::new();
-        let s = RouterState::new();
-        assert_eq!(w.prune_gate(2), f64::INFINITY, "empty pool gates nothing");
-        w.add(1, 5.0);
-        assert_eq!(
-            w.prune_gate(2),
-            f64::INFINITY,
-            "under-full pool gates nothing"
-        );
-        w.add(2, 3.0);
-        w.add(3, 9.0);
-        w.resize(2, &s);
-        assert_eq!(w.prune_gate(2), 5.0);
-        // A NaN kept entry must disable pruning entirely.
-        let mut v = Pool::new();
-        v.add(1, 2.0);
-        v.add(2, f64::NAN);
-        v.resize(2, &s);
-        assert!(v.prune_gate(2).is_nan());
     }
 
     #[test]

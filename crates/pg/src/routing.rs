@@ -7,8 +7,8 @@
 //! pool, and resizes the pool to the beam size `b`. The routing stops when
 //! every pooled node is explored; the top-`k` of the pool are the k-ANNs.
 
-use crate::budget::{budgeted_get, budgeted_get_within, BudgetCtx, Termination};
-use crate::metric::{DistBound, DistCache};
+use crate::budget::{budgeted_get, BudgetCtx, Termination};
+use crate::metric::DistCache;
 use crate::pool::{Pool, PoolEntry, RouterState};
 
 /// The outcome of one routed query.
@@ -84,19 +84,6 @@ pub fn beam_search_budgeted(
     let mut w = Pool::new();
     let mut state = RouterState::new();
     let mut stopped: Option<Termination> = None;
-    // Gate for the threshold-gated metric cascade: a neighbor whose lower
-    // bound strictly exceeds the worst distance a full pool kept at the
-    // last resize would be truncated by the next resize before any pool
-    // query could see it, so it is never pooled at all. Algorithm 1 has no
-    // γ threshold, hence gamma = -inf (the gate alone decides). With an
-    // ungated metric every answer is Exact and this is the seed algorithm.
-    //
-    // The gate argument only holds for k <= b: on budget exhaustion the
-    // harvest reads the top-k of the *un-resized* pool, so with k > b a
-    // candidate beyond the b kept entries could still surface there —
-    // gating stays off (+inf) in that regime.
-    let gating = k <= b;
-    let mut gate = f64::INFINITY;
     for &e in entries {
         match budgeted_get(cache, ctx, e) {
             Ok(d) => w.add(e, d),
@@ -117,9 +104,8 @@ pub fn beam_search_budgeted(
             break;
         }
         for &nb in &adj[g as usize] {
-            match budgeted_get_within(cache, ctx, nb, f64::NEG_INFINITY, gate) {
-                Ok(DistBound::Exact(d)) => w.add(nb, d),
-                Ok(DistBound::AtLeast(_)) => {} // provably truncated by the next resize
+            match budgeted_get(cache, ctx, nb) {
+                Ok(d) => w.add(nb, d),
                 Err(t) => {
                     stopped = Some(t);
                     break;
@@ -129,9 +115,6 @@ pub fn beam_search_budgeted(
         state.mark_explored(g);
         m_hops.inc();
         w.resize(b, &state);
-        if gating {
-            gate = w.prune_gate(b);
-        }
     }
 
     finish_route(&w, state, cache, k, stopped)

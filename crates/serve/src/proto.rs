@@ -109,6 +109,11 @@ pub struct SearchRequest {
     pub budget: QueryBudget,
 }
 
+/// The largest integer a JSON number (an `f64`) carries exactly: from
+/// 2^53 on, distinct integers parse to the same value, so a seed there
+/// would silently differ from the one the client sent.
+const MAX_WIRE_INT: f64 = 9_007_199_254_740_991.0; // 2^53 - 1
+
 fn field_u64(obj: &Value, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -116,8 +121,10 @@ fn field_u64(obj: &Value, key: &str) -> Result<Option<u64>, String> {
             let f = v
                 .as_f64()
                 .ok_or_else(|| format!("{key} must be a number"))?;
-            if f < 0.0 || f.fract() != 0.0 || f > u64::MAX as f64 {
-                return Err(format!("{key} must be a non-negative integer, got {f}"));
+            if f < 0.0 || f.fract() != 0.0 || f > MAX_WIRE_INT {
+                return Err(format!(
+                    "{key} must be a non-negative integer below 2^53, got {f}"
+                ));
             }
             Ok(Some(f as u64))
         }
@@ -401,6 +408,30 @@ mod tests {
         assert_eq!(sr.budget.deadline, Some(Duration::from_millis(50)));
         assert_eq!(sr.budget.max_ndc, Some(1000));
         assert_eq!(sr.budget.max_hops, None);
+    }
+
+    #[test]
+    fn seeds_up_to_2_pow_53_round_trip_and_larger_ones_are_refused() {
+        let g = Graph::from_edges(vec![0, 1], &[(0, 1)]).unwrap();
+        let max = (1u64 << 53) - 1;
+        let payload = render_search_request("t", 1, 1, max, &g, false, None, None);
+        let Request::Search(sr) = parse_request(&payload).unwrap() else {
+            panic!("expected search")
+        };
+        assert_eq!(sr.seed, max);
+        for seed in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+            "1e300",
+        ] {
+            let payload =
+                format!(r#"{{"op":"search","k":1,"b":1,"seed":{seed},"labels":[0],"edges":[]}}"#);
+            match parse_request(&payload) {
+                Err(err) => assert!(err.contains("must be a non-negative integer"), "{err}"),
+                Ok(_) => panic!("seed {seed} was accepted"),
+            }
+        }
     }
 
     #[test]
