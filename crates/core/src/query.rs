@@ -8,7 +8,7 @@
 
 use crate::index::LanIndex;
 use lan_graph::Graph;
-use lan_models::{FusedScoreService, LearnedRanker, SlabArena};
+use lan_models::{LearnedRanker, SlabArena};
 use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
 use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
@@ -23,16 +23,13 @@ use std::time::{Duration, Instant};
 static QUERY_COUNT: LazyCounter = LazyCounter::new(names::QUERY_COUNT);
 
 /// Shard-scoped resources the serving path shares across co-batched
-/// queries: the cross-query combining funnel for fused hop scoring, and
-/// the arena pooling per-query pair slabs. Passing one `SearchShared` to
-/// the `*_shared` entry points changes *how* work executes (fused
-/// matmuls, recycled allocations) but never *what* is computed — results,
-/// NDC, and the EXPLAIN plan's counts stay bit-identical to the serial
-/// entry points (property-tested in `tests/shared_equivalence.rs`).
+/// queries: the arena pooling per-query slabs. Passing one `SearchShared`
+/// to the `*_shared` entry points changes *how* work executes (recycled
+/// allocations) but never *what* is computed — results, NDC, and the
+/// EXPLAIN plan's counts stay bit-identical to the serial entry points
+/// (property-tested in `tests/shared_equivalence.rs`).
 pub struct SearchShared<'a> {
-    /// The shard's combining funnel (all users share one `FusedHeads`).
-    pub scorer: &'a FusedScoreService,
-    /// The shard's pair-slab pool.
+    /// The shard's slab pool.
     pub arena: &'a Arc<SlabArena>,
 }
 
@@ -207,8 +204,8 @@ impl LanIndex {
     }
 
     /// [`Self::search_with_budget`] executing through shard-shared serving
-    /// resources (cross-query fused scoring, pooled slabs). Bit-identical
-    /// results and NDC; only the execution strategy differs.
+    /// resources (pooled slabs). Bit-identical results and NDC; only the
+    /// allocations differ.
     #[allow(clippy::too_many_arguments)]
     pub fn search_with_budget_shared(
         &self,
@@ -451,14 +448,10 @@ impl LanIndex {
             }
             RouteStrategy::LanRoute { use_cg } => {
                 let qc = qctx.as_ref().expect("LAN_Route requires a query context");
-                let ranker = match shared {
-                    Some(sh) => LearnedRanker::with_shared(&self.models, qc, use_cg, sh.scorer),
-                    None => LearnedRanker::new(&self.models, qc, use_cg),
-                };
                 np_route_budgeted(
                     self.pg.base(),
                     &cache,
-                    &ranker,
+                    &LearnedRanker::new(&self.models, qc, use_cg),
                     &entries,
                     b,
                     k,

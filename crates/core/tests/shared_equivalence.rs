@@ -1,10 +1,11 @@
 //! Equivalence contract of the serving execution path: queries executed
-//! through shard-shared resources ([`SearchShared`] — the cross-query
-//! combining funnel and the pooled pair slabs) must return results,
-//! per-query NDC, and EXPLAIN tier attribution **bit-identical** to the
-//! offline [`ShardedLanIndex::search_budgeted`] /
+//! through shard-shared resources ([`SearchShared`] — the pooled
+//! per-query slabs) must return results, per-query NDC, and EXPLAIN tier
+//! attribution **bit-identical** to the offline
+//! [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points, no matter
-//! how many concurrent queries ride the same funnel.
+//! how many concurrent queries draw from the same arenas, or how warm the
+//! slabs they draw are.
 //!
 //! This is the in-process half of the serving equivalence guarantee; the
 //! over-the-wire half (TCP protocol round-trip included) lives in
@@ -16,7 +17,7 @@ use lan_core::{
 };
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_graph::Graph;
-use lan_models::{FusedScoreService, SlabArena};
+use lan_models::SlabArena;
 use lan_obs::explain::QueryExplain;
 use lan_pg::budget::{BudgetCtx, QueryBudget};
 use std::sync::{Arc, OnceLock};
@@ -54,21 +55,15 @@ fn fixture() -> &'static ShardedLanIndex {
     FIXTURE.get_or_init(|| ShardedLanIndex::build(&dataset(), &tiny_cfg(), 3))
 }
 
-/// Per-shard serving resources, as the server holds them: one funnel and
-/// one slab arena per shard.
+/// Per-shard serving resources, as the server holds them: one slab arena
+/// per shard.
 struct ShardResources {
-    scorers: Vec<FusedScoreService>,
     arenas: Vec<Arc<SlabArena>>,
 }
 
 impl ShardResources {
     fn new(sharded: &ShardedLanIndex) -> Self {
         ShardResources {
-            scorers: sharded
-                .shards
-                .iter()
-                .map(|_| FusedScoreService::new())
-                .collect(),
             arenas: sharded
                 .shards
                 .iter()
@@ -79,7 +74,6 @@ impl ShardResources {
 
     fn shared(&self, s: usize) -> SearchShared<'_> {
         SearchShared {
-            scorer: &self.scorers[s],
             arena: &self.arenas[s],
         }
     }
@@ -238,9 +232,9 @@ fn shared_explain_attribution_matches_serial() {
 }
 
 /// K concurrent clients firing interleaved queries through the same
-/// per-shard funnels and arenas: every client's results, NDC, and
-/// termination must match its own serial run bit for bit — co-batching
-/// with other clients' rows must be invisible.
+/// per-shard arenas: every client's results, NDC, and termination must
+/// match its own serial run bit for bit — a slab recycled from another
+/// client's query must be invisible.
 #[test]
 fn concurrent_clients_match_serial_bitwise() {
     let sharded = fixture();

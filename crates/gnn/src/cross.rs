@@ -38,9 +38,9 @@
 use crate::cg::CompressedGnnGraph;
 use crate::features::one_hot;
 use crate::gin::{agg_matrix, GnnConfig};
-use lan_graph::Graph;
+use lan_graph::{Graph, NodeId};
 use lan_obs::LazyCounter;
-use lan_tensor::{Matrix, ParamStore, Tape, Var};
+use lan_tensor::{CsrMatrix, Matrix, ParamStore, Tape, Var};
 use rand::Rng;
 
 pub(crate) static FORWARD_CALLS: LazyCounter = LazyCounter::new(lan_obs::names::GNN_FORWARD_CALLS);
@@ -50,6 +50,8 @@ pub(crate) static FORWARD_CALLS: LazyCounter = LazyCounter::new(lan_obs::names::
 pub struct CrossInput {
     /// `aggs[l-1]` maps level `l-1` rows to level `l` rows, `l = 1..=L`.
     pub aggs: Vec<Matrix>,
+    /// `aggs` in row-compressed form, for the inference kernels.
+    pub sparse: Vec<CsrMatrix>,
     /// Level-0 one-hot features (rows = level-0 entities).
     pub feats: Matrix,
     /// Multiplicity weights per level `0..=L` (rows of that level).
@@ -66,8 +68,10 @@ impl CrossInput {
         );
         let layers = cfg.dims.len();
         let a = agg_matrix(g);
+        let sparse = agg_rows(g);
         CrossInput {
             aggs: vec![a; layers],
+            sparse: vec![sparse; layers],
             feats: one_hot(g.labels(), cfg.num_labels),
             sizes: vec![vec![1.0; g.node_count()]; layers + 1],
         }
@@ -83,6 +87,7 @@ impl CrossInput {
         );
         assert!(cg.n > 0, "cross-graph learning needs a non-empty graph");
         let mut aggs = Vec::with_capacity(layers);
+        let mut sparse = Vec::with_capacity(layers);
         for l in 1..=layers {
             let rows = cg.groups_at(l);
             let cols = cg.groups_at(l - 1);
@@ -93,6 +98,9 @@ impl CrossInput {
                 }
             }
             aggs.push(m);
+            sparse.push(CsrMatrix::from_rows(
+                cg.levels[l].in_edges.iter().map(|e| e.iter().copied()),
+            ));
         }
         let feats = one_hot(&cg.level0_labels, cfg.num_labels);
         let sizes = cg
@@ -100,8 +108,28 @@ impl CrossInput {
             .iter()
             .map(|lv| lv.group_sizes.iter().map(|&s| s as f32).collect())
             .collect();
-        CrossInput { aggs, feats, sizes }
+        CrossInput {
+            aggs,
+            sparse,
+            feats,
+            sizes,
+        }
     }
+}
+
+/// [`agg_matrix`] in row-compressed form, built from the adjacency: row
+/// `u` is `u` merged into its sorted neighbor list.
+fn agg_rows(g: &Graph) -> CsrMatrix {
+    CsrMatrix::from_rows((0..g.node_count() as NodeId).map(|u| {
+        let nbs = g.neighbors(u);
+        let at = nbs.partition_point(|&v| v < u);
+        let own = (nbs.get(at) != Some(&u)).then_some(u);
+        let below = nbs[..at].iter().copied();
+        below
+            .chain(own)
+            .chain(nbs[at..].iter().copied())
+            .map(|v| (v, 1.0))
+    }))
 }
 
 /// One cross-graph layer's parameters.

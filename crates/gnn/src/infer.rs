@@ -125,7 +125,9 @@ impl CrossPrefix {
         }
         let layer = &net.layers[0];
         let InferScratch { tx, alpha, .. } = scratch;
-        x.aggs[0].matmul_into(&x.feats, tx);
+        x.sparse[0].matmul_into(&x.feats, tx);
+        // `T⁰` rows aggregate one-hot labels: few non-zeros, which the
+        // branching kernel skips.
         tx.matmul_into(store.value(layer.w), &mut self.tw);
         let a2 = store.value(layer.a2).data();
         attention_pool(tx, a2, &self.lnw[0], &self.tw, alpha, &mut self.mu_w);
@@ -196,6 +198,13 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut InferScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
+/// `out = t·W`: [`Matrix::matmul_into`] bit for bit, through the faster
+/// [`Matrix::matmul_acc_into`].
+fn project_into(t: &Matrix, w: &Matrix, out: &mut Matrix) {
+    out.reset(t.rows(), w.cols());
+    t.matmul_acc_into(w, 0, out);
+}
+
 /// One graph's message to its partner: `mu_w = Σ_j α_j tw_j` with
 /// `α = softmax_j(t_j·a₂ + lnw_j)`, where `tw = t·W` — the attention
 /// pooling `(Σ_j α_j t_j)·W`, taken after the projection. `alpha` is a
@@ -219,10 +228,26 @@ fn attention_pool(
     let z: f32 = alpha.iter().sum();
     mu_w.clear();
     mu_w.resize(tw.cols(), 0.0);
-    for (j, &e) in alpha.iter().enumerate() {
-        let a = e / z;
-        for (m, &v) in mu_w.iter_mut().zip(tw.row(j)) {
-            *m += a * v;
+    // Each output sums `a_j · tw_j` over ascending `j` from +0, as a plain
+    // axpy sweep would; 16 outputs at a time stay in registers.
+    let full = tw.cols() / 16 * 16;
+    for c in (0..full).step_by(16) {
+        let mut acc = [0.0f32; 16];
+        for (j, &e) in alpha.iter().enumerate() {
+            let a = e / z;
+            let seg: &[f32; 16] = tw.row(j)[c..c + 16].try_into().expect("a full tile");
+            for (o, &v) in acc.iter_mut().zip(seg) {
+                *o += a * v;
+            }
+        }
+        mu_w[c..c + 16].copy_from_slice(&acc);
+    }
+    if full < tw.cols() {
+        for (j, &e) in alpha.iter().enumerate() {
+            let a = e / z;
+            for (m, &v) in mu_w[full..].iter_mut().zip(&tw.row(j)[full..]) {
+                *m += a * v;
+            }
         }
     }
 }
@@ -290,11 +315,11 @@ impl CrossGraphNet {
         add_row_relu_into(&px.tw, &py.mu_w, hx);
         add_row_relu_into(&py.tw, &px.mu_w, hy);
         for (l, layer) in self.layers.iter().enumerate().skip(1) {
-            x.aggs[l].matmul_into(hx, tx);
-            y.aggs[l].matmul_into(hy, ty);
+            x.sparse[l].matmul_into(hx, tx);
+            y.sparse[l].matmul_into(hy, ty);
             let w = store.value(layer.w);
-            tx.matmul_into(w, zx);
-            ty.matmul_into(w, zy);
+            project_into(tx, w, zx);
+            project_into(ty, w, zy);
             let a2 = store.value(layer.a2).data();
             attention_pool(tx, a2, &px.lnw[l], zx, alpha, mux);
             attention_pool(ty, a2, &py.lnw[l], zy, alpha, muy);

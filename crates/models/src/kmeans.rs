@@ -12,6 +12,9 @@ pub struct KMeans {
     pub centroids: Vec<Vec<f32>>,
     /// Cluster id of each input point.
     pub assignment: Vec<u32>,
+    /// The points of each cluster, ascending: built once from
+    /// `assignment`, read on every query.
+    members: Vec<Vec<u32>>,
 }
 
 fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
@@ -99,9 +102,20 @@ impl KMeans {
                 break;
             }
         }
+        KMeans::from_parts(centroids, assignment)
+    }
+
+    /// A clustering from its centroids and each point's cluster (as a
+    /// stored index holds them).
+    pub fn from_parts(centroids: Vec<Vec<f32>>, assignment: Vec<u32>) -> Self {
+        let mut members = vec![Vec::new(); centroids.len()];
+        for (i, &c) in assignment.iter().enumerate() {
+            members[c as usize].push(i as u32);
+        }
         KMeans {
             centroids,
             assignment,
+            members,
         }
     }
 
@@ -111,12 +125,8 @@ impl KMeans {
     }
 
     /// Members of each cluster.
-    pub fn members(&self) -> Vec<Vec<u32>> {
-        let mut m = vec![Vec::new(); self.k()];
-        for (i, &c) in self.assignment.iter().enumerate() {
-            m[c as usize].push(i as u32);
-        }
-        m
+    pub fn members(&self) -> &[Vec<u32>] {
+        &self.members
     }
 
     /// Nearest cluster of an arbitrary point.
@@ -187,10 +197,7 @@ mod tests {
         // Regression for the old `partial_cmp(..).unwrap_or(Equal)` minimum:
         // a NaN centroid in front compared "equal" to everything after it
         // and won. The choice must not depend on where the NaN sits.
-        let km = |centroids: Vec<Vec<f32>>| KMeans {
-            centroids,
-            assignment: Vec::new(),
-        };
+        let km = |centroids: Vec<Vec<f32>>| KMeans::from_parts(centroids, Vec::new());
         let (nan, far, near) = (vec![f32::NAN, 0.0], vec![5.0, 5.0], vec![1.0, 1.0]);
         let p = [0.9f32, 0.9];
         assert_eq!(

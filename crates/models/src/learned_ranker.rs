@@ -1,6 +1,5 @@
 //! The learned [`NeighborRanker`] adapter: plugs `M_rk` into `np_route`.
 
-use crate::fused_service::FusedScoreService;
 use crate::models::{LanModels, QueryContext};
 use lan_pg::np_route::NeighborRanker;
 
@@ -9,25 +8,15 @@ use lan_pg::np_route::NeighborRanker;
 /// predicted batches; outside, all neighbors form a single batch (no
 /// pruning), exactly as §IV-C prescribes.
 ///
-/// Scoring runs on the tape-free fast path: pair embeddings come from the
-/// per-query cache in `ctx` (computed once per database graph per query),
-/// and by default a hop's neighbors are stacked into one batched
-/// fused-head forward. [`LearnedRanker::per_neighbor`] scores each
-/// neighbor as its own 1-row batch through the same kernels —
-/// bit-identical results, kept for the equivalence property tests.
+/// Scoring runs on the tape-free fast path ([`LanModels::rank_batches`]):
+/// pair embeddings and their ranker-layer sums come from the per-query
+/// caches in `ctx`, and a hop's neighbors are scored as one batch.
 pub struct LearnedRanker<'a> {
     pub models: &'a LanModels,
     pub ctx: &'a QueryContext,
     /// Use the compressed GNN-graph inputs (paper §VI) for the database
     /// side of every cross-graph forward.
     pub use_cg: bool,
-    /// Stack the whole hop into one fused forward (default) instead of
-    /// scoring neighbors one at a time.
-    pub batched: bool,
-    /// When set, hop scoring routes through this shard-shared combining
-    /// funnel so co-batched queries fuse into one matmul (serving path;
-    /// bit-identical to the solo batched path).
-    pub shared: Option<&'a FusedScoreService>,
 }
 
 impl<'a> LearnedRanker<'a> {
@@ -36,52 +25,13 @@ impl<'a> LearnedRanker<'a> {
             models,
             ctx,
             use_cg,
-            batched: true,
-            shared: None,
-        }
-    }
-
-    /// A ranker that scores neighbors one at a time (same kernels, same
-    /// cache, bit-identical batches — just no stacking).
-    pub fn per_neighbor(models: &'a LanModels, ctx: &'a QueryContext, use_cg: bool) -> Self {
-        LearnedRanker {
-            models,
-            ctx,
-            use_cg,
-            batched: false,
-            shared: None,
-        }
-    }
-
-    /// A ranker that submits each hop to `svc`, the shard's cross-query
-    /// combining funnel (serving path).
-    pub fn with_shared(
-        models: &'a LanModels,
-        ctx: &'a QueryContext,
-        use_cg: bool,
-        svc: &'a FusedScoreService,
-    ) -> Self {
-        LearnedRanker {
-            models,
-            ctx,
-            use_cg,
-            batched: true,
-            shared: Some(svc),
         }
     }
 }
 
 impl NeighborRanker for LearnedRanker<'_> {
     fn rank(&self, node: u32, neighbors: &[u32], d_node: f64) -> Vec<Vec<u32>> {
-        if let Some(svc) = self.shared {
-            self.models
-                .rank_batches_shared(self.ctx, node, neighbors, d_node, self.use_cg, svc)
-        } else if self.batched {
-            self.models
-                .rank_batches(self.ctx, node, neighbors, d_node, self.use_cg)
-        } else {
-            self.models
-                .rank_batches_per_neighbor(self.ctx, node, neighbors, d_node, self.use_cg)
-        }
+        self.models
+            .rank_batches(self.ctx, node, neighbors, d_node, self.use_cg)
     }
 }

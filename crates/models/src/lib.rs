@@ -3,13 +3,11 @@
 //! [`learned_ranker::LearnedRanker`] adapter that plugs into
 //! `lan_pg::np_route`.
 
-pub mod fused_service;
 pub mod kmeans;
 pub mod learned_ranker;
 pub mod models;
 pub mod store;
 
-pub use fused_service::FusedScoreService;
 pub use kmeans::KMeans;
 pub use learned_ranker::LearnedRanker;
 pub use models::{DbInputs, LanModels, ModelConfig, QueryContext, SlabArena, TrainReport};

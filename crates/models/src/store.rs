@@ -118,15 +118,13 @@ fn decode_kmeans(dec: &mut Dec<'_>, n_points: usize) -> Result<KMeans, StoreErro
             assignment.len()
         )));
     }
-    if assignment.iter().any(|&c| c as usize >= k.max(1)) {
+    let centroids: Vec<Vec<f32>> = flat.chunks(dim.max(1)).map(|c| c.to_vec()).collect();
+    if assignment.iter().any(|&c| c as usize >= centroids.len()) {
         return Err(StoreError::corrupt(
             "kmeans assignment references a cluster >= k",
         ));
     }
-    Ok(KMeans {
-        centroids: flat.chunks(dim.max(1)).map(|c| c.to_vec()).collect(),
-        assignment: assignment.to_vec(),
-    })
+    Ok(KMeans::from_parts(centroids, assignment.to_vec()))
 }
 
 fn encode_embeds(embeds: &[Vec<f32>], enc: &mut Enc) {

@@ -1,17 +1,23 @@
 //! Equivalence properties of the tape-free inference fast path at the
 //! models layer: the batched+cached `LearnedRanker` must route exactly
-//! like the per-neighbor path, the batched `M_nh` sweep must score exactly
+//! like ranking each neighbor alone (`PerNeighbor`), the batched `M_nh` sweep must score exactly
 //! like one graph at a time, the tape-free pair embeddings must match
 //! the autograd-tape baseline within 1e-5 (and rank a hop's neighbours
-//! the same way on a fixed instance), and the database inputs and
-//! prefixes prepared on first use must carry the bits of a direct build.
+//! the same way on a fixed instance), the database inputs and prefixes
+//! prepared on first use must carry the bits of a direct build, and the
+//! hop scores — resumed from cached pair-block sums — must carry the bits
+//! of a frozen copy of the full-row head forward (`ref_rank_scores`). An
+//! ignored sweep of the last runs in release mode:
+//! `cargo test --release -p lan-models --test infer_equivalence -- --include-ignored`.
 
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_gnn::{CompressedGnnGraph, CrossInput, CrossPrefix};
-use lan_models::{LanModels, LearnedRanker, ModelConfig};
-use lan_pg::np_route::np_route;
+use lan_models::{LanModels, LearnedRanker, ModelConfig, QueryContext, SlabArena};
+use lan_pg::np_route::{chunk_batches, np_route, NeighborRanker};
 use lan_pg::{DistCache, PairCache, PgConfig, ProximityGraph};
+use lan_tensor::{sigmoid, Matrix};
+use std::sync::Arc;
 
 fn tiny_setup() -> (Dataset, ProximityGraph, LanModels) {
     tiny_setup_seeded(ModelConfig::default().seed)
@@ -51,6 +57,34 @@ fn tiny_setup_seeded(seed: u64) -> (Dataset, ProximityGraph, LanModels) {
     (ds, pg, models)
 }
 
+/// `rank_batches` with every neighbor scored as its own 1-row batch.
+struct PerNeighbor<'a> {
+    models: &'a LanModels,
+    ctx: &'a QueryContext,
+    use_cg: bool,
+}
+
+impl NeighborRanker for PerNeighbor<'_> {
+    fn rank(&self, node: u32, neighbors: &[u32], d_node: f64) -> Vec<Vec<u32>> {
+        if neighbors.is_empty() {
+            return Vec::new();
+        }
+        if d_node > self.models.gamma_star {
+            return vec![neighbors.to_vec()];
+        }
+        let mut scored: Vec<(f32, u32)> = neighbors
+            .iter()
+            .map(|&nb| {
+                let s = self.models.rank_scores(self.ctx, node, &[nb], self.use_cg);
+                (s[0], nb)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let ranked = scored.into_iter().map(|(_, nb)| nb).collect();
+        chunk_batches(ranked, self.models.cfg.batch_pct)
+    }
+}
+
 /// The fused batched hop forward must be bit-identical to scoring each
 /// neighbor as its own 1-row batch: each fused output row depends only on
 /// its own input row, so stacking cannot change a single bit.
@@ -65,7 +99,12 @@ fn batched_ranking_is_bit_identical_to_per_neighbor() {
             let neighbors = &pg.base()[node as usize];
             // Inside the neighborhood so ranking actually runs.
             let a = models.rank_batches(&ctx_a, node, neighbors, 0.0, use_cg);
-            let b = models.rank_batches_per_neighbor(&ctx_b, node, neighbors, 0.0, use_cg);
+            let per_neighbor = PerNeighbor {
+                models: &models,
+                ctx: &ctx_b,
+                use_cg,
+            };
+            let b = per_neighbor.rank(node, neighbors, 0.0);
             assert_eq!(a, b, "node {node} use_cg={use_cg}: batches diverged");
         }
     }
@@ -113,7 +152,11 @@ fn np_route_identical_under_batched_and_per_neighbor_rankers() {
 
             let ctx_b = models.query_context(q, use_cg);
             let cache_b = DistCache::new(&qd);
-            let ranker_b = LearnedRanker::per_neighbor(&models, &ctx_b, use_cg);
+            let ranker_b = PerNeighbor {
+                models: &models,
+                ctx: &ctx_b,
+                use_cg,
+            };
             let res_b = np_route(pg.base(), &cache_b, &ranker_b, &[entry], 8, 5, 1.0);
 
             assert_eq!(res_a.results, res_b.results, "qi={qi} use_cg={use_cg}");
@@ -267,5 +310,108 @@ fn lazily_prepared_inputs_and_prefixes_match_a_direct_build() {
                 "graph {g} use_cg={use_cg}: prefix"
             );
         }
+    }
+}
+
+/// Hop scoring as it stood before the pair-block sums were cached: each
+/// neighbor's full feature row `pair ‖ h_G ‖ (e_Q − e_v)² ‖ Σ` through
+/// every head — a dense `1 × d` layer-1 product, bias, ReLU, a serial
+/// zero-skipping layer-2 sum — and the sigmoids summed in head order.
+/// Never optimized.
+fn ref_rank_scores(
+    models: &LanModels,
+    ctx: &QueryContext,
+    node: u32,
+    neighbors: &[u32],
+    use_cg: bool,
+) -> Vec<f32> {
+    let h_g = &models.db_embeds[node as usize];
+    let store = &models.rk_store;
+    neighbors
+        .iter()
+        .map(|&nb| {
+            let mut feat = models.pair_embedding(ctx, nb, use_cg);
+            feat.extend_from_slice(h_g);
+            let mut total = 0.0f32;
+            for (a, b) in ctx.gin_embed.iter().zip(&models.db_embeds[nb as usize]) {
+                let d2 = (a - b) * (a - b);
+                feat.push(d2);
+                total += d2;
+            }
+            feat.push(total);
+            let x = Matrix::from_vec(1, feat.len(), feat);
+            let mut score = 0.0f32;
+            for head in &models.rk_heads {
+                let (l1, l2) = (&head.layers[0], &head.layers[1]);
+                let mut h = Matrix::zeros(0, 0);
+                x.matmul_into(store.value(l1.w), &mut h);
+                let mut logit = 0.0f32;
+                for (j, v) in h.data().iter().enumerate() {
+                    let v = (v + store.value(l1.b).get(0, j)).max(0.0);
+                    if v != 0.0 {
+                        logit += v * store.value(l2.w).get(j, 0);
+                    }
+                }
+                score += sigmoid(logit + store.value(l2.b).get(0, 0));
+            }
+            score
+        })
+        .collect()
+}
+
+/// Every hop of `qs` (each node of the proximity graph, its neighbours)
+/// scored by `rank_scores` cold, warm (the same context again) and on
+/// slabs recycled from the previous query through an arena, against
+/// `ref_rank_scores` on a context of its own.
+fn rank_scores_match_reference(models: &LanModels, pg: &ProximityGraph, qs: &[&lan_graph::Graph]) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let arena = Arc::new(SlabArena::new(models));
+    for use_cg in [true, false] {
+        for (qi, q) in qs.iter().enumerate() {
+            let ctx_ref = models.query_context(q, use_cg);
+            let ctx = models.query_context(q, use_cg);
+            let pooled = models.query_context_pooled(q, use_cg, &arena);
+            for pass in ["cold", "warm"] {
+                for (node, neighbors) in pg.base().iter().enumerate() {
+                    let node = node as u32;
+                    let want = bits(&ref_rank_scores(models, &ctx_ref, node, neighbors, use_cg));
+                    for (kind, c) in [("fresh", &ctx), ("pooled", &pooled)] {
+                        let got = bits(&models.rank_scores(c, node, neighbors, use_cg));
+                        assert_eq!(
+                            got, want,
+                            "query {qi} node {node} use_cg={use_cg}: {pass} {kind} scores"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        arena.pooled(),
+        1,
+        "the pooled contexts shared one slab pair"
+    );
+}
+
+#[test]
+fn rank_scores_are_bit_identical_to_the_full_row_reference() {
+    let (ds, pg, models) = tiny_setup();
+    let qs: Vec<_> = ds
+        .split
+        .test
+        .iter()
+        .take(3)
+        .map(|&qi| &ds.queries[qi])
+        .collect();
+    rank_scores_match_reference(&models, &pg, &qs);
+}
+
+#[test]
+#[ignore = "stress sweep; run in release with --include-ignored"]
+fn rank_scores_are_bit_identical_to_the_full_row_reference_stress() {
+    for seed in [0xCAFEu64, 7, 1234, 99] {
+        let (ds, pg, models) = tiny_setup_seeded(seed);
+        let qs: Vec<_> = ds.queries.iter().collect();
+        rank_scores_match_reference(&models, &pg, &qs);
     }
 }

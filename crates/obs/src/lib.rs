@@ -150,18 +150,14 @@ pub mod names {
     /// `/proc/self/status`; 0 on non-Linux hosts). A gauge sampled at
     /// phase boundaries — see [`crate::mem::sample_peak_rss`].
     pub const MEM_PEAK_RSS_KB: &str = "mem.peak_rss_kb";
-    /// Fused-head score batches executed by the cross-query combining
-    /// funnel (one per `FusedHeads` matmul, however many queries fed it).
+    /// Fused-head score batches of the deleted cross-query combining
+    /// funnel. Nothing increments it — serving ranks per query — so it
+    /// reads 0; it stays only because `benchmark/` reads it
+    /// (`serve.fused.rows_per_call`) until that probe is dropped.
     pub const FUSED_CALLS: &str = "gnn.fused.calls";
-    /// Feature rows pushed through the combining funnel (summed over all
-    /// co-batched queries; `rows / calls` is the mean stacking factor).
+    /// Feature rows of the deleted combining funnel: reads 0, kept for
+    /// `benchmark/` like [`FUSED_CALLS`].
     pub const FUSED_ROWS: &str = "gnn.fused.rows";
-    /// Hop-scoring jobs submitted to the combining funnel (one per query
-    /// hop; `jobs / calls > 1` means genuine cross-query stacking).
-    pub const FUSED_JOBS: &str = "gnn.fused.jobs";
-    /// Funnel combines that stacked rows from more than one query — the
-    /// cross-query fusion the serving batcher exists to produce.
-    pub const FUSED_XQUERY: &str = "gnn.fused.cross_query";
     /// Requests accepted by the serving admission gate.
     pub const SERVE_REQUESTS: &str = "serve.requests";
     /// Requests shed (typed `Overloaded` response) — admission caps and

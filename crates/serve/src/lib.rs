@@ -8,10 +8,9 @@
 //! * [`proto`] — length-prefixed JSON frames over TCP, plus a
 //!   `GET /metrics` Prometheus endpoint on the same port;
 //! * [`admission`] — global in-flight cap with per-tenant fair share;
-//! * [`server`] — per-shard micro-batching workers: co-batched queries
-//!   share each shard's cross-query [`FusedScoreService`] funnel (one
-//!   `FusedHeads` matmul for all of them) and draw per-query pair slabs
-//!   from a reusable [`SlabArena`];
+//! * [`server`] — per-shard micro-batching workers: each co-batched query
+//!   ranks per query, on the offline path, and draws its per-query slabs
+//!   from the shard's reusable [`SlabArena`];
 //! * [`client`] — a minimal blocking client;
 //! * [`config`] — `LAN_SERVE_*` knobs through the strict `lan_par::env`
 //!   parser.
@@ -22,7 +21,6 @@
 //! (TCP round-trip included) in `tests/equivalence.rs`.
 //!
 //! [`ShardedLanIndex`]: lan_core::ShardedLanIndex
-//! [`FusedScoreService`]: lan_models::FusedScoreService
 //! [`SlabArena`]: lan_models::SlabArena
 
 pub mod admission;

@@ -10,10 +10,10 @@
 //! each worker pops up to `LAN_SERVE_BATCH` queued queries (holding the
 //! first for `LAN_SERVE_BATCH_WAIT_US` to let co-batchable arrivals
 //! land), then executes the micro-batch concurrently via
-//! `lan_par::par_map_dyn`. Co-batched queries share the shard's
-//! [`FusedScoreService`] — their hop-scoring feature rows stack into
-//! single `FusedHeads` matmuls — and draw their pair slabs from the
-//! shard's [`SlabArena`], so steady-state traffic allocates no slab
+//! `lan_par::par_map_dyn`. Each query ranks its hops on its own, through
+//! the same `LanModels::rank_batches` as an offline query; co-batched
+//! queries share only the shard's [`SlabArena`], from which they draw
+//! their per-query slabs, so steady-state traffic allocates no slab
 //! memory. Each query keeps its own `BudgetCtx` and per-shard
 //! `DistCache` exactly as in the offline fan-out, which is what makes
 //! results bit-identical to [`ShardedLanIndex::search_budgeted`]
@@ -41,7 +41,7 @@ use crate::proto::{
 };
 use lan_core::sharded::merged_explain;
 use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared, ShardedLanIndex};
-use lan_models::{FusedScoreService, SlabArena};
+use lan_models::SlabArena;
 use lan_obs::explain::QueryExplain;
 use lan_obs::names;
 use lan_pg::budget::BudgetCtx;
@@ -150,7 +150,6 @@ struct ServerInner {
     index: Arc<ShardedLanIndex>,
     cfg: ServeConfig,
     queues: Vec<ShardQueue>,
-    scorers: Vec<FusedScoreService>,
     arenas: Vec<Arc<SlabArena>>,
     admission: Arc<Admission>,
     shutdown: AtomicBool,
@@ -235,7 +234,6 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
                 cv: Condvar::new(),
             })
             .collect(),
-        scorers: (0..num_shards).map(|_| FusedScoreService::new()).collect(),
         arenas: index
             .shards
             .iter()
@@ -376,7 +374,6 @@ fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
             continue;
         }
         let shared = SearchShared {
-            scorer: &inner.scorers[s],
             arena: &inner.arenas[s],
         };
         let outs: Vec<(QueryOutcome, Option<QueryExplain>)> =

@@ -3,8 +3,7 @@
 //! termination, and EXPLAIN tier attribution **bit-identical** to the
 //! offline [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points — protocol
-//! encoding, micro-batching, the cross-query funnel, and slab pooling
-//! all included. (The in-process half lives in
+//! encoding, micro-batching, and slab pooling all included. (The in-process half lives in
 //! `lan-core/tests/shared_equivalence.rs`.)
 //!
 //! Also covered here: the typed `overloaded` degradation path, ping,

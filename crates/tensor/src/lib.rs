@@ -6,6 +6,9 @@
 //!
 //! * [`matrix`] — dense `f32` matrices with the handful of ops the models
 //!   need;
+//! * [`accumulate`] — register-tiled products for the inference fast path
+//!   (a resumable dense product and a row-compressed sparse one), bit for
+//!   bit those of the dense `matmul`;
 //! * [`param`] — a registry of trainable parameters with gradients and Adam
 //!   moments;
 //! * [`tape`] — tape-based reverse-mode autodiff, validated against finite
@@ -37,6 +40,7 @@
 //! assert!(store.value(p).scalar() < 4.0);
 //! ```
 
+pub mod accumulate;
 pub mod matrix;
 pub mod nn;
 pub mod optim;
@@ -45,6 +49,7 @@ pub mod simd;
 pub mod store;
 pub mod tape;
 
+pub use accumulate::CsrMatrix;
 pub use matrix::{dot, Matrix};
 pub use nn::{FusedHeads, Linear, Mlp, MlpScratch};
 pub use optim::{Adam, StepDecay};

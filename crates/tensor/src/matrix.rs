@@ -159,6 +159,28 @@ impl Matrix {
         }
     }
 
+    /// Continues the sums of [`Matrix::matmul_into`] in `out`:
+    /// `out[i][j] += Σ_k self[i][k] · rhs[first + k][j]` over ascending `k`,
+    /// zero `self[i][k]` skipped. On a zeroed `out` with `first = 0` this is
+    /// `matmul_into` bit for bit; on rows this summed over the leading `k`s
+    /// it finishes them, so a product may stop after any `k` and resume.
+    /// Much faster on small operands ([`crate::accumulate`]); `out` must
+    /// hold no `-0`.
+    pub fn matmul_acc_into(&self, rhs: &Matrix, first: usize, out: &mut Matrix) {
+        assert!(
+            first + self.cols <= rhs.rows,
+            "matmul_acc shape mismatch {:?} x {:?}[{first}..]",
+            self.shape(),
+            rhs.shape()
+        );
+        assert_eq!(
+            out.shape(),
+            (self.rows, rhs.cols),
+            "matmul_acc output shape"
+        );
+        crate::accumulate::matmul_acc(self, rhs, first, out);
+    }
+
     /// `self @ rhs_t.T` with the right-hand side already transposed:
     /// `out[i][j] = self.row(i) · rhs_t.row(j)`. Both operands stream
     /// row-major, so the inner loop is a pure dot product that the
@@ -360,6 +382,40 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn accumulating_products_are_matmul_bit_for_bit() {
+        // Widths around the 16-wide tile, odd and even row counts, more
+        // than one 64-wide run of k, exact zeros on both sides (few, and
+        // so many that the non-zero k are listed first), and every split
+        // of k into a first product and its continuation.
+        let mut rng = StdRng::seed_from_u64(9);
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let shapes = [(1, 5, 16), (2, 11, 1), (3, 11, 17), (4, 70, 37), (5, 9, 32)];
+        for zeros in [0.3, 0.9] {
+            let mut draw = |_: usize, _: usize| {
+                if rng.gen_bool(zeros) {
+                    0.0
+                } else {
+                    rng.gen_range(-3.0..3.0f32)
+                }
+            };
+            for (rows, inner, cols) in shapes {
+                let a = Matrix::from_fn(rows, inner, &mut draw);
+                let b = Matrix::from_fn(inner, cols, &mut draw);
+                let want = a.matmul(&b);
+                for split in [0, 1, inner / 2, inner] {
+                    let head = Matrix::from_fn(rows, split, |i, k| a.get(i, k));
+                    let tail = Matrix::from_fn(rows, inner - split, |i, k| a.get(i, split + k));
+                    let mut got = Matrix::zeros(rows, cols);
+                    head.matmul_acc_into(&b, 0, &mut got);
+                    tail.matmul_acc_into(&b, split, &mut got);
+                    let case = format!("{rows}x{inner}x{cols} split {split}, {zeros} zeros");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn matmul_known() {

@@ -136,13 +136,15 @@ pub struct MlpScratch {
 ///
 /// Layer-1 weights are stored side by side (`w1: d × (heads·h)`, column
 /// `head·h + j` = column `j` of that head's `W1`), so the batched layer-1
-/// is one axpy [`Matrix::matmul_into`] — the inner loop runs over the
-/// `heads·h` contiguous outputs, which vectorizes, instead of a
-/// latency-bound dot per output. Because that is the *same* kernel (and
-/// the same k-order accumulation, zero-skip included) the tape's `matmul`
-/// op uses, a fused logit is bit-identical to the per-head tape forward.
-/// Each output row depends only on its own input row, so scoring a batch
-/// is also bit-identical to scoring its rows one at a time.
+/// is an axpy over the `heads·h` contiguous outputs
+/// ([`Matrix::matmul_acc_into`]), which vectorizes, instead of a
+/// latency-bound dot per output. It sums each output in the k order,
+/// zero-skip included, of the tape's `matmul` op,
+/// so a fused logit is bit-identical to the per-head tape forward. Each
+/// output row depends only on its own input row, so scoring a batch is
+/// also bit-identical to scoring its rows one at a time — and a row's sum
+/// may stop after any leading features and resume later
+/// ([`FusedHeads::prefix_into`], [`FusedHeads::finish_into`]).
 #[derive(Debug, Clone)]
 pub struct FusedHeads {
     pub num_heads: usize,
@@ -203,31 +205,53 @@ impl FusedHeads {
     /// bit-identical to that head's own tape forward on that row.
     /// `hidden` is a reusable `n × (heads·h)` scratch buffer.
     pub fn score_into(&self, x: &Matrix, hidden: &mut Matrix, out: &mut Matrix) {
-        let n = x.rows();
-        x.matmul_into(&self.w1, hidden);
-        for i in 0..n {
-            let row = hidden.row_mut(i);
+        hidden.reset(x.rows(), self.num_heads * self.hidden);
+        self.finish_into(x, hidden, out);
+    }
+
+    /// The layer-1 sums of each row of `x` after its leading `x.cols()`
+    /// features, bias not added: what every output of
+    /// [`FusedHeads::score_into`] holds at that step of its k-ordered sum.
+    /// Written to `out` (`n × heads·h`); resume them with
+    /// [`FusedHeads::finish_into`].
+    pub fn prefix_into(&self, x: &Matrix, out: &mut Matrix) {
+        out.reset(x.rows(), self.num_heads * self.hidden);
+        x.matmul_acc_into(&self.w1, 0, out);
+    }
+
+    /// Finishes rows whose layer-1 sums over all but the last `tail.cols()`
+    /// features are already in `hidden` (`n × heads·h`, rows of
+    /// [`FusedHeads::prefix_into`]; zeros for whole rows): adds the tail
+    /// features, then the bias, the ReLU and layer 2, writing the logits
+    /// to `out` exactly as [`FusedHeads::score_into`] would on the full
+    /// rows ([`Matrix::matmul_acc_into`]).
+    pub fn finish_into(&self, tail: &Matrix, hidden: &mut Matrix, out: &mut Matrix) {
+        let n = tail.rows();
+        tail.matmul_acc_into(&self.w1, self.in_dim - tail.cols(), hidden);
+        let (heads, h) = (self.num_heads, self.hidden);
+        for row in hidden.data_mut().chunks_exact_mut(heads * h) {
             for (v, &b) in row.iter_mut().zip(&self.b1) {
                 *v = (*v + b).max(0.0);
             }
         }
-        out.reset(n, self.num_heads);
-        for i in 0..n {
-            let h_row = hidden.row(i);
-            for hd in 0..self.num_heads {
-                // Serial k-order accumulation with the zero-skip, exactly
-                // like the tape's 1×h @ h×1 matmul — ReLU zeros are skipped
-                // there, so they must be skipped here for bitwise parity.
-                let h_slice = &h_row[hd * self.hidden..(hd + 1) * self.hidden];
-                let w_row = self.w2.row(hd);
-                let mut s = 0.0f32;
-                for (k, &hk) in h_slice.iter().enumerate() {
-                    if hk == 0.0 {
-                        continue;
-                    }
-                    s += hk * w_row[k];
+        out.reset(n, heads);
+        // Layer 2: each head's serial k-order sum, like the tape's 1×h @
+        // h×1 matmul, which skips ReLU zeros. Adding +0 in their place
+        // leaves a sum as it was (it starts at +0 and never becomes -0) and
+        // costs no mispredicted branch. Rows go two at a time (an odd last
+        // row twice), their chains interleaved.
+        for i in (0..n).step_by(2) {
+            let rows = [i, (i + 1).min(n - 1)];
+            for hd in 0..heads {
+                let seg = |r: usize| &hidden.row(r)[hd * h..(hd + 1) * h];
+                let (mut s0, mut s1) = (0.0f32, 0.0f32);
+                let terms = seg(rows[0]).iter().zip(seg(rows[1])).zip(self.w2.row(hd));
+                for ((&a0, &a1), &w) in terms {
+                    s0 += if a0 == 0.0 { 0.0 } else { a0 * w };
+                    s1 += if a1 == 0.0 { 0.0 } else { a1 * w };
                 }
-                out.set(i, hd, s + self.b2[hd]);
+                out.set(rows[0], hd, s0 + self.b2[hd]);
+                out.set(rows[1], hd, s1 + self.b2[hd]);
             }
         }
     }
@@ -393,6 +417,50 @@ mod tests {
                     single.get(0, hd).to_bits(),
                     "batching changed row {i} head {hd}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_resumed_after_its_leading_features_keeps_its_bits() {
+        // Rows with exact zeros (skipped terms), weights with exact zeros,
+        // a layer-1 width of 3·7 = 21 (one tile and a partial one), odd
+        // row counts (the unpaired last row) and every split point.
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut store = ParamStore::new();
+        let heads: Vec<Mlp> = (0..3)
+            .map(|_| Mlp::new(&mut rng, &mut store, &[9, 7, 1]))
+            .collect();
+        for id in 0..store.len() {
+            for v in store.value_mut(id).data_mut() {
+                if rng.gen_bool(0.2) {
+                    *v = 0.0;
+                }
+            }
+        }
+        let fused = FusedHeads::new(&heads, &store);
+        let zero_heavy = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                0.0
+            } else {
+                rng.gen_range(-2.0..2.0f32)
+            }
+        };
+        let (mut hidden, mut want, mut got) = (
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 0),
+        );
+        for n in 1..=5 {
+            let x = Matrix::from_fn(n, 9, |_, _| zero_heavy(&mut rng));
+            fused.score_into(&x, &mut hidden, &mut want);
+            for split in 0..=9 {
+                let head = Matrix::from_fn(n, split, |i, k| x.get(i, k));
+                fused.prefix_into(&head, &mut hidden);
+                let tail = Matrix::from_fn(n, 9 - split, |i, k| x.get(i, split + k));
+                fused.finish_into(&tail, &mut hidden, &mut got);
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{n} rows split at {split}");
             }
         }
     }
