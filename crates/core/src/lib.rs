@@ -41,5 +41,5 @@ pub use harness::{qps_at_recall, Breakdown, CurvePoint};
 pub use index::{LanConfig, LanIndex, QuantConfig};
 pub use l2route::L2RouteIndex;
 pub use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
-pub use query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
+pub use query::{InitStrategy, QueryOutcome, RouteStrategy};
 pub use sharded::ShardedLanIndex;

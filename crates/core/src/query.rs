@@ -8,7 +8,7 @@
 
 use crate::index::LanIndex;
 use lan_graph::Graph;
-use lan_models::{LearnedRanker, SlabArena};
+use lan_models::LearnedRanker;
 use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
 use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
@@ -17,21 +17,9 @@ use lan_pg::np_route::np_route_budgeted;
 use lan_pg::{beam_search_budgeted, DistCache, QueryDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static QUERY_COUNT: LazyCounter = LazyCounter::new(names::QUERY_COUNT);
-
-/// Shard-scoped resources the serving path shares across co-batched
-/// queries: the arena pooling per-query slabs. Passing one `SearchShared`
-/// to the `*_shared` entry points changes *how* work executes (recycled
-/// allocations) but never *what* is computed — results, NDC, and the
-/// EXPLAIN plan's counts stay bit-identical to the serial entry points
-/// (property-tested in `tests/shared_equivalence.rs`).
-pub struct SearchShared<'a> {
-    /// The shard's slab pool.
-    pub arena: &'a Arc<SlabArena>,
-}
 
 /// Initial-node selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +91,7 @@ impl QueryOutcome {
 /// Stage-level measurements collected only when an EXPLAIN plan was
 /// requested; the plain search path never allocates one.
 #[derive(Default)]
-struct StageTrace {
+pub(crate) struct StageTrace {
     init_ns: u64,
     route_ns: u64,
     cache_hits: u64,
@@ -199,33 +187,7 @@ impl LanIndex {
             lan_obs::explain::emit(&ex);
             return out;
         }
-        self.search_core(q, k, b, init, route, seed, ctx, false, None)
-            .0
-    }
-
-    /// [`Self::search_with_budget`] executing through shard-shared serving
-    /// resources (pooled slabs). Bit-identical results and NDC; only the
-    /// allocations differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with_budget_shared(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> QueryOutcome {
-        if lan_obs::explain::enabled() {
-            let (out, ex) =
-                self.search_explain_budgeted_shared(q, k, b, init, route, seed, ctx, shared);
-            lan_obs::explain::emit(&ex);
-            return out;
-        }
-        self.search_core(q, k, b, init, route, seed, ctx, false, Some(shared))
-            .0
+        self.search_core(q, k, b, init, route, seed, ctx, false).0
     }
 
     /// [`Self::search_with`] that additionally returns the query's EXPLAIN
@@ -261,40 +223,7 @@ impl LanIndex {
         seed: u64,
         ctx: &BudgetCtx,
     ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_core(q, k, b, init, route, seed, ctx, None)
-    }
-
-    /// [`Self::search_explain_budgeted`] through shard-shared serving
-    /// resources — the plan's counts, NDC, and results are
-    /// bit-identical to the serial variant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_explain_budgeted_shared(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.search_explain_core(q, k, b, init, route, seed, ctx, Some(shared))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_explain_core(
-        &self,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: Option<&SearchShared>,
-    ) -> (QueryOutcome, QueryExplain) {
-        let (out, trace) = self.search_core(q, k, b, init, route, seed, ctx, true, shared);
+        let (out, trace) = self.search_core(q, k, b, init, route, seed, ctx, true);
         let trace = trace.expect("collecting search always produces a stage trace");
         let limits = ctx.limits();
         let ex = QueryExplain {
@@ -336,7 +265,7 @@ impl LanIndex {
     /// hits and hops are kept. `false` is the plain search — zero
     /// collection.
     #[allow(clippy::too_many_arguments)]
-    fn search_core(
+    pub(crate) fn search_core(
         &self,
         q: &Graph,
         k: usize,
@@ -346,7 +275,6 @@ impl LanIndex {
         seed: u64,
         ctx: &BudgetCtx,
         explain: bool,
-        shared: Option<&SearchShared>,
     ) -> (QueryOutcome, Option<StageTrace>) {
         let t_start = Instant::now();
         let _q_span = span("query");
@@ -377,10 +305,7 @@ impl LanIndex {
         };
         let needs_ctx =
             matches!(route, RouteStrategy::LanRoute { .. }) || init == InitStrategy::LanIs;
-        let qctx = needs_ctx.then(|| match shared {
-            Some(sh) => self.models.query_context_pooled(q, use_cg, sh.arena),
-            None => self.models.query_context(q, use_cg),
-        });
+        let qctx = needs_ctx.then(|| self.models.query_context(q, use_cg));
 
         // --- Initial node selection. ---
         let init_t0 = Instant::now();

@@ -11,7 +11,7 @@
 //! budget; results and NDC are the same either way.
 
 use crate::index::{LanConfig, LanIndex};
-use crate::query::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared};
+use crate::query::{InitStrategy, QueryOutcome, RouteStrategy};
 use lan_datasets::{Dataset, DatasetSpec, WorkloadSplit};
 use lan_graph::Graph;
 use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
@@ -171,12 +171,8 @@ impl ShardedLanIndex {
             lan_obs::explain::emit(&ex);
             return out;
         }
-        let t0 = Instant::now();
-        let ctx = BudgetCtx::new(budget);
-        let per_shard = self.fan_out(&ctx, |s, shard| {
-            shard.search_with_budget(q, k, b, init, route, seed ^ s as u64, &ctx)
-        });
-        self.merge_shard_outcomes(per_shard, k, t0, ctx.termination())
+        self.fan_out_search(q, k, b, init, route, seed, budget, false)
+            .0
     }
 
     /// [`ShardedLanIndex::search`] that additionally returns the merged
@@ -208,36 +204,53 @@ impl ShardedLanIndex {
         seed: u64,
         budget: &QueryBudget,
     ) -> (QueryOutcome, QueryExplain) {
+        let (out, ex) = self.fan_out_search(q, k, b, init, route, seed, budget, true);
+        (out, ex.expect("an explaining fan-out always merges a plan"))
+    }
+
+    /// The one fan-out behind both public searches: every shard through
+    /// [`ShardedLanIndex::shard_search`] on the schedule of
+    /// [`ShardedLanIndex::search_budgeted`], then the merge. With `explain`
+    /// the merged plan ([`merged_explain`]) comes back too; nothing is
+    /// emitted here.
+    #[allow(clippy::too_many_arguments)]
+    fn fan_out_search(
+        &self,
+        q: &Graph,
+        k: usize,
+        b: usize,
+        init: InitStrategy,
+        route: RouteStrategy,
+        seed: u64,
+        budget: &QueryBudget,
+        explain: bool,
+    ) -> (QueryOutcome, Option<QueryExplain>) {
         let t0 = Instant::now();
         let ctx = BudgetCtx::new(budget);
         let t_fan = Instant::now();
-        let pairs = self.fan_out(&ctx, |s, shard| {
-            shard.search_explain_budgeted(q, k, b, init, route, seed ^ s as u64, &ctx)
+        let pairs = self.fan_out(&ctx, |s| {
+            self.shard_search(s, q, k, b, init, route, seed, &ctx, explain)
         });
         let fan = t_fan.elapsed();
         let (per_shard, plans): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         let merged = self.merge_shard_outcomes(per_shard, k, t0, ctx.termination());
-        let own = t0.elapsed().saturating_sub(fan);
-        let ex = merged_explain(&merged, k, b, init, route, seed, &ctx, plans, own);
+        let ex = explain.then(|| {
+            let own = t0.elapsed().saturating_sub(fan);
+            let plans = plans.into_iter().flatten().collect();
+            merged_explain(&merged, k, b, init, route, seed, &ctx, plans, own)
+        });
         (merged, ex)
     }
 
-    /// Runs `search(s, shard)` for every shard and returns the outputs in
+    /// Runs `search(s)` for every shard `s` and returns the outputs in
     /// shard order, on the schedule documented at
     /// [`ShardedLanIndex::search_budgeted`]: fanned out under the `lan-par`
     /// budget when `ctx` is unlimited, otherwise in shard order on the
     /// calling thread until a shard exhausts the budget.
-    fn fan_out<R: Send>(
-        &self,
-        ctx: &BudgetCtx,
-        search: impl Fn(usize, &LanIndex) -> R + Sync,
-    ) -> Vec<R> {
+    fn fan_out<R: Send>(&self, ctx: &BudgetCtx, search: impl Fn(usize) -> R + Sync) -> Vec<R> {
         if !ctx.is_unlimited() {
-            return self
-                .shards
-                .iter()
-                .enumerate()
-                .map_while(|(s, shard)| (!ctx.cancelled()).then(|| search(s, shard)))
+            return (0..self.shards.len())
+                .map_while(|s| (!ctx.cancelled()).then(|| search(s)))
                 .collect();
         }
         // Worker threads have empty trace thread-locals; re-attach the
@@ -245,18 +258,19 @@ impl ShardedLanIndex {
         let traced = lan_obs::trace::active_query();
         lan_par::par_map_indices_dyn(self.shards.len(), lan_par::Grain::Fine, |s| {
             let _t = lan_obs::trace::propagate(traced);
-            search(s, &self.shards[s])
+            search(s)
         })
     }
 
-    /// One shard's slice of a fan-out query, executed through shard-shared
-    /// serving resources ([`SearchShared`]). Applies the same per-shard
-    /// seed derivation (`seed ^ s`) as every fan-out in this module, so a
-    /// serving front-end that runs shards through independent workers and
-    /// merges with [`ShardedLanIndex::merge_shard_outcomes`] reproduces
-    /// [`ShardedLanIndex::search_budgeted`] bit for bit.
+    /// One shard's slice of a fan-out query, with the shard's EXPLAIN
+    /// sub-plan when `explain` is set. This is the only place that derives
+    /// the per-shard seed (`seed ^ s`), so a front-end that runs shards
+    /// through workers of its own and merges with
+    /// [`ShardedLanIndex::merge_shard_outcomes`] (and [`merged_explain`])
+    /// reproduces [`ShardedLanIndex::search_budgeted`] bit for bit. It
+    /// never emits to the EXPLAIN ring: the caller emits the merged plan.
     #[allow(clippy::too_many_arguments)]
-    pub fn shard_search_budgeted_shared(
+    pub fn shard_search(
         &self,
         s: usize,
         q: &Graph,
@@ -266,36 +280,16 @@ impl ShardedLanIndex {
         route: RouteStrategy,
         seed: u64,
         ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> QueryOutcome {
-        self.shards[s].search_with_budget_shared(q, k, b, init, route, seed ^ s as u64, ctx, shared)
-    }
-
-    /// [`ShardedLanIndex::shard_search_budgeted_shared`] returning the
-    /// shard's EXPLAIN sub-plan alongside the outcome.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shard_search_explain_budgeted_shared(
-        &self,
-        s: usize,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        shared: &SearchShared,
-    ) -> (QueryOutcome, QueryExplain) {
-        self.shards[s].search_explain_budgeted_shared(
-            q,
-            k,
-            b,
-            init,
-            route,
-            seed ^ s as u64,
-            ctx,
-            shared,
-        )
+        explain: bool,
+    ) -> (QueryOutcome, Option<QueryExplain>) {
+        let shard = &self.shards[s];
+        let seed = seed ^ s as u64;
+        if explain {
+            let (out, ex) = shard.search_explain_budgeted(q, k, b, init, route, seed, ctx);
+            return (out, Some(ex));
+        }
+        let (out, _) = shard.search_core(q, k, b, init, route, seed, ctx, false);
+        (out, None)
     }
 
     /// Merges per-shard outcomes (ordered by shard index) into one global

@@ -37,7 +37,7 @@
 
 use crate::cg::CompressedGnnGraph;
 use crate::features::one_hot;
-use crate::gin::{agg_matrix, GnnConfig};
+use crate::gin::GnnConfig;
 use lan_graph::{Graph, NodeId};
 use lan_obs::LazyCounter;
 use lan_tensor::{CsrMatrix, Matrix, ParamStore, Tape, Var};
@@ -48,9 +48,8 @@ pub(crate) static FORWARD_CALLS: LazyCounter = LazyCounter::new(lan_obs::names::
 /// The per-graph inputs of the unified cross-graph forward.
 #[derive(Debug, Clone)]
 pub struct CrossInput {
-    /// `aggs[l-1]` maps level `l-1` rows to level `l` rows, `l = 1..=L`.
-    pub aggs: Vec<Matrix>,
-    /// `aggs` in row-compressed form, for the inference kernels.
+    /// `sparse[l-1]` maps level `l-1` rows to level `l` rows, `l = 1..=L`,
+    /// in row-compressed form ([`CsrMatrix::to_dense`] for the dense one).
     pub sparse: Vec<CsrMatrix>,
     /// Level-0 one-hot features (rows = level-0 entities).
     pub feats: Matrix,
@@ -67,11 +66,8 @@ impl CrossInput {
             "cross-graph learning needs a non-empty graph"
         );
         let layers = cfg.dims.len();
-        let a = agg_matrix(g);
-        let sparse = agg_rows(g);
         CrossInput {
-            aggs: vec![a; layers],
-            sparse: vec![sparse; layers],
+            sparse: vec![agg_rows(g); layers],
             feats: one_hot(g.labels(), cfg.num_labels),
             sizes: vec![vec![1.0; g.node_count()]; layers + 1],
         }
@@ -86,22 +82,9 @@ impl CrossInput {
             "CG depth must match the network"
         );
         assert!(cg.n > 0, "cross-graph learning needs a non-empty graph");
-        let mut aggs = Vec::with_capacity(layers);
-        let mut sparse = Vec::with_capacity(layers);
-        for l in 1..=layers {
-            let rows = cg.groups_at(l);
-            let cols = cg.groups_at(l - 1);
-            let mut m = Matrix::zeros(rows, cols);
-            for (j, edges) in cg.levels[l].in_edges.iter().enumerate() {
-                for &(i, w) in edges {
-                    m.set(j, i as usize, w);
-                }
-            }
-            aggs.push(m);
-            sparse.push(CsrMatrix::from_rows(
-                cg.levels[l].in_edges.iter().map(|e| e.iter().copied()),
-            ));
-        }
+        let sparse = (1..=layers)
+            .map(|l| CsrMatrix::from_rows(cg.levels[l].in_edges.iter().map(|e| e.iter().copied())))
+            .collect();
         let feats = one_hot(&cg.level0_labels, cfg.num_labels);
         let sizes = cg
             .levels
@@ -109,7 +92,6 @@ impl CrossInput {
             .map(|lv| lv.group_sizes.iter().map(|&s| s as f32).collect())
             .collect();
         CrossInput {
-            aggs,
             sparse,
             feats,
             sizes,
@@ -117,7 +99,7 @@ impl CrossInput {
     }
 }
 
-/// [`agg_matrix`] in row-compressed form, built from the adjacency: row
+/// [`crate::gin::agg_matrix`] in row-compressed form, built from the adjacency: row
 /// `u` is `u` merged into its sorted neighbor list.
 fn agg_rows(g: &Graph) -> CsrMatrix {
     CsrMatrix::from_rows((0..g.node_count() as NodeId).map(|u| {
@@ -192,8 +174,9 @@ impl CrossGraphNet {
         let mut hx = tape.leaf(x.feats.clone());
         let mut hy = tape.leaf(y.feats.clone());
         for (l, layer) in self.layers.iter().enumerate() {
-            let mx = tape.leaf(x.aggs[l].clone());
-            let my = tape.leaf(y.aggs[l].clone());
+            // The operators' columns are the previous level's rows.
+            let mx = tape.leaf(x.sparse[l].to_dense(tape.value(hx).rows()));
+            let my = tape.leaf(y.sparse[l].to_dense(tape.value(hy).rows()));
             let tx = tape.matmul(mx, hx); // groups_x(l+1?) — level l+1 rows
             let ty = tape.matmul(my, hy);
             let a1 = tape.param(store, layer.a1);

@@ -23,7 +23,7 @@
 //!
 //! ## Layer-0 prefixes
 //!
-//! At layer 0 `t` is `aggs[0]·feats`, which depends on one graph only —
+//! At layer 0 `t` is `sparse[0]·feats`, which depends on one graph only —
 //! and so, by the identity above, does that graph's pooled vector. A
 //! [`CrossPrefix`] holds those products (`T⁰W`, `μ⁰W`, and `ln w` per
 //! level); the database side is prepared at index time, the query side once
@@ -73,7 +73,7 @@ pub fn count_pair_forwards(n: u64) {
 /// for one `(CrossInput, weights)` and valid only with that input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossPrefix {
-    /// `T⁰·W⁰` with `T⁰ = aggs[0]·feats` (level-1 rows × `d₁`).
+    /// `T⁰·W⁰` with `T⁰ = sparse[0]·feats` (level-1 rows × `d₁`).
     tw: Matrix,
     /// `Σ_j α_j (T⁰·W⁰)_j` (`d₁`): this graph's layer-0 message to any
     /// partner — its attention pooling, projected.

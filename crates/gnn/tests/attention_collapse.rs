@@ -69,8 +69,8 @@ fn reference_pair(
     let (mut hx, mut hy) = (x.feats.clone(), y.feats.clone());
     let mut attention = Vec::new();
     for (l, layer) in net.layers.iter().enumerate() {
-        let tx = x.aggs[l].matmul(&hx);
-        let ty = y.aggs[l].matmul(&hy);
+        let tx = x.sparse[l].to_dense(hx.rows()).matmul(&hx);
+        let ty = y.sparse[l].to_dense(hy.rows()).matmul(&hy);
         let (a1, a2) = (store.value(layer.a1), store.value(layer.a2));
         let sx = rank1_add(&tx.matmul(a1), &ty.matmul(a2));
         let sy = rank1_add(&ty.matmul(a1), &tx.matmul(a2));

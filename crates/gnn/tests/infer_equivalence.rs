@@ -196,7 +196,7 @@ mod dense_ref {
             .map(|s| s.iter().map(|w| w.ln()).collect())
             .collect();
         let layer = &net.layers[0];
-        let tx = x.aggs[0].matmul(&x.feats);
+        let tx = x.sparse[0].to_dense(x.feats.rows()).matmul(&x.feats);
         let tw = tx.matmul(store.value(layer.w));
         let mu_w = attention_pool(&tx, store.value(layer.a2).data(), &lnw[0], &tw);
         Prefix { tw, mu_w, lnw }
@@ -212,8 +212,8 @@ mod dense_ref {
         let mut hx = add_row_relu(&px.tw, &py.mu_w);
         let mut hy = add_row_relu(&py.tw, &px.mu_w);
         for (l, layer) in net.layers.iter().enumerate().skip(1) {
-            let tx = x.aggs[l].matmul(&hx);
-            let ty = y.aggs[l].matmul(&hy);
+            let tx = x.sparse[l].to_dense(hx.rows()).matmul(&hx);
+            let ty = y.sparse[l].to_dense(hy.rows()).matmul(&hy);
             let w = store.value(layer.w);
             let zx = tx.matmul(w);
             let zy = ty.matmul(w);

@@ -10,4 +10,4 @@ pub mod store;
 
 pub use kmeans::KMeans;
 pub use learned_ranker::LearnedRanker;
-pub use models::{DbInputs, LanModels, ModelConfig, QueryContext, SlabArena, TrainReport};
+pub use models::{DbInputs, LanModels, ModelConfig, QueryContext, TrainReport};

@@ -27,7 +27,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::ops::Index;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Hyperparameters for model training and inference.
@@ -163,63 +163,6 @@ impl PairSlab {
     fn insert(&mut self, g: u32, v: &[f32]) {
         self.data[g as usize * self.dim..(g as usize + 1) * self.dim].copy_from_slice(v);
         self.present[g as usize] = true;
-    }
-
-    /// Prepares the slab for reuse by another query: every entry is
-    /// marked absent but the backing allocations are kept — the point of
-    /// pooling slabs in a [`SlabArena`].
-    fn recycle(&mut self) {
-        self.present.fill(false);
-    }
-}
-
-/// A reusable pool of per-query slabs for the serving path.
-///
-/// A cold context's two slabs — pair embeddings and `M_rk` pair-block
-/// sums — lazily grow to `db_size` rows on first use; under a serving
-/// workload that is a large allocation per request. Contexts built
-/// through [`LanModels::query_context_pooled`] draw both from this arena
-/// instead and return them (recycled, allocations intact) when the context
-/// drops, so steady-state serving allocates no slab memory at all.
-/// Recycling only clears the presence bitmaps — stale rows are never
-/// readable because every lookup checks presence first.
-pub struct SlabArena {
-    dims: (usize, usize),
-    slabs: Mutex<Vec<(PairSlab, PairSlab)>>,
-}
-
-impl SlabArena {
-    /// An arena for contexts of `models`.
-    pub fn new(models: &LanModels) -> Self {
-        SlabArena {
-            dims: models.slab_dims(),
-            slabs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Slab pairs currently parked in the pool (test observability).
-    pub fn pooled(&self) -> usize {
-        self.slabs.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    fn take(&self) -> (PairSlab, PairSlab) {
-        self.slabs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_else(|| (PairSlab::new(self.dims.0), PairSlab::new(self.dims.1)))
-    }
-
-    fn put(&self, (mut pairs, mut prefixes): (PairSlab, PairSlab)) {
-        if (pairs.dim, prefixes.dim) != self.dims {
-            return;
-        }
-        pairs.recycle();
-        prefixes.recycle();
-        self.slabs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((pairs, prefixes));
     }
 }
 
@@ -389,25 +332,12 @@ pub struct QueryContext {
     /// exists, hits or not).
     hit: &'static Counter,
     miss: &'static Counter,
-    /// When the context was built through
-    /// [`LanModels::query_context_pooled`], the arena its slabs return to
-    /// on drop.
-    arena: Option<Arc<SlabArena>>,
 }
 
 impl QueryContext {
     /// Wall-clock spent in GNN inference through this context so far.
     pub fn gnn_time(&self) -> Duration {
         self.gnn_timer.total()
-    }
-}
-
-impl Drop for QueryContext {
-    fn drop(&mut self) {
-        if let Some(arena) = self.arena.take() {
-            let take = |slab: &RefCell<PairSlab>| slab.replace(PairSlab::new(0));
-            arena.put((take(&self.pair_cache), take(&self.rk_prefix)));
-        }
     }
 }
 
@@ -619,44 +549,18 @@ impl LanModels {
             let prefix = self.cross.prefix(&self.cross_store, &input);
             (input, prefix, self.embed(q))
         });
-        let (pair_dim, prefix_dim) = self.slab_dims();
+        let rk = &self.rk_fused;
         QueryContext {
             input,
             prefix,
             gin_embed,
-            pair_cache: RefCell::new(PairSlab::new(pair_dim)),
-            rk_prefix: RefCell::new(PairSlab::new(prefix_dim)),
+            pair_cache: RefCell::new(PairSlab::new(self.cross.pair_dim())),
+            // One row of the fused rankers' layer-1 outputs per neighbor.
+            rk_prefix: RefCell::new(PairSlab::new(rk.num_heads * rk.hidden)),
             gnn_timer,
             hit: lan_obs::counter(names::GNN_INFER_CACHE_HIT),
             miss: lan_obs::counter(names::GNN_INFER_CACHE_MISS),
-            arena: None,
         }
-    }
-
-    /// [`LanModels::query_context`] drawing its slabs from `arena`
-    /// instead of allocating fresh ones; they return to the arena
-    /// (recycled) when the context drops. The serving path builds one
-    /// context per request through this, so steady-state traffic reuses a
-    /// bounded set of slabs.
-    pub fn query_context_pooled(
-        &self,
-        q: &Graph,
-        use_cg: bool,
-        arena: &Arc<SlabArena>,
-    ) -> QueryContext {
-        let mut ctx = self.query_context(q, use_cg);
-        let (pairs, prefixes) = arena.take();
-        ctx.pair_cache.replace(pairs);
-        ctx.rk_prefix.replace(prefixes);
-        ctx.arena = Some(Arc::clone(arena));
-        ctx
-    }
-
-    /// Row widths of a context's slabs: the pair embedding, and the fused
-    /// rankers' layer-1 outputs.
-    fn slab_dims(&self) -> (usize, usize) {
-        let rk = &self.rk_fused;
-        (self.cross.pair_dim(), rk.num_heads * rk.hidden)
     }
 
     /// Fills the per-query cache for every id in `ids`: one prepared

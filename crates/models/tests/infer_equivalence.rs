@@ -13,11 +13,10 @@
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_ged::GedMethod;
 use lan_gnn::{CompressedGnnGraph, CrossInput, CrossPrefix};
-use lan_models::{LanModels, LearnedRanker, ModelConfig, QueryContext, SlabArena};
+use lan_models::{LanModels, LearnedRanker, ModelConfig, QueryContext};
 use lan_pg::np_route::{chunk_batches, np_route, NeighborRanker};
 use lan_pg::{DistCache, PairCache, PgConfig, ProximityGraph};
 use lan_tensor::{sigmoid, Matrix};
-use std::sync::Arc;
 
 fn tiny_setup() -> (Dataset, ProximityGraph, LanModels) {
     tiny_setup_seeded(ModelConfig::default().seed)
@@ -243,14 +242,21 @@ fn batched_nh_sweep_is_bit_identical_to_per_graph_logits() {
     }
 }
 
-/// Shapes, then values: every matrix's `(rows, cols)` and every size
-/// vector's length ahead of the flattened bits.
+/// Shapes, then values: every matrix's `(rows, cols)` (the operators
+/// densified, a level's columns being the previous level's rows) and every
+/// size vector's length ahead of the flattened bits.
 fn input_bits(x: &CrossInput) -> Vec<u32> {
-    let mats = || x.aggs.iter().chain([&x.feats]);
-    let shapes = mats().flat_map(|m| [m.rows(), m.cols()]);
+    let dense = x
+        .sparse
+        .iter()
+        .zip(&x.sizes)
+        .map(|(m, s)| m.to_dense(s.len()));
+    let mats: Vec<Matrix> = dense.chain([x.feats.clone()]).collect();
+    let shapes = mats.iter().flat_map(|m| [m.rows(), m.cols()]);
     let lens = x.sizes.iter().map(Vec::len);
     let mut bits: Vec<u32> = shapes.chain(lens).map(|n| n as u32).collect();
-    let values = mats()
+    let values = mats
+        .iter()
         .flat_map(|m| m.data())
         .chain(x.sizes.iter().flatten());
     bits.extend(values.map(|v| v.to_bits()));
@@ -360,37 +366,27 @@ fn ref_rank_scores(
 }
 
 /// Every hop of `qs` (each node of the proximity graph, its neighbours)
-/// scored by `rank_scores` cold, warm (the same context again) and on
-/// slabs recycled from the previous query through an arena, against
+/// scored by `rank_scores` cold and warm (the same context again), against
 /// `ref_rank_scores` on a context of its own.
 fn rank_scores_match_reference(models: &LanModels, pg: &ProximityGraph, qs: &[&lan_graph::Graph]) {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let arena = Arc::new(SlabArena::new(models));
     for use_cg in [true, false] {
         for (qi, q) in qs.iter().enumerate() {
             let ctx_ref = models.query_context(q, use_cg);
             let ctx = models.query_context(q, use_cg);
-            let pooled = models.query_context_pooled(q, use_cg, &arena);
             for pass in ["cold", "warm"] {
                 for (node, neighbors) in pg.base().iter().enumerate() {
                     let node = node as u32;
                     let want = bits(&ref_rank_scores(models, &ctx_ref, node, neighbors, use_cg));
-                    for (kind, c) in [("fresh", &ctx), ("pooled", &pooled)] {
-                        let got = bits(&models.rank_scores(c, node, neighbors, use_cg));
-                        assert_eq!(
-                            got, want,
-                            "query {qi} node {node} use_cg={use_cg}: {pass} {kind} scores"
-                        );
-                    }
+                    let got = bits(&models.rank_scores(&ctx, node, neighbors, use_cg));
+                    assert_eq!(
+                        got, want,
+                        "query {qi} node {node} use_cg={use_cg}: {pass} scores"
+                    );
                 }
             }
         }
     }
-    assert_eq!(
-        arena.pooled(),
-        1,
-        "the pooled contexts shared one slab pair"
-    );
 }
 
 #[test]

@@ -9,8 +9,7 @@
 //!   `GET /metrics` Prometheus endpoint on the same port;
 //! * [`admission`] — global in-flight cap with per-tenant fair share;
 //! * [`server`] — per-shard micro-batching workers: each co-batched query
-//!   ranks per query, on the offline path, and draws its per-query slabs
-//!   from the shard's reusable [`SlabArena`];
+//!   runs the offline per-shard search, `ShardedLanIndex::shard_search`;
 //! * [`client`] — a minimal blocking client;
 //! * [`config`] — `LAN_SERVE_*` knobs through the strict `lan_par::env`
 //!   parser.
@@ -21,7 +20,6 @@
 //! (TCP round-trip included) in `tests/equivalence.rs`.
 //!
 //! [`ShardedLanIndex`]: lan_core::ShardedLanIndex
-//! [`SlabArena`]: lan_models::SlabArena
 
 pub mod admission;
 pub mod client;

@@ -10,14 +10,14 @@
 //! each worker pops up to `LAN_SERVE_BATCH` queued queries (holding the
 //! first for `LAN_SERVE_BATCH_WAIT_US` to let co-batchable arrivals
 //! land), then executes the micro-batch concurrently via
-//! `lan_par::par_map_dyn`. Each query ranks its hops on its own, through
-//! the same `LanModels::rank_batches` as an offline query; co-batched
-//! queries share only the shard's [`SlabArena`], from which they draw
-//! their per-query slabs, so steady-state traffic allocates no slab
-//! memory. Each query keeps its own `BudgetCtx` and per-shard
-//! `DistCache` exactly as in the offline fan-out, which is what makes
+//! `lan_par::par_map_dyn`. Each query runs
+//! [`ShardedLanIndex::shard_search`], the code an offline fan-out runs per
+//! shard, with its own `BudgetCtx`, query context and `DistCache`;
+//! co-batched queries share nothing but the index. That is what makes
 //! results bit-identical to [`ShardedLanIndex::search_budgeted`]
-//! (property-tested in `tests/equivalence.rs`).
+//! (property-tested in `tests/equivalence.rs`). With `LAN_EXPLAIN` on,
+//! the front-end emits one merged plan per query, as the offline fan-out
+//! does.
 //!
 //! # Degradation tiers
 //!
@@ -40,8 +40,7 @@ use crate::proto::{
     parse_request, render_error, render_ok, render_overloaded, write_frame, Request, SearchRequest,
 };
 use lan_core::sharded::merged_explain;
-use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, SearchShared, ShardedLanIndex};
-use lan_models::SlabArena;
+use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, ShardedLanIndex};
 use lan_obs::explain::QueryExplain;
 use lan_obs::names;
 use lan_pg::budget::BudgetCtx;
@@ -83,6 +82,9 @@ struct JobState {
 struct QueryJob {
     req: SearchRequest,
     ctx: BudgetCtx,
+    /// Whether the shards return EXPLAIN sub-plans: the client asked for
+    /// the merged plan, or the EXPLAIN ring is on (`LAN_EXPLAIN`).
+    explain: bool,
     t0: Instant,
     /// Arrival + deadline budget; a worker dequeuing past it sheds the
     /// query instead of executing.
@@ -98,6 +100,7 @@ impl QueryJob {
         let t0 = Instant::now();
         let abs_deadline = req.budget.deadline.map(|d| t0 + d);
         QueryJob {
+            explain: req.explain || lan_obs::explain::enabled(),
             req,
             ctx,
             t0,
@@ -150,7 +153,6 @@ struct ServerInner {
     index: Arc<ShardedLanIndex>,
     cfg: ServeConfig,
     queues: Vec<ShardQueue>,
-    arenas: Vec<Arc<SlabArena>>,
     admission: Arc<Admission>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -234,11 +236,6 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
                 cv: Condvar::new(),
             })
             .collect(),
-        arenas: index
-            .shards
-            .iter()
-            .map(|sh| Arc::new(SlabArena::new(&sh.models)))
-            .collect(),
         admission: Admission::new(cfg.max_inflight),
         shutdown: AtomicBool::new(false),
         addr,
@@ -315,8 +312,8 @@ fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
 }
 
 /// One shard's micro-batching loop: pop → wait for co-batchable arrivals
-/// → shed expired → execute the batch concurrently over the shared
-/// scorer and arena.
+/// → shed expired → execute the batch concurrently, each query through
+/// [`ShardedLanIndex::shard_search`].
 fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
     loop {
         let mut batch: Vec<Arc<QueryJob>> = Vec::new();
@@ -373,23 +370,20 @@ fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
         if run.is_empty() {
             continue;
         }
-        let shared = SearchShared {
-            arena: &inner.arenas[s],
-        };
         let outs: Vec<(QueryOutcome, Option<QueryExplain>)> =
             lan_par::par_map_dyn(&run, lan_par::Grain::Fine, |job| {
                 let r = &job.req;
-                if r.explain {
-                    let (out, ex) = inner.index.shard_search_explain_budgeted_shared(
-                        s, &r.graph, r.k, r.b, INIT, ROUTE, r.seed, &job.ctx, &shared,
-                    );
-                    (out, Some(ex))
-                } else {
-                    let out = inner.index.shard_search_budgeted_shared(
-                        s, &r.graph, r.k, r.b, INIT, ROUTE, r.seed, &job.ctx, &shared,
-                    );
-                    (out, None)
-                }
+                inner.index.shard_search(
+                    s,
+                    &r.graph,
+                    r.k,
+                    r.b,
+                    INIT,
+                    ROUTE,
+                    r.seed,
+                    &job.ctx,
+                    job.explain,
+                )
             });
         for (job, (out, ex)) in run.iter().zip(outs) {
             job.complete(s, Slot::Done(Box::new((out, ex))));
@@ -529,7 +523,7 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             return render_overloaded(&e.to_string());
         }
     };
-    let (k, b, explain) = (req.k, req.b, req.explain);
+    let (k, b, reply_plan) = (req.k, req.b, req.explain);
     let job = Arc::new(QueryJob::new(req, inner.index.num_shards()));
     for sq in &inner.queues {
         sq.q.lock()
@@ -551,7 +545,7 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
         return render_overloaded("deadline passed before execution");
     }
     let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(slots.len());
-    let mut plans: Vec<QueryExplain> = Vec::with_capacity(if explain { slots.len() } else { 0 });
+    let mut plans: Vec<QueryExplain> = Vec::new();
     for slot in slots {
         match slot {
             Slot::Done(done) => {
@@ -567,8 +561,9 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
     let merged = inner
         .index
         .merge_shard_outcomes(per_shard, k, job.t0, job.ctx.termination());
-    let explain_json = explain.then(|| {
-        let ex = merged_explain(
+    let ex = job.explain.then(|| {
+        let own = set_up + t_merge.elapsed();
+        merged_explain(
             &merged,
             k,
             b,
@@ -577,10 +572,16 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             job.req.seed,
             &job.ctx,
             plans,
-            set_up + t_merge.elapsed(),
-        );
-        ex.to_json()
+            own,
+        )
     });
+    // One merged plan per served query, as an offline sharded query emits.
+    if let Some(ex) = &ex {
+        if lan_obs::explain::enabled() {
+            lan_obs::explain::emit(ex);
+        }
+    }
+    let explain_json = ex.filter(|_| reply_plan).map(|ex| ex.to_json());
     render_ok(
         &merged.results,
         merged.ndc as u64,

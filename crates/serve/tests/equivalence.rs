@@ -3,8 +3,8 @@
 //! termination, and EXPLAIN tier attribution **bit-identical** to the
 //! offline [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points — protocol
-//! encoding, micro-batching, and slab pooling all included. (The in-process half lives in
-//! `lan-core/tests/shared_equivalence.rs`.)
+//! encoding and micro-batching included. (The in-process half lives in
+//! `lan-core/tests/fan_out_contract.rs`.)
 //!
 //! Also covered here: the typed `overloaded` degradation path, ping,
 //! the `/metrics` scrape on the query port, and clean shutdown.

@@ -66,6 +66,17 @@ impl CsrMatrix {
         self.starts.len() - 1
     }
 
+    /// The dense `rows × cols` matrix, explicit zeros included.
+    pub fn to_dense(&self, cols: usize) -> Matrix {
+        let mut m = Matrix::zeros(self.rows(), cols);
+        for i in 0..self.rows() {
+            for &(j, v) in &self.entries[self.starts[i] as usize..self.starts[i + 1] as usize] {
+                m.set(i, j as usize, v);
+            }
+        }
+        m
+    }
+
     /// `out = self · rhs`: the dense matrix's [`Matrix::matmul_into`], bit
     /// for bit, over the non-zeros only.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
@@ -195,6 +206,29 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn to_dense_round_trips_from_rows() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let dense = Matrix::from_fn(6, 9, |_, _| {
+            if rng.gen_bool(0.6) {
+                0.0
+            } else {
+                rng.gen_range(-3.0..3.0f32)
+            }
+        });
+        let csr = CsrMatrix::from_rows((0..6).map(|i| {
+            let row = dense.row(i).to_vec();
+            (0..9u32).map(move |j| (j, row[j as usize]))
+        }));
+        assert_eq!(
+            csr.entries.len(),
+            dense.data().iter().filter(|&&v| v != 0.0).count()
+        );
+        assert_eq!(csr.to_dense(9), dense);
+        // Columns past the last non-zero stay zero.
+        assert_eq!(csr.to_dense(11).row(2)[9..], [0.0, 0.0]);
+    }
 
     #[test]
     fn csr_products_are_dense_products_bit_for_bit() {
