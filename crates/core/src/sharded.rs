@@ -176,7 +176,7 @@ impl ShardedLanIndex {
     }
 
     /// [`ShardedLanIndex::search`] that additionally returns the merged
-    /// EXPLAIN plan (see [`merged_explain`]): one sub-plan per searched
+    /// EXPLAIN plan: one sub-plan per searched
     /// shard (skipped shards are absent), counts and component times
     /// summed, and a `shard.N` timeline entry per shard.
     pub fn search_explain(
@@ -208,11 +208,10 @@ impl ShardedLanIndex {
         (out, ex.expect("an explaining fan-out always merges a plan"))
     }
 
-    /// The one fan-out behind both public searches: every shard through
-    /// [`ShardedLanIndex::shard_search`] on the schedule of
-    /// [`ShardedLanIndex::search_budgeted`], then the merge. With `explain`
-    /// the merged plan ([`merged_explain`]) comes back too; nothing is
-    /// emitted here.
+    /// The one fan-out behind both public searches: every shard's search
+    /// on the schedule of [`ShardedLanIndex::search_budgeted`], then the
+    /// merge. With `explain` the merged plan ([`merged_explain`]) comes
+    /// back too; nothing is emitted here.
     #[allow(clippy::too_many_arguments)]
     fn fan_out_search(
         &self,
@@ -228,8 +227,18 @@ impl ShardedLanIndex {
         let t0 = Instant::now();
         let ctx = BudgetCtx::new(budget);
         let t_fan = Instant::now();
+        // Each shard's seed is `seed ^ s`; no shard emits to the EXPLAIN
+        // ring, the caller emits the merged plan.
         let pairs = self.fan_out(&ctx, |s| {
-            self.shard_search(s, q, k, b, init, route, seed, &ctx, explain)
+            let (shard, seed) = (&self.shards[s], seed ^ s as u64);
+            if explain {
+                let (out, ex) = shard.search_explain_budgeted(q, k, b, init, route, seed, &ctx);
+                return (out, Some(ex));
+            }
+            (
+                shard.search_core(q, k, b, init, route, seed, &ctx, false).0,
+                None,
+            )
         });
         let fan = t_fan.elapsed();
         let (per_shard, plans): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
@@ -262,42 +271,10 @@ impl ShardedLanIndex {
         })
     }
 
-    /// One shard's slice of a fan-out query, with the shard's EXPLAIN
-    /// sub-plan when `explain` is set. This is the only place that derives
-    /// the per-shard seed (`seed ^ s`), so a front-end that runs shards
-    /// through workers of its own and merges with
-    /// [`ShardedLanIndex::merge_shard_outcomes`] (and [`merged_explain`])
-    /// reproduces [`ShardedLanIndex::search_budgeted`] bit for bit. It
-    /// never emits to the EXPLAIN ring: the caller emits the merged plan.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shard_search(
-        &self,
-        s: usize,
-        q: &Graph,
-        k: usize,
-        b: usize,
-        init: InitStrategy,
-        route: RouteStrategy,
-        seed: u64,
-        ctx: &BudgetCtx,
-        explain: bool,
-    ) -> (QueryOutcome, Option<QueryExplain>) {
-        let shard = &self.shards[s];
-        let seed = seed ^ s as u64;
-        if explain {
-            let (out, ex) = shard.search_explain_budgeted(q, k, b, init, route, seed, ctx);
-            return (out, Some(ex));
-        }
-        let (out, _) = shard.search_core(q, k, b, init, route, seed, ctx, false);
-        (out, None)
-    }
-
     /// Merges per-shard outcomes (ordered by shard index) into one global
     /// outcome: local ids remapped through `global_ids`, NDC and the
     /// distance/GNN time components summed, `(distance, id)`-sorted top-k.
-    /// Public so external fan-outs (the serving front-end) merge exactly
-    /// like the in-process fan-outs above.
-    pub fn merge_shard_outcomes(
+    fn merge_shard_outcomes(
         &self,
         per_shard: Vec<QueryOutcome>,
         k: usize,
@@ -348,7 +325,7 @@ impl ShardedLanIndex {
 /// that shard's own `total_ns` (shards overlap in time under the parallel
 /// fan-out, so a global offset would say nothing).
 #[allow(clippy::too_many_arguments)]
-pub fn merged_explain(
+fn merged_explain(
     merged: &QueryOutcome,
     k: usize,
     b: usize,

@@ -7,9 +7,10 @@
 //! every call; all tests in this binary set the same value, so concurrent
 //! setters cannot race to different configurations).
 
-use lan_core::{InitStrategy, LanConfig, LanIndex, RouteStrategy, ShardedLanIndex};
+use lan_core::{InitStrategy, LanConfig, LanIndex, QueryOutcome, RouteStrategy, ShardedLanIndex};
 use lan_datasets::{Dataset, DatasetSpec};
 use lan_models::ModelConfig;
+use lan_pg::budget::QueryBudget;
 use lan_pg::PgConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -121,4 +122,42 @@ fn build_is_thread_count_invariant() {
     let ob = b.search(&q, 5, 8);
     assert_eq!(oa.results, ob.results);
     assert_eq!(oa.ndc, ob.ndc);
+}
+
+/// K concurrent clients each running interleaved sharded queries through
+/// `search_budgeted` — what a served query runs on its connection thread —
+/// so their fan-outs overlap: every client's results, NDC and termination
+/// must match its own run alone, bit for bit.
+#[test]
+fn concurrent_clients_match_serial_bitwise() {
+    force_threads();
+    let search = |seed: u64| -> QueryOutcome {
+        let sharded = &sharded_fixtures()[1];
+        let q = &dataset().queries[(seed % 10) as usize];
+        let route = RouteStrategy::LanRoute { use_cg: true };
+        let budget = QueryBudget::unlimited();
+        sharded.search_budgeted(q, 5, 8, InitStrategy::LanIs, route, seed, &budget)
+    };
+    let serial: Vec<QueryOutcome> = (0..12u64).map(search).collect();
+    let concurrent: Vec<QueryOutcome> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u64)
+            .map(|t| scope.spawn(move || (0..3u64).map(|i| search(t * 3 + i)).collect::<Vec<_>>()))
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    for (seed, (a, b)) in serial.iter().zip(&concurrent).enumerate() {
+        let bits = |o: &QueryOutcome| -> Vec<(u64, u32)> {
+            o.results.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+        };
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "seed {seed}: concurrent results diverged from serial"
+        );
+        assert_eq!(a.ndc, b.ndc, "seed {seed}: NDC diverged");
+        assert_eq!(a.termination.as_str(), b.termination.as_str());
+    }
 }

@@ -165,11 +165,13 @@ pub mod names {
     pub const SERVE_SHED: &str = "serve.shed";
     /// Requests currently admitted and not yet answered (gauge).
     pub const SERVE_INFLIGHT: &str = "serve.inflight";
-    /// Histogram of micro-batch occupancy: shard tasks executed per
-    /// batch-formation round of a shard worker.
+    /// Micro-batch occupancy of the deleted per-shard serving workers.
+    /// Nothing records it — a served query runs on its connection's
+    /// thread — so it reads 0; it stays only because `benchmark/` reads it
+    /// (`serve.batch_occupancy.mean`) until that probe is dropped.
     pub const SERVE_BATCH_OCCUPANCY: &str = "serve.batch.occupancy";
-    /// Histogram of end-to-end request latency in nanoseconds (admission
-    /// to response write).
+    /// Histogram of server-side search request latency in nanoseconds,
+    /// from admission to the merged answer (shed requests excluded).
     pub const SERVE_LATENCY_NS: &str = "serve.latency_ns";
 
     /// Per-shard NDC counter name (`shard.{i}.ndc`).

@@ -41,10 +41,8 @@
 //! inner call is the plain serial loop on the worker's own thread,
 //! decided before any environment variable is read; with `w < T` (2
 //! shards on 4 cores) an inner call may run 2 workers, whose own inner
-//! calls are serial. A long-lived thread spawned through
-//! [`spawn_worker`] (a server's shard worker) starts with its share of
-//! the spawner's budget the same way. A fan-out that starts on any other
-//! thread `lan-par` did not spawn (the main thread, a test) has no
+//! calls are serial. A fan-out that starts on a thread `lan-par` did not
+//! spawn (the main thread, a test, a server's connection thread) has no
 //! budget and asks [`num_threads`] as before. While the caller runs its
 //! own share it carries the same per-worker budget, and gets its own back
 //! when the share is done (also when the share panics).
@@ -312,29 +310,6 @@ fn budget() -> usize {
     }
 }
 
-/// Spawns, through `builder`, one of `workers` threads that share this
-/// thread's budget `T` (read now, at spawn): `f` runs with the budget
-/// `max(1, T / workers)` for the fan-outs it starts, as a fan-out's worker
-/// would. For threads that outlive the call spawning them (a server's
-/// per-shard workers); spawned plainly, each would count as a fresh
-/// top-level thread and `S` of them would run `S * T` threads between
-/// them.
-pub fn spawn_worker<F, R>(
-    builder: std::thread::Builder,
-    workers: usize,
-    f: F,
-) -> std::io::Result<std::thread::JoinHandle<R>>
-where
-    F: FnOnce() -> R + Send + 'static,
-    R: Send + 'static,
-{
-    let share = (budget() / workers.max(1)).max(1);
-    builder.spawn(move || {
-        BUDGET.with(|b| b.set(share));
-        f()
-    })
-}
-
 /// How one fan-out divides its threads.
 #[derive(Clone, Copy)]
 struct FanOut {
@@ -544,27 +519,6 @@ mod tests {
             assert_eq!(BUDGET.with(|b| b.get()), before, "restored on panic");
         }
         BUDGET.with(|b| b.set(0));
-    }
-
-    #[test]
-    fn spawned_worker_gets_its_share_of_the_budget() {
-        let spawn = |workers| {
-            spawn_worker(std::thread::Builder::new(), workers, || {
-                BUDGET.with(|b| b.get())
-            })
-            .unwrap()
-            .join()
-            .unwrap()
-        };
-        testenv::with_env(&[("LAN_THREADS", Some("4"))], || {
-            assert_eq!(spawn(2), 2);
-            assert_eq!(spawn(3), 1);
-            assert_eq!(spawn(8), 1, "never below one thread");
-            // A worker's own budget is what its spawns divide.
-            BUDGET.with(|b| b.set(6));
-            assert_eq!(spawn(2), 3);
-            BUDGET.with(|b| b.set(0));
-        });
     }
 
     #[test]

@@ -220,25 +220,9 @@ impl ProximityGraph {
         use crate::budget::budgeted_get;
         let mut cur = self.entry;
         for l in (1..self.layers.len()).rev() {
-            // Mirrors `greedy_step_to_min`, including its per-layer lookup
-            // of the current node (a cache hit after the first layer).
-            let mut cur_d = budgeted_get(cache, ctx, cur).unwrap_or(f64::INFINITY);
-            loop {
-                let mut best = cur;
-                let mut best_d = cur_d;
-                for &nb in &self.layers[l][cur as usize] {
-                    let d = budgeted_get(cache, ctx, nb).unwrap_or(f64::INFINITY);
-                    if d < best_d || (d == best_d && nb < best) {
-                        best = nb;
-                        best_d = d;
-                    }
-                }
-                if best == cur {
-                    break;
-                }
-                cur = best;
-                cur_d = best_d;
-            }
+            cur = greedy_step_to_min(&self.layers[l], cur, |x| {
+                budgeted_get(cache, ctx, x).unwrap_or(f64::INFINITY)
+            });
         }
         cur
     }

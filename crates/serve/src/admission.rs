@@ -1,7 +1,7 @@
 //! Admission control: a global in-flight cap with per-tenant fair share.
 //!
 //! Admission is the server's first degradation tier (the second is the
-//! deadline shed at dequeue time — see `server`). A query is admitted
+//! deadline shed just before execution — see `server`). A query is admitted
 //! when (a) total in-flight queries are below `max_inflight` and (b) the
 //! tenant holds fewer than its fair share `max(1, max_inflight /
 //! active_tenants)` of the slots, where `active_tenants` counts tenants

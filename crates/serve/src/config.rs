@@ -7,16 +7,10 @@
 
 use lan_par::env::{self, EnvError};
 use std::net::SocketAddr;
-use std::time::Duration;
 
 /// Default listen address (`LAN_SERVE_ADDR`). Port 0 delegates port
 /// choice to the OS — the bound address is reported by the handle.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7470";
-/// Default micro-batch size cap per shard worker pop (`LAN_SERVE_BATCH`).
-pub const DEFAULT_BATCH: usize = 8;
-/// Default wait for co-batchable queries after the first pop, in
-/// microseconds (`LAN_SERVE_BATCH_WAIT_US`).
-pub const DEFAULT_BATCH_WAIT_US: u64 = 200;
 /// Default global in-flight admission cap (`LAN_SERVE_MAX_INFLIGHT`).
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
@@ -25,13 +19,6 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 pub struct ServeConfig {
     /// Listen address.
     pub addr: SocketAddr,
-    /// Micro-batch size cap: a shard worker pops at most this many
-    /// queries per scoring pass.
-    pub batch: usize,
-    /// How long a shard worker holds its first popped query waiting for
-    /// co-batchable arrivals. Zero disables the wait (batch still forms
-    /// from whatever is already queued).
-    pub batch_wait: Duration,
     /// Global cap on admitted-but-unanswered queries; arrivals beyond it
     /// get a typed `overloaded` response.
     pub max_inflight: usize,
@@ -41,8 +28,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: DEFAULT_ADDR.parse().expect("default address parses"),
-            batch: DEFAULT_BATCH,
-            batch_wait: Duration::from_micros(DEFAULT_BATCH_WAIT_US),
             max_inflight: DEFAULT_MAX_INFLIGHT,
         }
     }
@@ -53,11 +38,6 @@ fn socket_addr(s: &str) -> Result<SocketAddr, String> {
         .map_err(|_| format!("expected host:port socket address, got {s:?}"))
 }
 
-fn micros(s: &str) -> Result<u64, String> {
-    s.parse()
-        .map_err(|_| format!("expected a non-negative integer (microseconds), got {s:?}"))
-}
-
 impl ServeConfig {
     /// Reads the `LAN_SERVE_*` variables; any malformed value is a typed
     /// error naming the key, the raw value, and the reason.
@@ -65,12 +45,6 @@ impl ServeConfig {
         let mut cfg = ServeConfig::default();
         if let Some(addr) = env::parse_var("LAN_SERVE_ADDR", socket_addr)? {
             cfg.addr = addr;
-        }
-        if let Some(batch) = env::parse_var("LAN_SERVE_BATCH", env::positive_usize)? {
-            cfg.batch = batch;
-        }
-        if let Some(us) = env::parse_var("LAN_SERVE_BATCH_WAIT_US", micros)? {
-            cfg.batch_wait = Duration::from_micros(us);
         }
         if let Some(cap) = env::parse_var("LAN_SERVE_MAX_INFLIGHT", env::positive_usize)? {
             cfg.max_inflight = cap;
@@ -85,12 +59,6 @@ impl ServeConfig {
         if let Some(addr) = env::parse_var_or_warn("LAN_SERVE_ADDR", socket_addr) {
             cfg.addr = addr;
         }
-        if let Some(batch) = env::parse_var_or_warn("LAN_SERVE_BATCH", env::positive_usize) {
-            cfg.batch = batch;
-        }
-        if let Some(us) = env::parse_var_or_warn("LAN_SERVE_BATCH_WAIT_US", micros) {
-            cfg.batch_wait = Duration::from_micros(us);
-        }
         if let Some(cap) = env::parse_var_or_warn("LAN_SERVE_MAX_INFLIGHT", env::positive_usize) {
             cfg.max_inflight = cap;
         }
@@ -103,12 +71,7 @@ mod tests {
     use super::*;
     use lan_par::testenv::with_env;
 
-    const KEYS: [&str; 4] = [
-        "LAN_SERVE_ADDR",
-        "LAN_SERVE_BATCH",
-        "LAN_SERVE_BATCH_WAIT_US",
-        "LAN_SERVE_MAX_INFLIGHT",
-    ];
+    const KEYS: [&str; 2] = ["LAN_SERVE_ADDR", "LAN_SERVE_MAX_INFLIGHT"];
 
     fn clear() -> Vec<(&'static str, Option<&'static str>)> {
         KEYS.iter().map(|&k| (k, None)).collect()
@@ -120,8 +83,6 @@ mod tests {
             let cfg = ServeConfig::try_from_env().unwrap();
             assert_eq!(cfg, ServeConfig::default());
             assert_eq!(cfg.addr.port(), 7470);
-            assert_eq!(cfg.batch, DEFAULT_BATCH);
-            assert_eq!(cfg.batch_wait, Duration::from_micros(DEFAULT_BATCH_WAIT_US));
             assert_eq!(cfg.max_inflight, DEFAULT_MAX_INFLIGHT);
         });
     }
@@ -130,14 +91,10 @@ mod tests {
     fn valid_values_parse() {
         let mut vars = clear();
         vars[0].1 = Some("0.0.0.0:0");
-        vars[1].1 = Some("32");
-        vars[2].1 = Some("0");
-        vars[3].1 = Some("256");
+        vars[1].1 = Some("256");
         with_env(&vars, || {
             let cfg = ServeConfig::try_from_env().unwrap();
             assert_eq!(cfg.addr, "0.0.0.0:0".parse().unwrap());
-            assert_eq!(cfg.batch, 32);
-            assert_eq!(cfg.batch_wait, Duration::ZERO);
             assert_eq!(cfg.max_inflight, 256);
         });
     }
@@ -146,7 +103,7 @@ mod tests {
     /// key — no silent fallback.
     #[test]
     fn reject_set() {
-        let rejects: [(&str, &[&str]); 4] = [
+        let rejects: [(&str, &[&str]); 2] = [
             (
                 "LAN_SERVE_ADDR",
                 &[
@@ -157,8 +114,6 @@ mod tests {
                     "1.2.3.4:notaport",
                 ],
             ),
-            ("LAN_SERVE_BATCH", &["0", "-1", "eight", "1.5", ""]),
-            ("LAN_SERVE_BATCH_WAIT_US", &["-200", "fast", "0.5", ""]),
             ("LAN_SERVE_MAX_INFLIGHT", &["0", "-64", "lots", ""]),
         ];
         for (key, values) in rejects {
@@ -181,12 +136,12 @@ mod tests {
     #[test]
     fn total_path_falls_back_to_defaults() {
         let mut vars = clear();
-        vars[1].1 = Some("zero");
-        vars[3].1 = Some("0");
+        vars[0].1 = Some("nowhere");
+        vars[1].1 = Some("0");
         with_env(&vars, || {
             lan_par::env::reset_warnings();
             let cfg = ServeConfig::from_env();
-            assert_eq!(cfg.batch, DEFAULT_BATCH);
+            assert_eq!(cfg.addr, ServeConfig::default().addr);
             assert_eq!(cfg.max_inflight, DEFAULT_MAX_INFLIGHT);
         });
     }

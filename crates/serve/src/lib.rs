@@ -8,16 +8,17 @@
 //! * [`proto`] — length-prefixed JSON frames over TCP, plus a
 //!   `GET /metrics` Prometheus endpoint on the same port;
 //! * [`admission`] — global in-flight cap with per-tenant fair share;
-//! * [`server`] — per-shard micro-batching workers: each co-batched query
-//!   runs the offline per-shard search, `ShardedLanIndex::shard_search`;
+//! * [`server`] — one thread per connection, on which each admitted query
+//!   runs the offline sharded search, `ShardedLanIndex::search_budgeted`;
 //! * [`client`] — a minimal blocking client;
 //! * [`config`] — `LAN_SERVE_*` knobs through the strict `lan_par::env`
 //!   parser.
 //!
-//! The equivalence contract — served results, NDC, and EXPLAIN tier
-//! attribution bit-identical to the serial
-//! `ShardedLanIndex::search_budgeted` — is property-tested end to end
-//! (TCP round-trip included) in `tests/equivalence.rs`.
+//! The equivalence contract — served results, NDC, termination and
+//! EXPLAIN tier attribution bit-identical to the offline
+//! `ShardedLanIndex::search_budgeted`, finite NDC budgets included — is
+//! property-tested end to end (TCP round-trip included) in
+//! `tests/equivalence.rs`.
 //!
 //! [`ShardedLanIndex`]: lan_core::ShardedLanIndex
 

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Knobs: `LAN_SERVE_GRAPHS` (database size, default 1000) and
-//! `LAN_SERVE_SHARDS` (default 4) pick the tier; the serving knobs are
-//! documented on [`lan_serve::ServeConfig`]. The first boot with
+//! `LAN_SERVE_SHARDS` (default 4) pick the tier; the two serving knobs
+//! (`LAN_SERVE_ADDR`, `LAN_SERVE_MAX_INFLIGHT`) are documented on
+//! [`lan_serve::ServeConfig`]. The first boot with
 //! `LAN_STORE` set saves the built index there, keyed by database size,
 //! seed and shard count, and later boots open it in seconds.
 //!
@@ -163,10 +164,10 @@ fn main() {
         lenv::parse_var_or_warn("LAN_SERVE_GRAPHS", lenv::positive_usize).unwrap_or(1000);
     let num_shards = lenv::parse_var_or_warn("LAN_SERVE_SHARDS", lenv::positive_usize).unwrap_or(4);
     let index = Arc::new(build_or_open(num_graphs, num_shards));
-    let (batch, batch_wait, max_inflight) = (cfg.batch, cfg.batch_wait, cfg.max_inflight);
+    let max_inflight = cfg.max_inflight;
     let handle = lan_serve::serve(index, cfg).expect("bind listen address");
     eprintln!(
-        "[lan-serve] listening on {} (batch={batch}, wait={batch_wait:?}, max_inflight={max_inflight})",
+        "[lan-serve] listening on {} (max_inflight={max_inflight})",
         handle.addr(),
     );
     handle.wait();

@@ -36,7 +36,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// Most nodes a query graph may have. Every distance the search computes
 /// is at least linear in the query's size and the Riesen–Bunke matrix is
 /// quadratic, so a frame-sized label array (millions of nodes) must be a
-/// request error, not a multi-gigabyte allocation inside a shard worker.
+/// request error, not a multi-gigabyte allocation inside the search.
 /// The dataset presets average 10–48 nodes a graph.
 pub const MAX_QUERY_NODES: usize = 1 << 10;
 
@@ -105,7 +105,8 @@ pub struct SearchRequest {
     /// Attach the per-request EXPLAIN plan to the response.
     pub explain: bool,
     /// Query budget; the deadline doubles as the load-shedding deadline
-    /// (a query still queued past it is shed, not executed).
+    /// (a query already past it when it would start is shed, not
+    /// executed).
     pub budget: QueryBudget,
 }
 

@@ -1,23 +1,20 @@
-//! The serving loop: blocking acceptor + per-connection readers feeding
-//! per-shard micro-batching workers.
+//! The serving loop: a blocking acceptor and one thread per connection,
+//! on which each admitted query runs the offline sharded search.
 //!
 //! # Execution model
 //!
 //! Zero external dependencies and no async runtime: connections get one
 //! blocking reader thread each (cheap at the closed-loop client counts
-//! the service targets), and heavy work happens on `num_shards` *shard
-//! workers*. An admitted query is enqueued on **every** shard's queue;
-//! each worker pops up to `LAN_SERVE_BATCH` queued queries (holding the
-//! first for `LAN_SERVE_BATCH_WAIT_US` to let co-batchable arrivals
-//! land), then executes the micro-batch concurrently via
-//! `lan_par::par_map_dyn`. Each query runs
-//! [`ShardedLanIndex::shard_search`], the code an offline fan-out runs per
-//! shard, with its own `BudgetCtx`, query context and `DistCache`;
-//! co-batched queries share nothing but the index. That is what makes
-//! results bit-identical to [`ShardedLanIndex::search_budgeted`]
-//! (property-tested in `tests/equivalence.rs`). With `LAN_EXPLAIN` on,
-//! the front-end emits one merged plan per query, as the offline fan-out
-//! does.
+//! the service targets). An admitted query runs
+//! [`ShardedLanIndex::search_budgeted`] (or
+//! [`ShardedLanIndex::search_explain_budgeted`] when the client asked for
+//! the plan) on its connection's thread: the shards fan out under the
+//! `lan-par` thread budget, a finite budget runs them in shard order, and
+//! the merge is the offline one. A served query is therefore the offline
+//! query, bit for bit (property-tested in `tests/equivalence.rs`),
+//! finite NDC budgets included. Concurrent queries share nothing but the
+//! index. With `LAN_EXPLAIN` on, each query emits one merged plan, as the
+//! offline search does.
 //!
 //! # Degradation tiers
 //!
@@ -25,11 +22,11 @@
 //!    ([`crate::admission`]) refuse excess queries up front: typed
 //!    `overloaded` response, no work done.
 //! 2. **Deadline shed** — a query whose budget deadline has already
-//!    passed when a shard worker dequeues it is shed, not executed
-//!    (`serve.shed` counts both tiers). The same deadline also bounds
-//!    execution via the ordinary budget machinery, with the GED poll
-//!    stride tightened at boot ([`lan_ged::set_default_poll_stride`]) so
-//!    in-flight kernels notice expiry promptly.
+//!    passed when it would start is shed, not executed (`serve.shed`
+//!    counts both tiers). The same deadline also bounds execution via the
+//!    ordinary budget machinery, with the GED poll stride tightened at
+//!    boot ([`lan_ged::set_default_poll_stride`]) so in-flight kernels
+//!    notice expiry promptly.
 //!
 //! The listener answers `GET /metrics` HTTP requests on the same port
 //! with the Prometheus rendering of the global metrics snapshot.
@@ -39,16 +36,12 @@ use crate::config::ServeConfig;
 use crate::proto::{
     parse_request, render_error, render_ok, render_overloaded, write_frame, Request, SearchRequest,
 };
-use lan_core::sharded::merged_explain;
-use lan_core::{InitStrategy, QueryOutcome, RouteStrategy, ShardedLanIndex};
-use lan_obs::explain::QueryExplain;
+use lan_core::{InitStrategy, RouteStrategy, ShardedLanIndex};
 use lan_obs::names;
-use lan_pg::budget::BudgetCtx;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,92 +60,14 @@ const SERVE_POLL_STRIDE: usize = 64;
 /// How long blocked reads wait before re-checking the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
 
-enum Slot {
-    Pending,
-    Done(Box<(QueryOutcome, Option<QueryExplain>)>),
-    Shed,
-}
-
-struct JobState {
-    remaining: usize,
-    slots: Vec<Slot>,
-}
-
-/// One admitted query in flight across the shard workers.
-struct QueryJob {
-    req: SearchRequest,
-    ctx: BudgetCtx,
-    /// Whether the shards return EXPLAIN sub-plans: the client asked for
-    /// the merged plan, or the EXPLAIN ring is on (`LAN_EXPLAIN`).
-    explain: bool,
-    t0: Instant,
-    /// Arrival + deadline budget; a worker dequeuing past it sheds the
-    /// query instead of executing.
-    abs_deadline: Option<Instant>,
-    shed: AtomicBool,
-    state: Mutex<JobState>,
-    cv: Condvar,
-}
-
-impl QueryJob {
-    fn new(req: SearchRequest, num_shards: usize) -> Self {
-        let ctx = BudgetCtx::new(&req.budget);
-        let t0 = Instant::now();
-        let abs_deadline = req.budget.deadline.map(|d| t0 + d);
-        QueryJob {
-            explain: req.explain || lan_obs::explain::enabled(),
-            req,
-            ctx,
-            t0,
-            abs_deadline,
-            shed: AtomicBool::new(false),
-            state: Mutex::new(JobState {
-                remaining: num_shards,
-                slots: (0..num_shards).map(|_| Slot::Pending).collect(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn past_deadline(&self, now: Instant) -> bool {
-        self.abs_deadline.is_some_and(|d| now >= d)
-    }
-
-    fn complete(&self, shard: usize, slot: Slot) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.slots[shard] = slot;
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until every shard has reported, then takes the slots.
-    fn wait(&self) -> Vec<Slot> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while st.remaining > 0 {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        std::mem::take(&mut st.slots)
-    }
-}
-
-struct ShardQueue {
-    q: Mutex<VecDeque<Arc<QueryJob>>>,
-    cv: Condvar,
-}
-
 struct ServeMetrics {
     requests: &'static lan_obs::Counter,
     shed: &'static lan_obs::Counter,
-    occupancy: &'static lan_obs::Histogram,
     latency: &'static lan_obs::Histogram,
 }
 
 struct ServerInner {
     index: Arc<ShardedLanIndex>,
-    cfg: ServeConfig,
-    queues: Vec<ShardQueue>,
     admission: Arc<Admission>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -162,10 +77,6 @@ struct ServerInner {
 impl ServerInner {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for sq in &self.queues {
-            let _g = sq.q.lock().unwrap_or_else(|e| e.into_inner());
-            sq.cv.notify_all();
-        }
         // Wake the acceptor's blocking accept().
         let _ = TcpStream::connect(self.addr);
     }
@@ -176,7 +87,6 @@ pub struct ServerHandle {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -202,9 +112,6 @@ impl ServerHandle {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
         let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
         for c in conns {
             let _ = c.join();
@@ -228,40 +135,17 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
     lan_ged::set_default_poll_stride(SERVE_POLL_STRIDE);
     let listener = TcpListener::bind(cfg.addr)?;
     let addr = listener.local_addr()?;
-    let num_shards = index.num_shards();
     let inner = Arc::new(ServerInner {
-        queues: (0..num_shards)
-            .map(|_| ShardQueue {
-                q: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            })
-            .collect(),
+        index,
         admission: Admission::new(cfg.max_inflight),
         shutdown: AtomicBool::new(false),
         addr,
         metrics: ServeMetrics {
             requests: lan_obs::counter(names::SERVE_REQUESTS),
             shed: lan_obs::counter(names::SERVE_SHED),
-            occupancy: lan_obs::histogram(names::SERVE_BATCH_OCCUPANCY),
             latency: lan_obs::histogram(names::SERVE_LATENCY_NS),
         },
-        index,
-        cfg,
     });
-
-    let workers: Vec<JoinHandle<()>> = (0..num_shards)
-        .map(|s| {
-            let inner = Arc::clone(&inner);
-            // Each worker's micro-batch fan-out gets its share of the
-            // thread budget, not all of it.
-            lan_par::spawn_worker(
-                std::thread::Builder::new().name(format!("lan-serve-shard-{s}")),
-                num_shards,
-                move || shard_worker(s, &inner),
-            )
-            .expect("spawn shard worker")
-        })
-        .collect();
 
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let acceptor = {
@@ -292,7 +176,6 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
         inner,
         addr,
         acceptor: Some(acceptor),
-        workers,
         conns,
     })
 }
@@ -307,86 +190,6 @@ fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
             let _ = conns.swap_remove(i).join();
         } else {
             i += 1;
-        }
-    }
-}
-
-/// One shard's micro-batching loop: pop → wait for co-batchable arrivals
-/// → shed expired → execute the batch concurrently, each query through
-/// [`ShardedLanIndex::shard_search`].
-fn shard_worker(s: usize, inner: &Arc<ServerInner>) {
-    loop {
-        let mut batch: Vec<Arc<QueryJob>> = Vec::new();
-        {
-            let sq = &inner.queues[s];
-            let mut q = sq.q.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(j) = q.pop_front() {
-                    batch.push(j);
-                    break;
-                }
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = sq.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            let wait_deadline = Instant::now() + inner.cfg.batch_wait;
-            loop {
-                while batch.len() < inner.cfg.batch {
-                    match q.pop_front() {
-                        Some(j) => batch.push(j),
-                        None => break,
-                    }
-                }
-                if batch.len() >= inner.cfg.batch || inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= wait_deadline {
-                    break;
-                }
-                let (guard, timeout) = sq
-                    .cv
-                    .wait_timeout(q, wait_deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-                if timeout.timed_out() {
-                    // One final drain happens at the top of the loop.
-                    if q.is_empty() {
-                        break;
-                    }
-                }
-            }
-        }
-        inner.metrics.occupancy.record(batch.len() as u64);
-
-        let now = Instant::now();
-        let (run, expired): (Vec<_>, Vec<_>) =
-            batch.into_iter().partition(|j| !j.past_deadline(now));
-        for job in expired {
-            job.shed.store(true, Ordering::SeqCst);
-            job.complete(s, Slot::Shed);
-        }
-        if run.is_empty() {
-            continue;
-        }
-        let outs: Vec<(QueryOutcome, Option<QueryExplain>)> =
-            lan_par::par_map_dyn(&run, lan_par::Grain::Fine, |job| {
-                let r = &job.req;
-                inner.index.shard_search(
-                    s,
-                    &r.graph,
-                    r.k,
-                    r.b,
-                    INIT,
-                    ROUTE,
-                    r.seed,
-                    &job.ctx,
-                    job.explain,
-                )
-            });
-        for (job, (out, ex)) in run.iter().zip(outs) {
-            job.complete(s, Slot::Done(Box::new((out, ex))));
         }
     }
 }
@@ -463,7 +266,7 @@ fn handle_metrics_scrape(inner: &ServerInner, stream: &mut TcpStream) -> std::io
     stream.flush()
 }
 
-fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
+fn handle_conn(inner: &ServerInner, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_nodelay(true);
     loop {
@@ -513,8 +316,10 @@ fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
     }
 }
 
-/// Admission → enqueue on every shard → wait → merge (or typed shed).
-fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
+/// Admission → deadline shed → the offline sharded search, run on this
+/// connection's thread.
+fn handle_search(inner: &ServerInner, req: SearchRequest) -> String {
+    let t0 = Instant::now();
     inner.metrics.requests.inc();
     let _token = match inner.admission.try_admit(&req.tenant) {
         Ok(t) => t,
@@ -523,70 +328,34 @@ fn handle_search(inner: &Arc<ServerInner>, req: SearchRequest) -> String {
             return render_overloaded(&e.to_string());
         }
     };
-    let (k, b, reply_plan) = (req.k, req.b, req.explain);
-    let job = Arc::new(QueryJob::new(req, inner.index.num_shards()));
-    for sq in &inner.queues {
-        sq.q.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(Arc::clone(&job));
-        sq.cv.notify_all();
-    }
-    // The front-end's own share of the plan's `total_ns`: enqueueing
-    // before the shards run and merging after (queue waits are not work).
-    let set_up = job.t0.elapsed();
-    let slots = job.wait();
-    let t_merge = Instant::now();
-    inner
-        .metrics
-        .latency
-        .record(job.t0.elapsed().as_nanos() as u64);
-    if job.shed.load(Ordering::SeqCst) {
+    if req.budget.deadline.is_some_and(|d| t0.elapsed() >= d) {
         inner.metrics.shed.inc();
         return render_overloaded("deadline passed before execution");
     }
-    let mut per_shard: Vec<QueryOutcome> = Vec::with_capacity(slots.len());
-    let mut plans: Vec<QueryExplain> = Vec::new();
-    for slot in slots {
-        match slot {
-            Slot::Done(done) => {
-                let (out, ex) = *done;
-                per_shard.push(out);
-                if let Some(ex) = ex {
-                    plans.push(ex);
-                }
-            }
-            Slot::Pending | Slot::Shed => unreachable!("unshed jobs complete every shard"),
-        }
-    }
-    let merged = inner
-        .index
-        .merge_shard_outcomes(per_shard, k, job.t0, job.ctx.termination());
-    let ex = job.explain.then(|| {
-        let own = set_up + t_merge.elapsed();
-        merged_explain(
-            &merged,
-            k,
-            b,
-            INIT,
-            ROUTE,
-            job.req.seed,
-            &job.ctx,
-            plans,
-            own,
-        )
-    });
-    // One merged plan per served query, as an offline sharded query emits.
-    if let Some(ex) = &ex {
+    let (q, k, b, seed, budget) = (&req.graph, req.k, req.b, req.seed, &req.budget);
+    let (out, plan) = if req.explain {
+        let (out, ex) = inner
+            .index
+            .search_explain_budgeted(q, k, b, INIT, ROUTE, seed, budget);
+        // One merged plan per served query, as an offline sharded query
+        // emits.
         if lan_obs::explain::enabled() {
-            lan_obs::explain::emit(ex);
+            lan_obs::explain::emit(&ex);
         }
-    }
-    let explain_json = ex.filter(|_| reply_plan).map(|ex| ex.to_json());
+        (out, Some(ex.to_json()))
+    } else {
+        // Emits the merged plan itself when the EXPLAIN ring is on.
+        let out = inner
+            .index
+            .search_budgeted(q, k, b, INIT, ROUTE, seed, budget);
+        (out, None)
+    };
+    inner.metrics.latency.record(t0.elapsed().as_nanos() as u64);
     render_ok(
-        &merged.results,
-        merged.ndc as u64,
-        merged.termination.as_str(),
-        explain_json.as_deref(),
+        &out.results,
+        out.ndc as u64,
+        out.termination.as_str(),
+        plan.as_deref(),
     )
 }
 

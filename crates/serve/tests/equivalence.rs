@@ -3,8 +3,7 @@
 //! termination, and EXPLAIN tier attribution **bit-identical** to the
 //! offline [`ShardedLanIndex::search_budgeted`] /
 //! [`ShardedLanIndex::search_explain_budgeted`] entry points — protocol
-//! encoding and micro-batching included. (The in-process half lives in
-//! `lan-core/tests/fan_out_contract.rs`.)
+//! encoding, concurrent connections and finite NDC budgets included.
 //!
 //! Also covered here: the typed `overloaded` degradation path, ping,
 //! the `/metrics` scrape on the query port, and clean shutdown.
@@ -15,7 +14,6 @@ use lan_obs::json::Value;
 use lan_pg::budget::QueryBudget;
 use lan_serve::{serve, Client, Response, SearchCall, ServeConfig, ServerHandle};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 fn tiny_cfg() -> LanConfig {
     LanConfig {
@@ -50,11 +48,9 @@ fn fixture() -> Arc<ShardedLanIndex> {
 }
 
 /// Boots a server over the shared fixture on an ephemeral port.
-fn boot(batch: usize, wait: Duration, max_inflight: usize) -> ServerHandle {
+fn boot(max_inflight: usize) -> ServerHandle {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
-        batch,
-        batch_wait: wait,
         max_inflight,
     };
     serve(fixture(), cfg).expect("bind ephemeral port")
@@ -83,59 +79,97 @@ fn num(v: &Value, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("explain field {key} missing")) as u64
 }
 
-/// K concurrent clients over TCP, one request per batch and micro-batches
-/// of up to four: every reply must match that client's serial run bit for
-/// bit, so batching changes no answer.
+/// K concurrent clients over TCP: every reply must match that client's
+/// serial run bit for bit, so concurrency changes no answer.
 #[test]
 fn concurrent_wire_results_match_serial_bitwise() {
     let serial_runs: Vec<(u64, QueryOutcome)> =
         (0..12u64).map(|seed| (seed, serial(seed, 5, 8))).collect();
-    for batch in [1, 4] {
-        let handle = boot(batch, Duration::from_micros(2000), 64);
-        let addr = handle.addr();
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let ds = dataset();
-                    let mut client = Client::connect(addr).unwrap();
-                    (0..3u64)
-                        .map(|i| {
-                            let seed = t * 3 + i;
-                            let q = &ds.queries[(seed % 10) as usize];
-                            let resp = client.search(&SearchCall::new(q, 5, 8, seed)).unwrap();
-                            let Response::Ok(ok) = resp else {
-                                panic!("seed {seed}: expected ok, got {resp:?}")
-                            };
-                            (seed, ok)
-                        })
-                        .collect::<Vec<_>>()
-                })
+    let handle = boot(64);
+    let addr = handle.addr();
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let ds = dataset();
+                let mut client = Client::connect(addr).unwrap();
+                (0..3u64)
+                    .map(|i| {
+                        let seed = t * 3 + i;
+                        let q = &ds.queries[(seed % 10) as usize];
+                        let resp = client.search(&SearchCall::new(q, 5, 8, seed)).unwrap();
+                        let Response::Ok(ok) = resp else {
+                            panic!("seed {seed}: expected ok, got {resp:?}")
+                        };
+                        (seed, ok)
+                    })
+                    .collect::<Vec<_>>()
             })
-            .collect();
-        let mut wire: Vec<_> = threads
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        wire.sort_by_key(|&(seed, _)| seed);
-        for ((seed, want), (wseed, got)) in serial_runs.iter().zip(&wire) {
-            assert_eq!(seed, wseed);
+        })
+        .collect();
+    let mut wire: Vec<_> = threads
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    wire.sort_by_key(|&(seed, _)| seed);
+    for ((seed, want), (wseed, got)) in serial_runs.iter().zip(&wire) {
+        assert_eq!(seed, wseed);
+        assert_eq!(
+            result_bits(&want.results),
+            result_bits(&got.results),
+            "seed {seed}: served results diverged from serial"
+        );
+        assert_eq!(want.ndc as u64, got.ndc, "seed {seed}: NDC diverged");
+        assert_eq!(
+            want.termination.as_str(),
+            got.termination,
+            "seed {seed}: termination diverged"
+        );
+    }
+    handle.shutdown();
+}
+
+/// A finite NDC cap is served on the offline schedule — shards in shard
+/// order, stopping at exhaustion — so a budgeted reply equals the offline
+/// budgeted answer: results, NDC and termination. Every cap binds, so
+/// each answer is a best-so-far that depends on which shards spent it.
+#[test]
+fn served_finite_budgets_match_offline() {
+    let handle = boot(64);
+    let ds = dataset();
+    let sharded = fixture();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for cap in [5usize, 12, 25] {
+        for seed in 0..10u64 {
+            let q = &ds.queries[seed as usize];
+            let want = sharded.search_budgeted(
+                q,
+                5,
+                8,
+                InitStrategy::LanIs,
+                RouteStrategy::LanRoute { use_cg: true },
+                seed,
+                &QueryBudget::default().with_max_ndc(cap),
+            );
+            let mut call = SearchCall::new(q, 5, 8, seed);
+            call.max_ndc = Some(cap as u64);
+            let resp = client.search(&call).unwrap();
+            let Response::Ok(got) = resp else {
+                panic!("cap {cap} seed {seed}: expected ok, got {resp:?}")
+            };
             assert_eq!(
                 result_bits(&want.results),
                 result_bits(&got.results),
-                "batch={batch} seed {seed}: served results diverged from serial"
+                "cap {cap} seed {seed}: served results diverged from offline"
             );
-            assert_eq!(
-                want.ndc as u64, got.ndc,
-                "batch={batch} seed {seed}: NDC diverged"
-            );
+            assert_eq!(want.ndc as u64, got.ndc, "cap {cap} seed {seed}: NDC");
             assert_eq!(
                 want.termination.as_str(),
                 got.termination,
-                "batch={batch} seed {seed}: termination diverged"
+                "cap {cap} seed {seed}: termination"
             );
         }
-        handle.shutdown();
     }
+    handle.shutdown();
 }
 
 /// Opt-in EXPLAIN plans cross the wire with counts (NDC, cache hits,
@@ -143,7 +177,7 @@ fn concurrent_wire_results_match_serial_bitwise() {
 /// serial EXPLAIN path.
 #[test]
 fn explain_attribution_crosses_the_wire() {
-    let handle = boot(4, Duration::from_micros(500), 64);
+    let handle = boot(64);
     let ds = dataset();
     let sharded = fixture();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -193,11 +227,11 @@ fn explain_attribution_crosses_the_wire() {
     }
 }
 
-/// An already-expired deadline is shed at dequeue time with the typed
+/// An already-expired deadline is shed before execution with the typed
 /// `overloaded` response — the query is never executed.
 #[test]
 fn zero_deadline_sheds_with_typed_overloaded() {
-    let handle = boot(4, Duration::from_micros(100), 64);
+    let handle = boot(64);
     let ds = dataset();
     let mut client = Client::connect(handle.addr()).unwrap();
     let mut call = SearchCall::new(&ds.queries[0], 5, 8, 0);
@@ -220,7 +254,7 @@ fn zero_deadline_sheds_with_typed_overloaded() {
 #[test]
 fn malformed_request_gets_typed_error() {
     use lan_serve::proto::{parse_response, read_frame, write_frame};
-    let handle = boot(2, Duration::from_micros(100), 8);
+    let handle = boot(8);
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     write_frame(&mut stream, b"{\"op\":\"fly\"}").unwrap();
     let frame = read_frame(&mut stream).unwrap().expect("response frame");
@@ -232,7 +266,7 @@ fn malformed_request_gets_typed_error() {
 /// clean shutdown that joins every server thread.
 #[test]
 fn ping_metrics_and_clean_shutdown() {
-    let handle = boot(2, Duration::from_micros(100), 8);
+    let handle = boot(8);
     let addr = handle.addr();
     let ds = dataset();
     let mut client = Client::connect(addr).unwrap();
@@ -246,8 +280,8 @@ fn ping_metrics_and_clean_shutdown() {
         body.contains("serve_requests_total"),
         "metrics body missing serve_requests_total:\n{body}"
     );
-    assert!(body.contains("serve_batch_occupancy"));
+    assert!(body.contains("serve_latency_ns"));
     client.shutdown().unwrap();
-    // Joins acceptor, shard workers, and connection handlers.
+    // Joins the acceptor and the connection handlers.
     handle.wait();
 }

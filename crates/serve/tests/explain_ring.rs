@@ -9,7 +9,6 @@ use lan_datasets::{Dataset, DatasetSpec};
 use lan_obs::json::{self, Value};
 use lan_serve::{serve, Client, Response, SearchCall, ServeConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn tiny_cfg() -> LanConfig {
     LanConfig {
@@ -41,8 +40,6 @@ fn a_served_query_emits_one_merged_plan() {
     let index = Arc::new(ShardedLanIndex::build(&ds, &tiny_cfg(), 2));
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
-        batch: 4,
-        batch_wait: Duration::from_micros(500),
         max_inflight: 64,
     };
     let handle = serve(index, cfg).expect("bind ephemeral port");
