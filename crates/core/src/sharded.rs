@@ -140,20 +140,24 @@ impl ShardedLanIndex {
     ///
     /// The schedule depends on the budget:
     ///
-    /// * **Unlimited** — the shards fan out through `lan-par` (one work
-    ///   item per shard), so a query on `S` shards uses up to `S` threads
-    ///   of the caller's budget; at a budget of one thread (`LAN_THREADS=1`,
+    /// * **No NDC cap** (unlimited, or bounded only by a deadline or a
+    ///   hop cap) — the shards fan out through `lan-par` (one work item
+    ///   per shard), so a query on `S` shards uses up to `S` threads of
+    ///   the caller's budget; at a budget of one thread (`LAN_THREADS=1`,
     ///   or inside a saturated fan-out such as a parallel query batch) it
     ///   is the plain serial loop. Every shard's search is deterministic
     ///   and shard-local and the merge is order-independent, so results
     ///   and NDC are identical at every thread count; only `total_time`
-    ///   (wall-clock) changes.
-    /// * **Finite** — the shards run in shard order on the calling
+    ///   (wall-clock) changes. A hop cap bounds each router on its own,
+    ///   so it keeps that property; a deadline answer depends on the
+    ///   clock on either schedule, and every shard searches until it
+    ///   fires.
+    /// * **NDC cap** — the shards run in shard order on the calling
     ///   thread, and once one shard exhausts the budget the remaining
     ///   shards are skipped (their best-so-far is simply absent from the
     ///   merge). Run concurrently, the shards would race for the shared
     ///   NDC reservations, and which shard's computations won would
-    ///   decide the results; in shard order a budgeted query is as
+    ///   decide the results; in shard order a capped query is as
     ///   deterministic as an unbudgeted one.
     #[allow(clippy::too_many_arguments)]
     pub fn search_budgeted(
@@ -253,11 +257,11 @@ impl ShardedLanIndex {
 
     /// Runs `search(s)` for every shard `s` and returns the outputs in
     /// shard order, on the schedule documented at
-    /// [`ShardedLanIndex::search_budgeted`]: fanned out under the `lan-par`
-    /// budget when `ctx` is unlimited, otherwise in shard order on the
-    /// calling thread until a shard exhausts the budget.
+    /// [`ShardedLanIndex::search_budgeted`]: in shard order on the calling
+    /// thread until a shard exhausts the budget when `ctx` caps NDC,
+    /// otherwise fanned out under the `lan-par` budget.
     fn fan_out<R: Send>(&self, ctx: &BudgetCtx, search: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        if !ctx.is_unlimited() {
+        if ctx.limits().max_ndc.is_some() {
             return (0..self.shards.len())
                 .map_while(|s| (!ctx.cancelled()).then(|| search(s)))
                 .collect();

@@ -135,8 +135,8 @@ proptest! {
 
     /// The sharded path obeys the same contract, with one budget shared
     /// across every shard: the cap bounds the *summed* NDC, and unlimited
-    /// budgets stay identical to the unbudgeted search. A finite budget
-    /// runs the shards in shard order whatever the thread budget, so its
+    /// budgets stay identical to the unbudgeted search. An NDC cap runs
+    /// the shards in shard order whatever the thread budget, so its
     /// results, NDC and termination repeat exactly at 1, 2 and 4 threads.
     #[test]
     fn sharded_budget_is_shared_and_strict(
@@ -240,6 +240,56 @@ fn hop_cap_bounds_exploration() {
         out.ndc,
         base.ndc
     );
+}
+
+/// A budget without an NDC cap fans the shards out like an unlimited one,
+/// so no shard is skipped: an expired deadline reaches every shard (each
+/// leaves a sub-plan, none computes a distance), a generous one leaves the
+/// unbudgeted answer, and a hop cap, which bounds each router on its own,
+/// answers the same at 1 and 4 threads.
+#[test]
+fn uncapped_budgets_search_every_shard() {
+    force_threads();
+    let sharded = sharded_fixture();
+    let q = dataset().queries[2].clone();
+    let (init, route) = strategies(true);
+    let search = |threads: &str, budget: &QueryBudget| {
+        lan_par::testenv::with_env(&[("LAN_THREADS", Some(threads))], || {
+            sharded.search_explain_budgeted(&q, 5, 8, init, route, 0, budget)
+        })
+    };
+    let shards = sharded.num_shards();
+    for threads in ["1", "4"] {
+        let expired = QueryBudget::unlimited().with_deadline(Duration::ZERO);
+        let (out, ex) = search(threads, &expired);
+        assert_eq!(
+            out.termination,
+            Termination::Deadline,
+            "LAN_THREADS={threads}"
+        );
+        assert_eq!(out.ndc, 0, "LAN_THREADS={threads}");
+        assert_eq!(
+            ex.shards.len(),
+            shards,
+            "LAN_THREADS={threads}: an expired deadline skipped a shard"
+        );
+    }
+
+    let base = sharded.search(&q, 5, 8, init, route, 0);
+    let generous = QueryBudget::unlimited().with_deadline(Duration::from_secs(600));
+    let (out, ex) = search("4", &generous);
+    assert_eq!(out.results, base.results);
+    assert_eq!(out.ndc, base.ndc);
+    assert_eq!(out.termination, Termination::Converged);
+    assert_eq!(ex.shards.len(), shards);
+
+    let hops = QueryBudget::unlimited().with_max_hops(2);
+    let (h1, e1) = search("1", &hops);
+    let (h4, e4) = search("4", &hops);
+    assert_eq!(h1.results, h4.results);
+    assert_eq!(h1.ndc, h4.ndc);
+    assert_eq!(h1.termination, h4.termination);
+    assert_eq!((e1.shards.len(), e4.shards.len()), (shards, shards));
 }
 
 /// The harness reads `LAN_NDC_BUDGET` / `LAN_DEADLINE_MS` per batch; a

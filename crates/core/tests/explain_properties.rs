@@ -216,7 +216,7 @@ fn sharded_fanout_reconciles_at_one_and_four_threads() {
             runs.push((out, ex));
         }
         // Both schedules give the same answer, work and plan counts
-        // (a finite budget runs the shards in order at any thread count).
+        // (an NDC cap runs the shards in order at any thread count).
         let ((out1, ex1), (out4, ex4)) = (&runs[0], &runs[1]);
         assert_eq!(out1.results, out4.results, "{label}");
         assert_eq!(out1.termination, out4.termination, "{label}");

@@ -1,11 +1,12 @@
 //! Admission control: a global in-flight cap with per-tenant fair share.
 //!
-//! Admission is the server's first degradation tier (the second is the
-//! deadline shed just before execution — see `server`). A query is admitted
-//! when (a) total in-flight queries are below `max_inflight` and (b) the
-//! tenant holds fewer than its fair share `max(1, max_inflight /
-//! active_tenants)` of the slots, where `active_tenants` counts tenants
-//! with at least one in-flight query (including the candidate). The share
+//! Admission is the server's first degradation tier and the only one that
+//! sheds load (the second sheds a deadline already expired on arrival —
+//! see `server`). A query is admitted when (a) total in-flight queries
+//! are below `max_inflight` and (b) the tenant holds fewer than its fair
+//! share `max(1, max_inflight / active_tenants)` of the slots, where
+//! `active_tenants` counts tenants with at least one in-flight query
+//! (including the candidate). The share
 //! recomputes on every admission, so a tenant alone on the box may use
 //! every slot, and the arrival of a second tenant immediately halves the
 //! first one's headroom for *new* admissions — already-admitted queries

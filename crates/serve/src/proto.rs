@@ -18,7 +18,7 @@
 //! acknowledging. Responses carry a `status` discriminant: `ok` (with
 //! `results` as `[distance, id]` pairs, `ndc`, `termination`, and the
 //! optional `explain` plan), `overloaded` (typed shed — admission
-//! rejected or deadline passed before execution), or `error` (malformed
+//! rejected, or a deadline already expired on arrival), or `error` (malformed
 //! request). Distances are rendered with Rust's shortest-roundtrip `f64`
 //! formatting, so values cross the wire bit-exactly — the equivalence
 //! tests rely on this.
@@ -104,9 +104,9 @@ pub struct SearchRequest {
     pub graph: Graph,
     /// Attach the per-request EXPLAIN plan to the response.
     pub explain: bool,
-    /// Query budget; the deadline doubles as the load-shedding deadline
-    /// (a query already past it when it would start is shed, not
-    /// executed).
+    /// Query budget, counted from arrival. A deadline already past when
+    /// the query would start (in practice only `deadline_ms: 0`) sheds it
+    /// unexecuted; one that fires mid-search returns best-so-far.
     pub budget: QueryBudget,
 }
 

@@ -9,7 +9,7 @@
 //! [`ShardedLanIndex::search_budgeted`] (or
 //! [`ShardedLanIndex::search_explain_budgeted`] when the client asked for
 //! the plan) on its connection's thread: the shards fan out under the
-//! `lan-par` thread budget, a finite budget runs them in shard order, and
+//! `lan-par` thread budget, an NDC cap runs them in shard order, and
 //! the merge is the offline one. A served query is therefore the offline
 //! query, bit for bit (property-tested in `tests/equivalence.rs`),
 //! finite NDC budgets included. Concurrent queries share nothing but the
@@ -23,10 +23,14 @@
 //!    `overloaded` response, no work done.
 //! 2. **Deadline shed** — a query whose budget deadline has already
 //!    passed when it would start is shed, not executed (`serve.shed`
-//!    counts both tiers). The same deadline also bounds execution via the
-//!    ordinary budget machinery, with the GED poll stride tightened at
-//!    boot ([`lan_ged::set_default_poll_stride`]) so in-flight kernels
-//!    notice expiry promptly.
+//!    counts both tiers). Admission never blocks, so this check runs
+//!    microseconds after arrival: it sheds a deadline that expired on
+//!    arrival (`deadline_ms: 0`), not load. Every later expiry is the
+//!    budget's: the deadline bounds execution through the ordinary budget
+//!    machinery, with the GED poll stride tightened at boot
+//!    ([`lan_ged::set_default_poll_stride`]) so in-flight kernels notice
+//!    expiry promptly, and the query answers best-so-far tagged
+//!    `deadline`.
 //!
 //! The listener answers `GET /metrics` HTTP requests on the same port
 //! with the Prometheus rendering of the global metrics snapshot.

@@ -172,6 +172,40 @@ fn served_finite_budgets_match_offline() {
     handle.shutdown();
 }
 
+/// A nonzero deadline is served on the offline schedule for a budget
+/// without an NDC cap: every shard searches, side by side under the
+/// thread budget. One that does not fire leaves the unbudgeted answer,
+/// bit for bit, with one sub-plan per shard.
+#[test]
+fn served_deadline_searches_every_shard() {
+    let handle = boot(64);
+    let ds = dataset();
+    let shards = fixture().num_shards();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for seed in 0..4u64 {
+        let want = serial(seed, 5, 8);
+        let mut call = SearchCall::new(&ds.queries[(seed % 10) as usize], 5, 8, seed);
+        call.deadline_ms = Some(600_000);
+        call.explain = true;
+        let resp = client.search(&call).unwrap();
+        let Response::Ok(got) = resp else {
+            panic!("seed {seed}: expected ok, got {resp:?}")
+        };
+        assert_eq!(
+            result_bits(&want.results),
+            result_bits(&got.results),
+            "seed {seed}: deadline-bound results diverged from unbudgeted"
+        );
+        assert_eq!(want.ndc as u64, got.ndc, "seed {seed}: NDC");
+        assert_eq!(got.termination, "converged", "seed {seed}");
+        let Some(Value::Arr(plans)) = got.explain.as_ref().and_then(|ex| ex.get("shards")) else {
+            panic!("seed {seed}: per-shard sub-plans missing")
+        };
+        assert_eq!(plans.len(), shards, "seed {seed}: a shard was skipped");
+    }
+    handle.shutdown();
+}
+
 /// Opt-in EXPLAIN plans cross the wire with counts (NDC, cache hits,
 /// hops, cascade tier attribution, per-shard sub-plans) identical to the
 /// serial EXPLAIN path.
