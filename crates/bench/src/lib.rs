@@ -202,9 +202,8 @@ pub fn k_for(scale: Scale) -> usize {
 
 /// Finishes a bench run's observability outputs: the global metrics
 /// snapshot as `results/BENCH_obs.json` (+ `results/BENCH_obs.prom`);
-/// when `LAN_TRACE=route`, the buffered routing trace as
-/// `results/trace_<bench>.jsonl`; when `LAN_EXPLAIN=1`, the buffered
-/// per-query EXPLAIN plans as `results/explain_<bench>.jsonl`; and when
+/// when `LAN_EXPLAIN=1`, the buffered per-query EXPLAIN plans, routing hop
+/// events included, as `results/explain_<bench>.jsonl`; and when
 /// `LAN_PROFILE=1`, the folded span-tree stacks as
 /// `results/PROFILE_<bench>.folded` (inferno/speedscope-compatible) plus
 /// a top-self-time table on stderr.
@@ -221,13 +220,6 @@ pub fn finish_obs(bench: &str) {
     std::fs::write("results/BENCH_obs.prom", snap.to_prometheus())
         .expect("write results/BENCH_obs.prom");
     eprintln!("wrote results/BENCH_obs.json (+ .prom)");
-    if lan_obs::trace::route_enabled() {
-        let path = format!("results/trace_{bench}.jsonl");
-        match lan_obs::trace::write_jsonl(&path) {
-            Ok(n) => eprintln!("wrote {n} routing-trace events to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
     if lan_obs::explain::enabled() {
         let path = format!("results/explain_{bench}.jsonl");
         match lan_obs::explain::write_jsonl(&path) {

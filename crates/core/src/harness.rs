@@ -5,7 +5,6 @@
 use crate::index::LanIndex;
 use crate::l2route::L2RouteIndex;
 use crate::query::{InitStrategy, QueryOutcome, RouteStrategy};
-use lan_obs::trace;
 use lan_pg::budget::{BudgetCtx, QueryBudget, Termination};
 use std::time::Duration;
 
@@ -117,7 +116,6 @@ pub fn run_point(
     let mut agg = Aggregate::default();
     for (i, &qi) in query_idx.iter().enumerate() {
         let q = &index.dataset.queries[qi];
-        let _t = trace::query(qi as u64);
         let ctx = BudgetCtx::new(&budget);
         let out = index.search_with_budget(q, k, b, init, route, qi as u64, &ctx);
         agg.add(&out, truths[i], k);

@@ -56,7 +56,6 @@ impl LanIndex {
         // them (zero-valued) even before the first explained query runs.
         lan_obs::explain::register_schema();
         lan_obs::profile::register_schema();
-        lan_obs::trace::register_schema();
         let _b_span = lan_obs::span("build");
         let pair_fn = |a: u32, b: u32| dataset.pair_distance(a, b);
         let pairs = PairCache::new(&pair_fn);

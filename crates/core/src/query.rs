@@ -9,7 +9,7 @@
 use crate::index::LanIndex;
 use lan_graph::Graph;
 use lan_models::LearnedRanker;
-use lan_obs::explain::{BudgetExplain, QueryExplain, TierBreakdown, TimelineEvent};
+use lan_obs::explain::{BudgetExplain, HopEvent, QueryExplain, TierBreakdown, TimelineEvent};
 use lan_obs::{names, span, LazyCounter, TimerCell};
 use lan_pg::budget::{budgeted_get, BudgetCtx, Termination};
 use lan_pg::faults::{self, FaultMetrics, FaultPlan};
@@ -95,8 +95,8 @@ pub(crate) struct StageTrace {
     init_ns: u64,
     route_ns: u64,
     cache_hits: u64,
-    hops: u64,
     timeline: Vec<TimelineEvent>,
+    hop_events: Vec<HopEvent>,
 }
 
 /// The per-query distance oracle: dataset GED behind the timing and
@@ -191,10 +191,10 @@ impl LanIndex {
     }
 
     /// [`Self::search_with`] that additionally returns the query's EXPLAIN
-    /// plan: per-stage wall-clock, NDC, cache hit counts, hops, and budget
-    /// consumption. The plan is collected unconditionally (no env gate)
-    /// and nothing is emitted to the global EXPLAIN ring — callers own the
-    /// plan.
+    /// plan: per-stage wall-clock, NDC, cache hit counts, hops with one
+    /// [`HopEvent`] each, and budget consumption. The plan is collected
+    /// unconditionally (no env gate) and nothing is emitted to the global
+    /// EXPLAIN ring — callers own the plan.
     ///
     /// Collection never perturbs the search: results, NDC, and exploration
     /// are bit-identical to [`Self::search_with`].
@@ -240,7 +240,7 @@ impl LanIndex {
             gnn_ns: out.gnn_time.as_nanos() as u64,
             ndc: out.ndc as u64,
             cache_hits: trace.cache_hits,
-            hops: trace.hops,
+            hops: trace.hop_events.len() as u64,
             // Every distance computation is a full solve: the routers ask
             // for exact distances only.
             tiers: TierBreakdown {
@@ -255,6 +255,7 @@ impl LanIndex {
                 spent_ndc: ctx.spent() as u64,
             },
             timeline: trace.timeline,
+            hop_events: trace.hop_events,
             shards: Vec::new(),
         };
         (out, ex)
@@ -262,8 +263,8 @@ impl LanIndex {
 
     /// The one search implementation behind every public entry point.
     /// `explain` switches EXPLAIN collection on: per-stage timings, cache
-    /// hits and hops are kept. `false` is the plain search — zero
-    /// collection.
+    /// hits, hops and the router's hop events are kept. `false` is the
+    /// plain search — zero collection.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn search_core(
         &self,
@@ -280,9 +281,10 @@ impl LanIndex {
         let _q_span = span("query");
         QUERY_COUNT.get().inc();
         // Atomic nanosecond cell instead of RefCell<Duration>: the oracle
-        // must be Sync because DistCache is shared across threads in-search.
-        // TimerCell is ungated — QueryOutcome::distance_time stays identical
-        // whether metrics are enabled or not.
+        // must be Sync because `QueryDistance` requires it, although a
+        // query's DistCache is used by this thread alone. TimerCell is
+        // ungated — QueryOutcome::distance_time stays identical whether
+        // metrics are enabled or not.
         let dist_timer = TimerCell::new();
         // The fault plan and counters resolve once per query, outside the
         // distance closure; the query seed salts the deterministic draws
@@ -394,7 +396,7 @@ impl LanIndex {
                 elapsed_ns: t_start.elapsed().as_nanos() as u64,
             });
             tr.cache_hits = cache.hits() as u64;
-            tr.hops = route_result.exploration_order.len() as u64;
+            tr.hop_events = route_result.hop_events;
         }
 
         drop(cache);

@@ -266,13 +266,7 @@ impl ShardedLanIndex {
                 .map_while(|s| (!ctx.cancelled()).then(|| search(s)))
                 .collect();
         }
-        // Worker threads have empty trace thread-locals; re-attach the
-        // caller's traced query id so per-shard hops keep their `q`.
-        let traced = lan_obs::trace::active_query();
-        lan_par::par_map_indices_dyn(self.shards.len(), lan_par::Grain::Fine, |s| {
-            let _t = lan_obs::trace::propagate(traced);
-            search(s)
-        })
+        lan_par::par_map_indices_dyn(self.shards.len(), lan_par::Grain::Fine, search)
     }
 
     /// Merges per-shard outcomes (ordered by shard index) into one global
@@ -315,7 +309,8 @@ impl ShardedLanIndex {
 
 /// Assembles the fan-out's merged EXPLAIN plan. Counts (NDC, hits, hops,
 /// tiers) and the init/route/distance/GNN time components are summed
-/// across the per-shard sub-plans, which ride along under `shards`.
+/// across the per-shard sub-plans, which ride along under `shards` with
+/// their hop events (the merged plan holds none of its own).
 ///
 /// `total_ns` is the work the query cost, on the same footing as those
 /// sums: the shards' own `total_ns` plus `own`, the caller's time outside
@@ -386,6 +381,8 @@ fn merged_explain(
             spent_ndc: ctx.spent() as u64,
         },
         timeline,
+        // Each sub-plan keeps its own shard's hop events.
+        hop_events: Vec::new(),
         shards: plans,
     }
 }

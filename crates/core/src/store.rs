@@ -162,7 +162,6 @@ fn decode_index_sections(a: &Archive, prefix: &str) -> Result<LanIndex, StoreErr
 fn register_schemas() {
     lan_obs::explain::register_schema();
     lan_obs::profile::register_schema();
-    lan_obs::trace::register_schema();
 }
 
 fn record_save(bytes: u64, t0: Instant) {

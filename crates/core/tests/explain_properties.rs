@@ -1,8 +1,9 @@
 //! EXPLAIN-plan reconciliation properties: the per-tier NDC attribution
 //! must sum *exactly* to the query's NDC — which equals the `ged.calls`
-//! registry delta — under every termination cause and on both shard
-//! schedules (the serial loop at `LAN_THREADS=1`, the fan-out at 4), and
-//! collecting a plan must never perturb the search.
+//! registry delta — and the hop events must account for every hop, under
+//! every termination cause and on both shard schedules (the serial loop
+//! at `LAN_THREADS=1`, the fan-out at 4), and collecting a plan must
+//! never perturb the search.
 //!
 //! The tests read global-registry deltas and flip the EXPLAIN switch, so
 //! every test serializes on one lock (they share this binary's process
@@ -84,6 +85,45 @@ fn assert_reconciles(out: &QueryOutcome, ex: &QueryExplain, ged_delta: u64, what
     );
 }
 
+/// The hop events of a plan: one per hop in every plan that routed (a
+/// flat plan, or each shard's sub-plan), per-hop NDC never decreasing and
+/// ending at most at the plan's NDC, the first LAN hop in stage 1 and
+/// every Algorithm-1 hop without a γ. A merged plan holds none of its own
+/// and its hops are its shards' sum.
+fn assert_hop_events(ex: &QueryExplain, what: &str) {
+    if !ex.shards.is_empty() {
+        assert!(ex.hop_events.is_empty(), "{what}: merged plan holds hops");
+        let sub_hops: u64 = ex.shards.iter().map(|s| s.hops).sum();
+        assert_eq!(ex.hops, sub_hops, "{what}: merged hops != sum of shards");
+        for (s, sub) in ex.shards.iter().enumerate() {
+            assert_hop_events(sub, &format!("{what}/shard.{s}"));
+        }
+        return;
+    }
+    let events = &ex.hop_events;
+    assert_eq!(events.len() as u64, ex.hops, "{what}: hop_events != hops");
+    assert!(
+        events.windows(2).all(|w| w[0].ndc <= w[1].ndc),
+        "{what}: per-hop NDC decreased"
+    );
+    if let Some(last) = events.last() {
+        assert!(last.ndc <= ex.ndc, "{what}: last hop NDC above the plan's");
+    }
+    let lan = ex.route.starts_with("lan_route");
+    if let (true, Some(first)) = (lan, events.first()) {
+        assert_eq!(first.stage, 1, "{what}: the first LAN hop is not stage 1");
+    }
+    for h in events {
+        assert!(h.batches_opened <= h.batches_total, "{what}");
+        if lan {
+            assert!(h.stage == 1 || h.stage == 2, "{what}: stage {}", h.stage);
+            assert!(h.gamma.is_some(), "{what}: LAN hop without γ");
+        } else {
+            assert_eq!((h.stage, h.gamma), (0, None), "{what}: Algorithm-1 hop");
+        }
+    }
+}
+
 fn ged_calls() -> u64 {
     lan_obs::counter(lan_obs::names::GED_CALLS).get()
 }
@@ -121,7 +161,9 @@ fn tiers_reconcile_under_every_termination_cause() {
                     index.search_explain_budgeted(&q, 5, 10, init, route, qi as u64, &ctx);
                 let delta = ged_calls() - before;
                 causes.insert(ex.termination.clone());
-                assert_reconciles(&out, &ex, delta, &format!("{label}/{}", route.as_str()));
+                let what = format!("{label}/{}", route.as_str());
+                assert_reconciles(&out, &ex, delta, &what);
+                assert_hop_events(&ex, &what);
                 // The budget block must report the limits verbatim.
                 assert_eq!(
                     ex.budget.max_ndc,
@@ -172,6 +214,11 @@ fn sharded_fanout_reconciles_at_one_and_four_threads() {
     for (label, budget) in [
         ("unlimited", QueryBudget::unlimited()),
         ("ndc_8", QueryBudget::unlimited().with_max_ndc(8)),
+        (
+            "deadline_0",
+            QueryBudget::unlimited().with_deadline(Duration::ZERO),
+        ),
+        ("hops_1", QueryBudget::unlimited().with_max_hops(1)),
     ] {
         let mut runs = Vec::new();
         for threads in ["1", "4"] {
@@ -180,6 +227,7 @@ fn sharded_fanout_reconciles_at_one_and_four_threads() {
             let (out, ex) = sharded_explain_at(threads, &q, &budget);
             let delta = ged_calls() - before;
             assert_reconciles(&out, &ex, delta, &what);
+            assert_hop_events(&ex, &what);
             assert!(
                 !ex.shards.is_empty(),
                 "{what}: merged plan lost its sub-plans"
@@ -223,6 +271,11 @@ fn sharded_fanout_reconciles_at_one_and_four_threads() {
         assert_eq!(ex1.ndc, ex4.ndc, "{label}");
         assert_eq!(ex1.tiers, ex4.tiers, "{label}");
         assert_eq!(ex1.shards.len(), ex4.shards.len(), "{label}");
+        // Each shard routes the same way on either schedule, on the
+        // calling thread or on a fan-out worker.
+        for (s1, s4) in ex1.shards.iter().zip(&ex4.shards) {
+            assert_eq!(s1.hop_events, s4.hop_events, "{label}");
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The exported observability artifacts of a sharded query batch, read
 //! back the way a consumer reads them: the metrics snapshot as JSON, the
-//! routing trace and the EXPLAIN plans as JSONL files, and the span
-//! profile as folded stacks.
+//! EXPLAIN plans (routing hop events included) as a JSONL file, and the
+//! span profile as folded stacks.
 //!
 //! This binary holds one test because it reads global counters: a sibling
 //! test running searches would bleed into the `ged.calls` delta.
@@ -29,7 +29,6 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "explain.queries",
     "explain.dropped",
     "profile.spans",
-    "trace.dropped",
     "mem.peak_rss_kb",
 ];
 
@@ -71,7 +70,7 @@ fn exported(tag: &str, what: impl FnOnce(&str) -> std::io::Result<usize>) -> Vec
 }
 
 #[test]
-fn exported_metrics_trace_explain_and_profile_are_consistent() {
+fn exported_metrics_explain_and_profile_are_consistent() {
     let ds = Dataset::generate(
         DatasetSpec::syn()
             .with_graphs(40)
@@ -80,16 +79,13 @@ fn exported_metrics_trace_explain_and_profile_are_consistent() {
     );
     let sharded = ShardedLanIndex::build(&ds, &tiny_cfg(), 2);
     lan_obs::set_enabled(true);
-    lan_obs::trace::set_route_enabled(true);
     lan_obs::explain::set_enabled(true);
     lan_obs::profile::set_enabled(true);
-    lan_obs::trace::drain();
     lan_obs::explain::drain();
 
     let before = lan_obs::snapshot();
     let mut total_ndc = 0u64;
     for (qi, q) in ds.queries.iter().enumerate() {
-        let _t = lan_obs::trace::query(qi as u64);
         let out = sharded.search(
             q,
             5,
@@ -126,21 +122,9 @@ fn exported_metrics_trace_explain_and_profile_are_consistent() {
         assert!(num(doc.get("gauges").unwrap(), "mem.peak_rss_kb") > 0);
     }
 
-    let trace = exported("trace.jsonl", lan_obs::trace::write_jsonl);
-    let mut hops = 0;
-    for line in &trace {
-        let ev = parse(line).unwrap_or_else(|e| panic!("trace line is not JSON ({e}): {line}"));
-        if ev.get("ev") == Some(&Value::Str("hop".into())) {
-            for field in ["q", "hop", "node", "d", "gamma"] {
-                assert!(ev.get(field).is_some(), "hop event missing {field}: {line}");
-            }
-            hops += 1;
-        }
-    }
-    assert!(hops > 0, "the trace holds no hop events");
-
     let plans = exported("explain.jsonl", lan_obs::explain::write_jsonl);
     assert_eq!(plans.len(), ds.queries.len(), "one EXPLAIN plan per query");
+    let mut total_hops = 0;
     for line in &plans {
         let plan = parse(line).unwrap_or_else(|e| panic!("plan is not JSON ({e}): {line}"));
         let tiers = plan.get("tiers").expect("plan has tiers");
@@ -154,8 +138,50 @@ fn exported_metrics_trace_explain_and_profile_are_consistent() {
             num(&plan, "ndc"),
             "tiers do not reconcile: {line}"
         );
-        assert!(plan.get("shards").is_some(), "plan has no shard sub-plans");
+        let Some(Value::Arr(shards)) = plan.get("shards") else {
+            panic!("plan has no shard sub-plans: {line}");
+        };
+        // Each shard sub-plan carries one hop event per hop, every field
+        // the routers record; the merged plan's hops are the shards' sum.
+        let mut shard_hops = 0;
+        for sub in shards {
+            let Some(Value::Arr(events)) = sub.get("hop_events") else {
+                panic!("sub-plan has no hop_events: {line}");
+            };
+            assert_eq!(events.len() as u64, num(sub, "hops"), "{line}");
+            let mut ndc_so_far = 0;
+            for (i, ev) in events.iter().enumerate() {
+                for field in ["d", "gamma", "nb", "batches", "opened", "hits"] {
+                    assert!(ev.get(field).is_some(), "hop event missing {field}: {line}");
+                }
+                let stage = num(ev, "stage");
+                assert!(
+                    stage == 1 || stage == 2,
+                    "a LAN hop is stage 1 or 2: {line}"
+                );
+                if i == 0 {
+                    assert_eq!(stage, 1, "the first LAN hop is stage 1: {line}");
+                }
+                assert!(
+                    ev.get("gamma").and_then(Value::as_f64).is_some(),
+                    "a LAN hop has a γ: {line}"
+                );
+                assert!(num(ev, "node") < 20, "node outside its shard: {line}");
+                assert!(num(ev, "opened") <= num(ev, "batches"), "{line}");
+                assert!(num(ev, "ndc") >= ndc_so_far, "per-hop NDC fell: {line}");
+                ndc_so_far = num(ev, "ndc");
+            }
+            assert!(ndc_so_far <= num(sub, "ndc"), "{line}");
+            shard_hops += events.len() as u64;
+        }
+        assert_eq!(shard_hops, num(&plan, "hops"), "{line}");
+        match plan.get("hop_events") {
+            Some(Value::Arr(own)) => assert!(own.is_empty(), "merged plan holds hops: {line}"),
+            _ => panic!("merged plan has no hop_events array: {line}"),
+        }
+        total_hops += shard_hops;
     }
+    assert!(total_hops > 0, "the plans hold no hop events");
 
     let folded = exported("profile.folded", lan_obs::profile::write_folded);
     assert!(

@@ -17,8 +17,8 @@
 //! reports [`ExactOutcome::TimedOut`] when exceeded — the ground-truth
 //! protocol (paper §VII) then falls back to the approximations. The
 //! deadline is only polled every [`ExactLimits::poll_stride`] expansions
-//! (default 256, `LAN_GED_POLL_STRIDE` or [`set_default_poll_stride`]
-//! to change it), keeping timing syscalls out of the expansion loop
+//! (default 256, [`set_default_poll_stride`] to change it), keeping
+//! timing syscalls out of the expansion loop
 //! while bounding the worst-case deadline overshoot to one stride.
 //!
 //! [`exact_ged_within`] is the threshold-gated variant: branches whose
@@ -96,32 +96,24 @@ impl Default for ExactLimits {
 }
 
 /// Programmatic override of the default deadline poll stride (`0` means
-/// "unset"); `LAN_GED_POLL_STRIDE` still wins when present so operators
-/// keep the last word.
+/// "unset").
 static DEFAULT_POLL_STRIDE_CELL: AtomicUsize = AtomicUsize::new(0);
 
-/// The historical hard-coded poll interval, used when neither the env
-/// knob nor [`set_default_poll_stride`] overrides it.
+/// The historical hard-coded poll interval, used unless
+/// [`set_default_poll_stride`] overrides it.
 const BASE_POLL_STRIDE: usize = 256;
 
 /// Sets the process-wide default for [`ExactLimits::poll_stride`]
-/// (clamped to >= 1). The explicit `LAN_GED_POLL_STRIDE` env knob, when
-/// set and valid, takes precedence. The serving front-end calls this at
-/// boot to tighten deadline honoring without requiring every caller to
-/// thread a stride through the cascade.
+/// (clamped to >= 1). The serving front-end calls this at boot to tighten
+/// deadline honoring without requiring every caller to thread a stride
+/// through the cascade.
 pub fn set_default_poll_stride(stride: usize) {
     DEFAULT_POLL_STRIDE_CELL.store(stride.max(1), AtomicOrdering::Relaxed);
 }
 
-/// Resolves the default poll stride: `LAN_GED_POLL_STRIDE` (positive
-/// integer, loudly rejected otherwise), else the programmatic override,
-/// else the historical 256.
+/// Resolves the default poll stride: the programmatic override, else the
+/// historical 256.
 fn default_poll_stride() -> usize {
-    if let Some(s) =
-        lan_par::env::parse_var_or_warn("LAN_GED_POLL_STRIDE", lan_par::env::positive_usize)
-    {
-        return s;
-    }
     match DEFAULT_POLL_STRIDE_CELL.load(AtomicOrdering::Relaxed) {
         0 => BASE_POLL_STRIDE,
         s => s,
@@ -640,23 +632,11 @@ mod tests {
 
     #[test]
     fn poll_stride_default_resolution() {
-        // Env knob > programmatic override > historical 256; malformed
-        // env values warn and fall through to the override.
-        lan_par::testenv::with_env(&[("LAN_GED_POLL_STRIDE", None)], || {
-            set_default_poll_stride(0); // clamps to 1
-            assert_eq!(ExactLimits::default().poll_stride, 1);
-            set_default_poll_stride(64);
-            assert_eq!(ExactLimits::default().poll_stride, 64);
-        });
-        lan_par::testenv::with_env(&[("LAN_GED_POLL_STRIDE", Some("32"))], || {
-            set_default_poll_stride(64);
-            assert_eq!(ExactLimits::default().poll_stride, 32);
-        });
-        lan_par::testenv::with_env(&[("LAN_GED_POLL_STRIDE", Some("zero"))], || {
-            lan_par::env::reset_warnings();
-            set_default_poll_stride(77);
-            assert_eq!(ExactLimits::default().poll_stride, 77);
-        });
+        // Programmatic override > historical 256; the override clamps to 1.
+        set_default_poll_stride(0);
+        assert_eq!(ExactLimits::default().poll_stride, 1);
+        set_default_poll_stride(64);
+        assert_eq!(ExactLimits::default().poll_stride, 64);
         // Other tests construct ExactLimits::default() concurrently; leave
         // the process default on the historical stride. (256 is what an
         // unset cell resolves to, so storing it directly is equivalent.)

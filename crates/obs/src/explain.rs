@@ -4,8 +4,8 @@
 //! A [`QueryExplain`] is assembled by `lan-core`'s `search_explain` path
 //! and carries per-stage wall-clock (init / route / distance / GNN), the
 //! query's NDC with its [`TierBreakdown`], cache hit/miss counts, the
-//! budget consumption timeline, per-shard sub-plans, and the termination
-//! cause.
+//! budget consumption timeline, one [`HopEvent`] per routing hop,
+//! per-shard sub-plans, and the termination cause.
 //!
 //! # The reconciliation contract
 //!
@@ -25,8 +25,8 @@
 //! # Emission
 //!
 //! `LAN_EXPLAIN=1` makes `search_with_budget` collect a plan per query
-//! and push its JSON line into a bounded ring buffer (mirroring the
-//! routing trace); benches drain it to `results/explain_<bench>.jsonl`.
+//! and push its JSON line into a bounded ring buffer; benches drain it to
+//! `results/explain_<bench>.jsonl`.
 //! When the variable is unset the only cost on the query path is one
 //! relaxed atomic load.
 
@@ -133,6 +133,37 @@ pub struct TimelineEvent {
     pub elapsed_ns: u64,
 }
 
+/// One routing hop: a node the router explored, in exploration order (the
+/// plan's `query` and the hop's index in [`QueryExplain::hop_events`]
+/// identify it). Both routers record one per explored node, on every
+/// route; the per-hop record "Learning to Route in Similarity Graphs"
+/// tunes routing from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HopEvent {
+    /// 0 = Algorithm 1 beam search, 1 = `np_route`'s greedy descent,
+    /// 2 = its γ-escalating backtracking.
+    pub stage: u8,
+    /// Node explored at this hop.
+    pub node: u32,
+    /// Its (cached) distance to the query.
+    pub dist: f64,
+    /// The γ threshold the hop's batch openings were judged against; the
+    /// escalations of stage 2 show as its growing values. `None` for an
+    /// Algorithm-1 hop, which opens every neighbor.
+    pub gamma: Option<f64>,
+    /// Neighbor count of the node.
+    pub neighbors: u32,
+    /// Batches the ranker produced for the node (Algorithm 1: one batch
+    /// of all neighbors).
+    pub batches_total: u32,
+    /// Batches opened so far (cumulative for the node).
+    pub batches_opened: u32,
+    /// Route NDC after the hop (cache misses).
+    pub ndc: u64,
+    /// Route cache hits after the hop.
+    pub cache_hits: u64,
+}
+
 /// A per-query EXPLAIN plan. See the module docs for the reconciliation
 /// contract; the JSON schema produced by [`QueryExplain::to_json`] is
 /// pinned by a golden test.
@@ -173,6 +204,9 @@ pub struct QueryExplain {
     pub budget: BudgetExplain,
     /// Budget consumption timeline (stage completions, oldest first).
     pub timeline: Vec<TimelineEvent>,
+    /// One event per routing hop, in exploration order (`hops` of them).
+    /// Empty in a merged sharded plan: each shard's sub-plan holds its own.
+    pub hop_events: Vec<HopEvent>,
     /// Per-shard sub-plans (empty for a single-shard search).
     pub shards: Vec<QueryExplain>,
 }
@@ -234,6 +268,24 @@ impl QueryExplain {
                 ev.stage, ev.ndc, ev.elapsed_ns
             );
         }
+        out.push_str("],\"hop_events\":[");
+        for (i, h) in self.hop_events.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                out,
+                "{sep}{{\"stage\":{},\"node\":{},\"d\":{},\"gamma\":{},\"nb\":{},\
+                 \"batches\":{},\"opened\":{},\"ndc\":{},\"hits\":{}}}",
+                h.stage,
+                h.node,
+                json_f64(Some(h.dist)),
+                json_f64(h.gamma),
+                h.neighbors,
+                h.batches_total,
+                h.batches_opened,
+                h.ndc,
+                h.cache_hits,
+            );
+        }
         out.push_str("],\"shards\":[");
         for (i, sh) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -245,8 +297,16 @@ impl QueryExplain {
     }
 }
 
+/// A JSON number, or `null` when absent or non-finite.
+fn json_f64(v: Option<f64>) -> String {
+    match v {
+        Some(v) if v.is_finite() => format!("{v}"),
+        _ => "null".to_string(),
+    }
+}
+
 // ---------------------------------------------------------------------------
-// JSONL ring buffer (mirrors `trace`).
+// JSONL ring buffer.
 // ---------------------------------------------------------------------------
 
 /// Ring-buffer capacity in plans; the oldest are dropped (and counted in
@@ -355,6 +415,30 @@ mod tests {
                     elapsed_ns: 930,
                 },
             ],
+            hop_events: vec![
+                HopEvent {
+                    stage: 1,
+                    node: 9,
+                    dist: 3.0,
+                    gamma: Some(3.0),
+                    neighbors: 5,
+                    batches_total: 3,
+                    batches_opened: 1,
+                    ndc: 6,
+                    cache_hits: 2,
+                },
+                HopEvent {
+                    stage: 2,
+                    node: 4,
+                    dist: 2.5,
+                    gamma: Some(4.0),
+                    neighbors: 4,
+                    batches_total: 2,
+                    batches_opened: 2,
+                    ndc: 42,
+                    cache_hits: 11,
+                },
+            ],
             shards: Vec::new(),
         }
     }
@@ -373,8 +457,23 @@ mod tests {
              \"tiers\":{\"lb_prunes\":20,\"tau_aborts\":7,\"full_solves\":15},\
              \"budget\":{\"max_ndc\":100,\"deadline_ms\":null,\"max_hops\":null,\"spent\":42},\
              \"timeline\":[{\"stage\":\"init\",\"ndc\":6,\"ns\":210},\
-             {\"stage\":\"route\",\"ndc\":42,\"ns\":930}],\"shards\":[]}"
+             {\"stage\":\"route\",\"ndc\":42,\"ns\":930}],\
+             \"hop_events\":[{\"stage\":1,\"node\":9,\"d\":3,\"gamma\":3,\"nb\":5,\
+             \"batches\":3,\"opened\":1,\"ndc\":6,\"hits\":2},\
+             {\"stage\":2,\"node\":4,\"d\":2.5,\"gamma\":4,\"nb\":4,\
+             \"batches\":2,\"opened\":2,\"ndc\":42,\"hits\":11}],\"shards\":[]}"
         );
+    }
+
+    #[test]
+    fn algorithm1_hop_has_a_null_gamma() {
+        let mut ex = sample();
+        ex.hop_events.truncate(1);
+        ex.hop_events[0].stage = 0;
+        ex.hop_events[0].gamma = None;
+        let json = ex.to_json();
+        assert!(json.contains("{\"stage\":0,\"node\":9,\"d\":3,\"gamma\":null,"));
+        assert_eq!(json_f64(Some(f64::INFINITY)), "null");
     }
 
     #[test]

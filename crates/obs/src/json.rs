@@ -2,8 +2,8 @@
 //! the exported observability artifacts.
 //!
 //! The workspace is dependency-free by policy. `lan-serve` parses its
-//! request frames with this, and the tests read the exported metrics,
-//! trace and EXPLAIN lines back through it. It covers exactly the JSON
+//! request frames with this, and the tests read the exported metrics
+//! and EXPLAIN lines back through it. It covers exactly the JSON
 //! those producers emit (objects, arrays, numbers, strings with plain
 //! escapes, booleans, null) — not a general-purpose validator. It lives
 //! in `lan-obs` (the workspace's leaf utility crate) so every crate can

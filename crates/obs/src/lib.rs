@@ -1,5 +1,6 @@
 //! Observability for the LAN workspace: a global lock-striped metrics
-//! registry, RAII timing spans, and an opt-in per-query routing trace.
+//! registry, RAII timing spans, per-query EXPLAIN plans (with one event
+//! per routing hop), and a span self-time profiler.
 //!
 //! Built with zero external dependencies (std only) so every crate on the
 //! hot path — `lan-pg`, `lan-ged`, `lan-gnn`, `lan-core`, `lan-bench` —
@@ -25,10 +26,8 @@
 //! # Environment variables
 //!
 //! * `LAN_METRICS` — `0`/`off`/`false` disables the registry (default on);
-//! * `LAN_TRACE` — `route` (or `1`/`all`) enables the routing trace;
-//! * `LAN_TRACE_SAMPLE` — trace every N-th query id (default 1 = all);
-//! * `LAN_EXPLAIN` — `1`/`on`/`jsonl` collects a per-query EXPLAIN plan
-//!   (JSONL ring buffer; see [`explain`]);
+//! * `LAN_EXPLAIN` — `1`/`on`/`jsonl` collects a per-query EXPLAIN plan,
+//!   routing hop events included (JSONL ring buffer; see [`explain`]);
 //! * `LAN_PROFILE` — `1`/`on` aggregates span self-time by stack path
 //!   into folded-stack output (see [`profile`]).
 //!
@@ -55,7 +54,6 @@ pub mod mem;
 pub mod metrics;
 pub mod profile;
 pub mod span;
-pub mod trace;
 
 pub use metrics::{
     counter, enabled, gauge, histogram, set_enabled, snapshot, Counter, Gauge, Histogram,
@@ -131,8 +129,6 @@ pub mod names {
     /// Threshold-gated exact evaluations aborted by branch-and-bound once
     /// every A\* branch reached the threshold.
     pub const GED_EARLY_ABORT: &str = "ged.early_abort";
-    /// Routing-trace events dropped because the ring buffer was full.
-    pub const TRACE_DROPPED: &str = "trace.dropped";
     /// Per-query EXPLAIN plans collected (`LAN_EXPLAIN=1`).
     pub const EXPLAIN_QUERIES: &str = "explain.queries";
     /// EXPLAIN plans dropped because the ring buffer was full.
@@ -161,7 +157,8 @@ pub mod names {
     /// Requests accepted by the serving admission gate.
     pub const SERVE_REQUESTS: &str = "serve.requests";
     /// Requests shed (typed `Overloaded` response) — admission caps and
-    /// expired deadline budgets, never a queueing collapse.
+    /// expired deadline budgets, never a queueing collapse — and
+    /// connections dropped because their handler thread could not start.
     pub const SERVE_SHED: &str = "serve.shed";
     /// Requests currently admitted and not yet answered (gauge).
     pub const SERVE_INFLIGHT: &str = "serve.inflight";

@@ -44,7 +44,7 @@ pub enum Termination {
 }
 
 impl Termination {
-    /// Stable lower-case name (used in traces and JSON exports).
+    /// Stable lower-case name (used in EXPLAIN plans and JSON exports).
     pub fn as_str(self) -> &'static str {
         match self {
             Termination::Converged => "converged",

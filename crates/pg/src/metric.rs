@@ -8,13 +8,14 @@
 //!
 //! Both caches are **thread-safe**: the map is lock-striped (keys hash to
 //! one of `STRIPES` independent `Mutex<HashMap>` shards) and the NDC
-//! counter is atomic, so concurrent routing, construction workers, and
-//! parallel shard searches can share one cache. A stripe's lock is held
-//! *while the distance is computed*, which preserves the sequential
-//! guarantee that each key is computed **at most once** — two threads
-//! racing on the same id serialize on the stripe and the loser reads the
-//! winner's cached value. Distinct keys almost always land on distinct
-//! stripes and compute truly concurrently.
+//! counter is atomic. The parallel construction workers share one
+//! [`PairCache`]; a query's [`DistCache`] is used by the one thread that
+//! routes it (each shard of a sharded query has its own). A stripe's lock
+//! is held *while the distance is computed*, which preserves the
+//! sequential guarantee that each key is computed **at most once** — two
+//! threads racing on the same id serialize on the stripe and the loser
+//! reads the winner's cached value. Distinct keys almost always land on
+//! distinct stripes and compute truly concurrently.
 
 use lan_obs::{names, Counter};
 use std::collections::hash_map::Entry;

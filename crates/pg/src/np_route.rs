@@ -16,7 +16,8 @@ use crate::budget::{budgeted_get, BudgetCtx, Termination};
 use crate::metric::{DistCache, QueryDistance};
 use crate::pool::{Pool, RouterState};
 use crate::routing::{finish_route, RouteResult};
-use lan_obs::{names, trace, Counter};
+use lan_obs::explain::HopEvent;
+use lan_obs::{names, Counter};
 use std::collections::HashMap;
 
 /// Ranks and partitions a node's neighbors into batches, best (predicted
@@ -128,45 +129,36 @@ struct NpRouter<'a, R: NeighborRanker> {
     rescan_lens: Vec<usize>,
     w: Pool,
     state: RouterState,
+    /// One event per explored node, in exploration order.
+    hop_events: Vec<HopEvent>,
     // Pre-resolved metric handles — increments on the routing hot loop are
     // single relaxed atomics, never registry lookups.
     m_hops: &'static Counter,
     m_opened: &'static Counter,
     m_prunes: &'static Counter,
-    /// Query id when this query is being traced (`LAN_TRACE=route`).
-    trace_q: Option<u64>,
-    /// Hop index within this query (exploration order).
-    hop: u32,
 }
 
 impl<'a, R: NeighborRanker> NpRouter<'a, R> {
     /// Records the exploration of node `g` — one routing hop — to the
-    /// global metrics and, when traced, the per-query hop trace.
+    /// global metrics and the route's hop events.
     fn note_hop(&mut self, stage: u8, g: u32, d: f64, gamma: f64) {
         self.m_hops.inc();
-        let q = match self.trace_q {
-            Some(q) => q,
-            None => return,
-        };
         let (total, opened) = self
             .batches
             .get(&g)
             .map(|st| (st.batches.len() as u32, st.opened as u32))
             .unwrap_or((0, 0));
-        trace::emit_hop(&trace::HopEvent {
-            q,
-            hop: self.hop,
+        self.hop_events.push(HopEvent {
             stage,
             node: g,
             dist: d,
-            gamma,
+            gamma: Some(gamma),
             neighbors: self.adj[g as usize].len() as u32,
             batches_total: total,
             batches_opened: opened,
             ndc: self.cache.ndc() as u64,
             cache_hits: self.cache.hits() as u64,
         });
-        self.hop += 1;
     }
 
     /// Records a γ-threshold stop that left batches of `g` unopened.
@@ -386,11 +378,10 @@ pub fn np_route_budgeted<R: NeighborRanker>(
         rescan_lens: Vec::new(),
         w: Pool::new(),
         state: RouterState::new(),
+        hop_events: Vec::new(),
         m_hops: lan_obs::counter(names::ROUTE_HOPS),
         m_opened: lan_obs::counter(names::ROUTE_BATCHES_OPENED),
         m_prunes: lan_obs::counter(names::ROUTE_GAMMA_PRUNES),
-        trace_q: trace::active_query(),
-        hop: 0,
     };
     for &e in entries {
         let Some(d) = r.try_get(e) else { break };
@@ -418,9 +409,6 @@ pub fn np_route_budgeted<R: NeighborRanker>(
         if let Some(g_flo) = r.w.min_entry() {
             let mut gamma = g_flo.dist + ds;
             'escalate: loop {
-                if let Some(q) = r.trace_q {
-                    trace::emit_gamma(q, gamma);
-                }
                 // Index loop: `all_quali_neigh` never appends to the
                 // exploration order, so this avoids cloning it each round.
                 for i in 0..r.state.order.len() {
@@ -451,7 +439,7 @@ pub fn np_route_budgeted<R: NeighborRanker>(
         }
     }
 
-    finish_route(&r.w, r.state, cache, k, r.stopped)
+    finish_route(&r.w, r.state, r.hop_events, cache, k, r.stopped)
 }
 
 #[cfg(test)]
@@ -552,6 +540,58 @@ mod tests {
                 bs.exploration_order, np.exploration_order,
                 "trial {trial}: exploration sequences differ"
             );
+        }
+    }
+
+    #[test]
+    fn hop_events_follow_the_exploration_order() {
+        let mut rng = StdRng::seed_from_u64(84);
+        for trial in 0..100 {
+            let n = rng.gen_range(5..25);
+            let adj = random_adj(&mut rng, n, n / 2);
+            let dists = distinct_dists(&mut rng, n);
+            let entry = rng.gen_range(0..n) as u32;
+            let b = rng.gen_range(1..5);
+            let (bs, np) = run_both(&adj, &dists, entry, b, 1, 20);
+            for (r, lan) in [(&bs, false), (&np, true)] {
+                let nodes: Vec<u32> = r.hop_events.iter().map(|h| h.node).collect();
+                assert_eq!(nodes, r.exploration_order, "trial {trial}");
+                assert!(
+                    r.hop_events.windows(2).all(|w| w[0].ndc <= w[1].ndc),
+                    "trial {trial}: per-hop NDC decreased"
+                );
+                // Stage 2 may open batches after its last hop; Algorithm 1
+                // computes nothing after its last.
+                let last = r.hop_events.last().expect("the entry is explored");
+                assert!(last.ndc <= r.ndc as u64, "trial {trial}");
+                if !lan {
+                    assert_eq!(last.ndc, r.ndc as u64, "trial {trial}");
+                }
+                for h in &r.hop_events {
+                    assert_eq!(h.dist, dists[h.node as usize], "trial {trial}");
+                    assert_eq!(h.neighbors as usize, adj[h.node as usize].len());
+                    assert!(h.batches_opened <= h.batches_total, "trial {trial}");
+                    if lan {
+                        assert!(h.stage == 1 || h.stage == 2, "trial {trial}");
+                        assert!(h.gamma.is_some_and(|g| g >= h.dist), "trial {trial}");
+                    } else {
+                        assert_eq!((h.stage, h.gamma), (0, None), "trial {trial}");
+                    }
+                }
+                if lan {
+                    assert_eq!(r.hop_events[0].stage, 1, "trial {trial}");
+                    // Stage 2 follows stage 1, and its γ only escalates.
+                    let stages: Vec<u8> = r.hop_events.iter().map(|h| h.stage).collect();
+                    assert!(stages.windows(2).all(|w| w[0] <= w[1]), "trial {trial}");
+                    let gammas: Vec<f64> = r
+                        .hop_events
+                        .iter()
+                        .filter(|h| h.stage == 2)
+                        .filter_map(|h| h.gamma)
+                        .collect();
+                    assert!(gammas.windows(2).all(|w| w[0] <= w[1]), "trial {trial}");
+                }
+            }
         }
     }
 

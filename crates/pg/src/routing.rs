@@ -10,6 +10,7 @@
 use crate::budget::{budgeted_get, BudgetCtx, Termination};
 use crate::metric::DistCache;
 use crate::pool::{Pool, PoolEntry, RouterState};
+use lan_obs::explain::HopEvent;
 
 /// The outcome of one routed query.
 #[derive(Debug, Clone)]
@@ -20,6 +21,9 @@ pub struct RouteResult {
     pub ndc: usize,
     /// Nodes in exploration order (for the Lemma 1 equivalence tests).
     pub exploration_order: Vec<u32>,
+    /// One event per explored node, in exploration order: what the
+    /// EXPLAIN plan reports hop by hop.
+    pub hop_events: Vec<HopEvent>,
     /// How the routing ended ([`Termination::Converged`] unless a budget
     /// bound it; the results are best-so-far either way).
     pub termination: Termination,
@@ -32,27 +36,25 @@ impl RouteResult {
     }
 }
 
-/// Seals a route: top-k of the pool, NDC, exploration order, and the
-/// termination tag; emits the trace `end` event for traced queries.
-/// Shared by both routers (Algorithm 1 and `np_route`).
+/// Seals a route: top-k of the pool, NDC, exploration order, hop events
+/// and the termination tag. Shared by both routers (Algorithm 1 and
+/// `np_route`).
 pub(crate) fn finish_route(
     w: &Pool,
     state: RouterState,
+    hop_events: Vec<HopEvent>,
     cache: &DistCache<'_>,
     k: usize,
     stopped: Option<Termination>,
 ) -> RouteResult {
-    let termination = stopped.unwrap_or(Termination::Converged);
-    let r = RouteResult {
+    debug_assert_eq!(hop_events.len(), state.order.len(), "one event per hop");
+    RouteResult {
         results: w.top_k(k).into_iter().map(|e| (e.dist, e.id)).collect(),
         ndc: cache.ndc(),
         exploration_order: state.order,
-        termination,
-    };
-    if let Some(q) = lan_obs::trace::active_query() {
-        lan_obs::trace::emit_end(q, termination.as_str(), r.ndc as u64);
+        hop_events,
+        termination: stopped.unwrap_or(Termination::Converged),
     }
-    r
 }
 
 /// Algorithm 1: beam search over the base-layer adjacency `adj` from the
@@ -83,6 +85,7 @@ pub fn beam_search_budgeted(
     let m_hops = lan_obs::counter(lan_obs::names::ROUTE_HOPS);
     let mut w = Pool::new();
     let mut state = RouterState::new();
+    let mut hop_events = Vec::new();
     let mut stopped: Option<Termination> = None;
     for &e in entries {
         match budgeted_get(cache, ctx, e) {
@@ -95,7 +98,7 @@ pub fn beam_search_budgeted(
     }
 
     while stopped.is_none() {
-        let Some(PoolEntry { id: g, .. }) = w.min_unexplored(&state) else {
+        let Some(PoolEntry { id: g, dist }) = w.min_unexplored(&state) else {
             break;
         };
         if state.order.len() >= ctx.max_hops() {
@@ -114,10 +117,24 @@ pub fn beam_search_budgeted(
         }
         state.mark_explored(g);
         m_hops.inc();
+        // Every neighbor is opened as one batch, with no threshold.
+        let neighbors = adj[g as usize].len() as u32;
+        let batches = u32::from(neighbors > 0);
+        hop_events.push(HopEvent {
+            stage: 0,
+            node: g,
+            dist,
+            gamma: None,
+            neighbors,
+            batches_total: batches,
+            batches_opened: batches,
+            ndc: cache.ndc() as u64,
+            cache_hits: cache.hits() as u64,
+        });
         w.resize(b, &state);
     }
 
-    finish_route(&w, state, cache, k, stopped)
+    finish_route(&w, state, hop_events, cache, k, stopped)
 }
 
 #[cfg(test)]

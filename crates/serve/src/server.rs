@@ -32,6 +32,10 @@
 //!    expiry promptly, and the query answers best-so-far tagged
 //!    `deadline`.
 //!
+//! A connection whose handler thread cannot be started is dropped (the
+//! client reads EOF) and counted in `serve.shed`; the acceptor keeps
+//! accepting.
+//!
 //! The listener answers `GET /metrics` HTTP requests on the same port
 //! with the Prometheus rendering of the global metrics snapshot.
 
@@ -132,10 +136,30 @@ impl Drop for ServerHandle {
     }
 }
 
+/// A connection handler to run on a thread of its own.
+type Handler = Box<dyn FnOnce() + Send>;
+
 /// Boots the service on `cfg.addr` over a built sharded index. Returns
 /// once the listener is bound; queries are served until a `shutdown`
 /// request or [`ServerHandle::shutdown`].
 pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
+    serve_with(index, cfg, spawn_conn)
+}
+
+/// Starts a connection handler's thread.
+fn spawn_conn(handler: Handler) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("lan-serve-conn".into())
+        .spawn(handler)
+}
+
+/// [`serve`] with the acceptor starting each connection's handler through
+/// `spawn`.
+fn serve_with(
+    index: Arc<ShardedLanIndex>,
+    cfg: ServeConfig,
+    spawn: impl FnMut(Handler) -> std::io::Result<JoinHandle<()>> + Send + 'static,
+) -> std::io::Result<ServerHandle> {
     lan_ged::set_default_poll_stride(SERVE_POLL_STRIDE);
     let listener = TcpListener::bind(cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -157,22 +181,7 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
         let conns = Arc::clone(&conns);
         std::thread::Builder::new()
             .name("lan-serve-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let inner = Arc::clone(&inner);
-                    let h = std::thread::Builder::new()
-                        .name("lan-serve-conn".into())
-                        .spawn(move || handle_conn(&inner, stream))
-                        .expect("spawn connection handler");
-                    let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
-                    reap_finished(&mut conns);
-                    conns.push(h);
-                }
-            })
+            .spawn(move || accept_loop(listener, &inner, &conns, spawn))
             .expect("spawn acceptor")
     };
 
@@ -182,6 +191,32 @@ pub fn serve(index: Arc<ShardedLanIndex>, cfg: ServeConfig) -> std::io::Result<S
         acceptor: Some(acceptor),
         conns,
     })
+}
+
+/// Accepts connections until shutdown, one handler thread each. A handler
+/// that cannot be started drops its stream (the client sees EOF) and
+/// counts in `serve.shed`; the acceptor goes on accepting.
+fn accept_loop(
+    listener: TcpListener,
+    inner: &Arc<ServerInner>,
+    conns: &Mutex<Vec<JoinHandle<()>>>,
+    mut spawn: impl FnMut(Handler) -> std::io::Result<JoinHandle<()>>,
+) {
+    for stream in listener.incoming() {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let conn_inner = Arc::clone(inner);
+        match spawn(Box::new(move || handle_conn(&conn_inner, stream))) {
+            Ok(h) => {
+                let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                reap_finished(&mut conns);
+                conns.push(h);
+            }
+            Err(_) => inner.metrics.shed.inc(),
+        }
+    }
 }
 
 /// Joins the connection handlers that have returned, so the acceptor holds
@@ -371,8 +406,8 @@ mod tests {
     use lan_core::LanConfig;
     use lan_datasets::{Dataset, DatasetSpec};
 
-    /// Boots a server on an ephemeral port over a 16-graph, one-shard index.
-    fn boot() -> ServerHandle {
+    /// A 16-graph, one-shard index.
+    fn boot_index() -> Arc<ShardedLanIndex> {
         let cfg = LanConfig {
             pg: lan_pg::PgConfig::new(4),
             model: lan_models::ModelConfig {
@@ -391,12 +426,19 @@ mod tests {
             .with_graphs(16)
             .with_queries(4)
             .with_metric(lan_ged::GedMethod::Hungarian);
-        let index = ShardedLanIndex::build(&Dataset::generate(spec), &cfg, 1);
-        let cfg = ServeConfig {
+        Arc::new(ShardedLanIndex::build(&Dataset::generate(spec), &cfg, 1))
+    }
+
+    fn ephemeral_port() -> ServeConfig {
+        ServeConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
             ..ServeConfig::default()
-        };
-        serve(Arc::new(index), cfg).expect("bind ephemeral port")
+        }
+    }
+
+    /// Boots a server on an ephemeral port over [`boot_index`].
+    fn boot() -> ServerHandle {
+        serve(boot_index(), ephemeral_port()).expect("bind ephemeral port")
     }
 
     fn held(server: &ServerHandle) -> usize {
@@ -425,6 +467,36 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_failed_handler_spawn_drops_one_connection_and_keeps_accepting() {
+        let shed = lan_obs::counter(names::SERVE_SHED);
+        let before = shed.get();
+        let mut failed = false;
+        let server = serve_with(boot_index(), ephemeral_port(), move |handler| {
+            if std::mem::replace(&mut failed, true) {
+                spawn_conn(handler)
+            } else {
+                Err(std::io::Error::other("injected spawn failure"))
+            }
+        })
+        .expect("bind ephemeral port");
+        // The first connection's handler never starts: its stream is
+        // dropped, so the client reads EOF instead of an answer.
+        assert!(Client::connect(server.addr()).unwrap().ping().is_err());
+        // The acceptor counts the shed connection after its stream closed.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shed.get() == before {
+            assert!(
+                Instant::now() < deadline,
+                "the dropped connection was not shed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The acceptor survived and serves the next connection.
+        Client::connect(server.addr()).unwrap().ping().unwrap();
         server.shutdown();
     }
 
